@@ -7,9 +7,9 @@ grid into a *campaign*:
 * :mod:`~repro.campaign.spec` **plans** — expands a
   :class:`CampaignSpec` into picklable :class:`RunSpec` cells (approaches
   travel by registry name; workers rebuild the policies);
-* :mod:`~repro.campaign.executor` **executes** — fans the plan out over a
-  process pool with bounded retries, per-run timeouts, and graceful
-  serial degradation;
+* :mod:`~repro.campaign.executor` **executes** — hands the plan out to
+  supervisor-owned worker processes with bounded retries and per-run
+  deadlines enforced by killing and replacing the worker that overran;
 * :mod:`~repro.campaign.store` **persists** — a content-addressed
   :class:`ResultStore` under ``benchmarks/results/store/`` makes re-runs
   free and interrupted campaigns resumable;

@@ -1,4 +1,4 @@
-"""Supervised parallel campaign execution over ``concurrent.futures``.
+"""Supervised parallel campaign execution on supervisor-owned workers.
 
 The executor turns a list of :class:`~repro.campaign.spec.RunSpec` into
 :class:`RunOutcome`s under a supervisor that guarantees *no spec is ever
@@ -11,50 +11,52 @@ Supervision rules (see :mod:`repro.campaign.failures` for the taxonomy):
 
 * runs already in the :class:`~repro.campaign.store.ResultStore` are served
   from disk (``status="cached"``) without touching a worker;
-* the rest fan out over a ``ProcessPoolExecutor``; each worker keeps a
-  process-local Runner per configuration fingerprint and persists its
-  result to the store *before* returning, so a campaign killed mid-flight
-  resumes from everything that finished;
+* the rest are handed, one spec at a time, to up to ``jobs`` long-lived
+  worker processes the supervisor starts itself (one duplex pipe each).
+  A worker keeps a process-local Runner per configuration fingerprint —
+  so traces and alone-run baselines are shared between the cells it
+  serves — and persists its result to the store *before* replying, so a
+  campaign killed mid-flight resumes from everything that finished;
+* the supervisor waits on the workers' pipes and process sentinels. A
+  worker that overruns the per-run deadline is killed (**timeout**); a
+  worker found dead, or one that cannot be started, is an
+  **infrastructure** loss. Either way exactly the spec that worker held
+  is affected, the worker is replaced, and sibling workers run on
+  undisturbed;
 * a failed attempt is classified: **transient** errors and **timeouts**
   consume one unit of the spec's bounded retry budget and requeue with
   exponential backoff; **deterministic** errors are retried once to
   confirm and then *quarantine* the spec (a poison spec must not burn the
-  campaign's wall-clock); a **worker crash** (``BrokenProcessPool``) is an
-  infrastructure failure — the pool is respawned and every in-flight spec
-  requeues *without* being charged, since innocents die with the pool;
-* a spec repeatedly present when the pool dies is itself quarantined after
-  ``max_pool_respawns`` losses, and a pool that keeps dying with no
-  progress at all degrades the remainder to serial in-process execution;
+  campaign's wall-clock); **infrastructure** losses requeue *without*
+  being charged, but a spec that loses its worker more than
+  ``max_pool_respawns`` times is itself quarantined;
 * with ``safepoint_every``/``checkpoint_dir`` set, workers checkpoint
   mid-run state periodically and a retried spec *resumes from its last
   checkpoint* — resumed results are bit-identical to uninterrupted ones
   (pinned by the kernel-golden checkpoint grid);
-* per-run timeouts are enforced with ``SIGALRM`` where possible and fall
-  back to a watchdog thread raising an async exception elsewhere, so a
-  deadline is never silently unenforced;
-* when ``jobs=1``, or the platform cannot provide a process pool, the whole
-  plan runs serially in-process under the same supervision rules — same
-  code path a worker runs, so metrics are bit-identical either way.
+* when ``jobs=1`` and no timeout is requested there is nothing to kill
+  and nothing to overlap, so the same scheduling loop calls the worker
+  function inline instead of starting a process — same code path a worker
+  process runs, so metrics are bit-identical either way.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import multiprocessing
 import os
-import signal
-import threading
+import shutil
 import time
 import traceback as traceback_module
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
-from ..errors import ReproError
-from ..sim.runner import RunResult
+from ..sim.runner import RunResult, describe_run
 from ..telemetry.spans import (
     SpanTracer,
     install_tracer,
@@ -62,22 +64,19 @@ from ..telemetry.spans import (
     now_us,
     write_trace_file,
 )
-from .failures import FailureAttempt, FailureClass, FailureRecord, classify_failure
+from .failures import (
+    FailureAttempt,
+    FailureClass,
+    FailureRecord,
+    RunTimeoutError,
+    WorkerDiedError,
+    classify_failure,
+)
 from .spec import RunSpec
 from .store import ResultStore
 
 #: Called after every settled run: (outcome, done_count, total_count).
 ProgressFn = Callable[["RunOutcome", int, int], None]
-
-
-class RunTimeoutError(ReproError):
-    """A run exceeded the campaign's per-run timeout."""
-
-    def __str__(self) -> str:
-        # The watchdog injects this class via PyThreadState_SetAsyncExc,
-        # which instantiates it with no arguments — failure records must
-        # still read meaningfully, not "RunTimeoutError: ".
-        return super().__str__() or "per-run timeout expired"
 
 
 @dataclass
@@ -107,7 +106,7 @@ class CampaignResult:
     wall_clock: float = 0.0
     #: Parent-observed seconds spent on attempts that ended in a failure.
     time_lost_to_faults: float = 0.0
-    #: Times the worker pool had to be rebuilt after a worker death.
+    #: Worker processes replaced: killed on a deadline or found dead.
     pool_respawns: int = 0
 
     def with_status(self, status: str) -> List[RunOutcome]:
@@ -214,121 +213,6 @@ def execute_one(
     return result, time.perf_counter() - started
 
 
-#: True only while a SIGALRM-enforced run is in flight. The repeating
-#: interval timer means an alarm can already be queued for delivery at the
-#: instant the timeout scope cancels it; that signal then lands *outside*
-#: the scope — in the supervisor's settle path — where an unguarded raise
-#: would abort the whole campaign. The handler checks this flag and turns
-#: late deliveries into no-ops.
-_ALARM_ARMED = False
-
-
-def _alarm_handler(signum, frame):  # pragma: no cover - timing-dependent
-    if _ALARM_ARMED:
-        raise RunTimeoutError("per-run timeout expired")
-
-
-def _async_raise(thread_id: int) -> None:
-    """Raise RunTimeoutError asynchronously in ``thread_id``."""
-    ctypes.pythonapi.PyThreadState_SetAsyncExc(
-        ctypes.c_ulong(thread_id), ctypes.py_object(RunTimeoutError)
-    )
-
-
-class _Watchdog:
-    """Deadline enforcement for threads SIGALRM cannot reach.
-
-    A daemon thread that, once the deadline passes, injects
-    :class:`RunTimeoutError` into the target thread via
-    ``PyThreadState_SetAsyncExc`` — re-injecting every 50 ms until
-    cancelled, in case the first lands in a frame that swallows it.
-    """
-
-    def __init__(self, timeout: float, thread_id: int) -> None:
-        self._deadline = time.monotonic() + timeout
-        self._thread_id = thread_id
-        self._cancel = threading.Event()
-        self._thread = threading.Thread(target=self._watch, daemon=True)
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._cancel.set()
-        self._thread.join(timeout=2.0)
-        # An injection may still be pending on the target thread; a NULL
-        # exc clears it so it cannot detonate in the caller after the
-        # timeout scope has exited (mirrors the SIGALRM disarm flag).
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(self._thread_id), None
-        )
-
-    def _watch(self) -> None:
-        while not self._cancel.wait(0.05):
-            if time.monotonic() < self._deadline:
-                continue
-            if self._cancel.is_set():
-                return
-            _async_raise(self._thread_id)
-
-
-def _execute_with_timeout(
-    spec: RunSpec,
-    timeout: Optional[float],
-    submission: int = 1,
-    safepoint_every: Optional[int] = None,
-    safepoint_dir: Optional[str] = None,
-) -> Tuple[RunResult, float]:
-    """Run one spec under a hard deadline.
-
-    On a POSIX main thread the deadline is a repeating ``SIGALRM`` timer;
-    anywhere else (Windows, or a caller driving the executor from a
-    non-main thread) it falls back to a watchdog thread, with a warning
-    naming the active mechanism — the timeout is never silently dropped.
-    """
-    if not timeout:
-        return execute_one(spec, submission, safepoint_every, safepoint_dir)
-    if (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    ):
-        global _ALARM_ARMED
-        signal.signal(signal.SIGALRM, _alarm_handler)
-        # Repeating interval: if the first alarm lands while the interpreter
-        # is inside a C-level callback that swallows exceptions (e.g. a GC
-        # hook), the timeout would otherwise be silently lost. A re-firing
-        # timer guarantees a later alarm reaches normal bytecode.
-        _ALARM_ARMED = True
-        signal.setitimer(signal.ITIMER_REAL, timeout, min(timeout, 0.05))
-        try:
-            return execute_one(
-                spec, submission, safepoint_every, safepoint_dir
-            )
-        finally:
-            # Disarm BEFORE cancelling: a signal queued in the gap is then
-            # ignored by the handler instead of detonating in the caller.
-            _ALARM_ARMED = False
-            signal.setitimer(signal.ITIMER_REAL, 0)
-    warnings.warn(
-        "SIGALRM is unavailable off the POSIX main thread; enforcing the "
-        f"{timeout}s per-run timeout with a watchdog thread "
-        "(PyThreadState_SetAsyncExc)",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    watchdog = _Watchdog(timeout, threading.get_ident())
-    watchdog.start()
-    try:
-        return execute_one(spec, submission, safepoint_every, safepoint_dir)
-    finally:
-        try:
-            watchdog.stop()
-        except RunTimeoutError:
-            # A final injection landed inside stop() itself; the deadline
-            # already did its job, don't let the echo escape the scope.
-            pass
-
-
 def _span_part_path(span_dir: str, spec: RunSpec, submission: int) -> str:
     """Unique per-attempt trace-part filename inside ``span_dir``."""
     digest = hashlib.sha256(spec.label.encode("utf-8")).hexdigest()[:8]
@@ -343,14 +227,13 @@ def _span_part_path(span_dir: str, spec: RunSpec, submission: int) -> str:
 def _worker(
     spec: RunSpec,
     store_root: Optional[str],
-    timeout: Optional[float],
     submission: int = 1,
     fault_plan: Optional[Dict[str, object]] = None,
     safepoint_every: Optional[int] = None,
     safepoint_dir: Optional[str] = None,
     span_dir: Optional[str] = None,
 ) -> Tuple[RunResult, float]:
-    """Pool entry point: run, persist to the store, return the result."""
+    """One hand-off: run, persist to the store, return the result."""
     if fault_plan is not None:
         from ..faults import FaultPlan, install_plan
 
@@ -359,22 +242,27 @@ def _worker(
     if span_dir is not None:
         # Per-attempt tracer: the Runner's span sites pick it up via
         # current_tracer(). The previous tracer is restored in the
-        # finally so the serial path hands the supervisor its own
-        # tracer back. A worker that dies mid-attempt (SIGKILL fault)
-        # never writes its part file; the merge skips the hole and the
-        # supervisor's lane still shows the attempt.
+        # finally so the inline path hands the supervisor its own
+        # tracer back. A worker that dies mid-attempt (SIGKILL fault,
+        # deadline kill) never writes its part file; the merge skips the
+        # hole and the supervisor's lane still shows the attempt.
         tracer = SpanTracer(f"campaign-worker pid={os.getpid()}")
         previous_tracer = install_tracer(tracer)
     try:
-        result, wall = _execute_with_timeout(
-            spec, timeout, submission, safepoint_every, safepoint_dir
+        result, wall = execute_one(
+            spec, submission, safepoint_every, safepoint_dir
         )
         if store_root is not None:
             from ..faults import maybe_fire
 
             store = _store_for(store_root)
             key = spec.key()
-            store.put(key, result, wall, describe=_describe(spec, result))
+            describe = describe_run(
+                spec.mix_name, spec.apps, spec.approach, spec.seed,
+                spec.horizon, spec.target_insts, spec.trace_digests,
+                result.telemetry,
+            )
+            store.put(key, result, wall, describe=describe)
             # Chaos harness hook: damage the just-written blob, as a dying
             # disk or torn write would. The store's digest/decode checks
             # must catch it on the next read and quarantine rather than
@@ -395,20 +283,53 @@ def _worker(
     return result, wall
 
 
-def _describe(spec: RunSpec, result: Optional[RunResult] = None) -> Dict[str, object]:
-    doc: Dict[str, object] = {
-        "mix": spec.mix_name or "+".join(spec.apps),
-        "apps": list(spec.apps),
-        "approach": spec.approach,
-        "seed": spec.seed,
-        "horizon": spec.horizon,
-        "target_insts": spec.target_insts,
-    }
-    if spec.trace_digests:
-        doc["trace_digests"] = dict(spec.trace_digests)
-    if result is not None and result.telemetry is not None:
-        doc["telemetry"] = result.telemetry
-    return doc
+class _Failure(NamedTuple):
+    """One failed attempt, reduced to what the supervisor records.
+
+    Plain strings plus the class, so a failure crosses the pipe whether or
+    not the exception that caused it can be pickled.
+    """
+
+    cls: FailureClass
+    error_type: str
+    message: str
+    traceback: str
+
+
+def _failure_of(error: BaseException) -> _Failure:
+    return _Failure(
+        classify_failure(error),
+        type(error).__name__,
+        str(error),
+        "".join(
+            traceback_module.format_exception(
+                type(error), error, error.__traceback__
+            )
+        ),
+    )
+
+
+def _attempt(args: tuple) -> Union[Tuple[RunResult, float], _Failure]:
+    """:func:`_worker` with its exception folded into the return value."""
+    try:
+        return _worker(*args)
+    except Exception as error:
+        return _failure_of(error)
+
+
+def _worker_main(conn: Connection) -> None:
+    """Body of a worker process: serve hand-offs until the supervisor goes.
+
+    The module-level Runner cache deliberately survives between hand-offs
+    (and, under ``fork``, starts from the supervisor's warm copy), which is
+    what lets the cells one worker serves share traces and alone baselines.
+    """
+    while True:
+        try:
+            args = conn.recv()
+        except EOFError:
+            return
+        conn.send(_attempt(args))
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +342,6 @@ def _safe_key(spec: RunSpec) -> str:
     fails) — exactly the kind of spec that ends up needing a failure
     record, so the record falls back to hashing the label.
     """
-    import hashlib
-
     try:
         return spec.key()
     except Exception:
@@ -434,7 +353,6 @@ def _safe_key(spec: RunSpec) -> str:
 class _SpecState:
     """The supervisor's bookkeeping for one not-yet-settled spec."""
 
-    index: int
     spec: RunSpec
     #: Budget-consuming attempts (charged at hand-off, refunded for
     #: infrastructure losses the spec is not responsible for).
@@ -450,52 +368,59 @@ class _SpecState:
     started_us: int = 0
 
 
-class _Supervisor:
-    """Shared retry/backoff/quarantine logic for both execution modes."""
+@dataclass(eq=False)
+class _Slot:
+    """One supervisor-owned worker process and the spec it holds, if any."""
 
-    def __init__(
-        self,
-        specs: Sequence[RunSpec],
-        outcomes: Dict[int, RunOutcome],
-        total: int,
-        store: Optional[ResultStore],
-        retries: int,
-        timeout: Optional[float],
-        progress: Optional[ProgressFn],
-        backoff: float,
-        quarantine_after: int,
-        max_pool_respawns: int,
-        safepoint_every: Optional[int],
-        checkpoint_dir: Optional[str],
-        fault_plan_doc: Optional[Dict[str, object]],
-        tracer: Optional[SpanTracer] = None,
-        span_dir: Optional[str] = None,
-    ) -> None:
-        self.specs = specs
-        self.outcomes = outcomes
-        self.total = total
-        self.store = store
-        self.store_root = str(store.root) if store is not None else None
-        self.retries = retries
-        self.timeout = timeout
-        self.progress = progress
-        self.backoff = backoff
-        self.quarantine_after = quarantine_after
-        self.max_pool_respawns = max_pool_respawns
-        self.safepoint_every = safepoint_every
-        self.checkpoint_dir = checkpoint_dir
-        self.fault_plan_doc = fault_plan_doc
-        self.states: Dict[int, _SpecState] = {}
-        self.time_lost = 0.0
-        self.pool_respawns = 0
-        self.tracer = tracer
-        self.span_dir = span_dir
+    process: multiprocessing.Process
+    conn: Connection
+    #: Index of the spec in flight; None while the worker is idle.
+    index: Optional[int] = None
+    handed_off: float = 0.0
+    deadline: Optional[float] = None
+
+    def stop(self) -> None:
+        """Kill the worker. Everything it owes the campaign (store entry,
+        span part file) is on disk before it replies, so there is nothing
+        to flush and one way to stop — idle, hung or already dead alike."""
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
+@dataclass
+class _Supervisor:
+    """Retry/backoff/quarantine bookkeeping and the one scheduling loop."""
+
+    specs: Sequence[RunSpec]
+    outcomes: Dict[int, RunOutcome]
+    total: int
+    store: Optional[ResultStore]
+    retries: int
+    timeout: Optional[float]
+    progress: Optional[ProgressFn]
+    backoff: float
+    quarantine_after: int
+    max_pool_respawns: int
+    safepoint_every: Optional[int]
+    checkpoint_dir: Optional[str]
+    fault_plan_doc: Optional[Dict[str, object]]
+    tracer: Optional[SpanTracer] = None
+    span_dir: Optional[str] = None
+    states: Dict[int, _SpecState] = field(default_factory=dict)
+    time_lost: float = 0.0
+    pool_respawns: int = 0
+    #: Spec indices runnable now / requeued for a later monotonic time.
+    ready: List[int] = field(default_factory=list)
+    delayed: Dict[int, float] = field(default_factory=dict)
+    #: Live worker processes, busy and idle.
+    slots: List[_Slot] = field(default_factory=list)
+
+    @property
+    def store_root(self) -> Optional[str]:
+        return str(self.store.root) if self.store is not None else None
 
     # -- span tracing ----------------------------------------------------
-    def _mark_handoff(self, st: _SpecState) -> None:
-        if self.tracer is not None and not st.started_us:
-            st.started_us = now_us()
-
     def _span_attempt(self, st: _SpecState, name: str, wall: float, **args):
         """Record one attempt retrospectively on the spec's virtual lane."""
         if self.tracer is None:
@@ -514,7 +439,7 @@ class _Supervisor:
     def state(self, index: int) -> _SpecState:
         st = self.states.get(index)
         if st is None:
-            st = _SpecState(index=index, spec=self.specs[index])
+            st = _SpecState(self.specs[index])
             self.states[index] = st
         return st
 
@@ -602,56 +527,48 @@ class _Supervisor:
 
     # -- the supervision decision ---------------------------------------
     def handle_failure(
-        self, index: int, error: BaseException, tb: str, wall: float
+        self, index: int, failure: _Failure, wall: float
     ) -> Optional[float]:
-        """Classify one failed attempt; returns the requeue delay in
-        seconds, or None when the spec settled (failed/quarantined)."""
+        """Book one failed attempt; returns the requeue delay in seconds,
+        or None when the spec settled (failed/quarantined)."""
         st = self.state(index)
-        cls = classify_failure(error)
+        cls = failure.cls
         self.time_lost += wall
         st.failures.append(
             FailureAttempt(
                 attempt=st.attempts,
                 submission=st.submissions,
                 error_class=cls.value,
-                error_type=type(error).__name__,
-                message=str(error),
-                traceback=tb,
+                error_type=failure.error_type,
+                message=failure.message,
+                traceback=failure.traceback,
                 wall_clock=wall,
                 at=time.time(),
             )
         )
+        quarantine = None
         if cls is FailureClass.INFRASTRUCTURE:
-            # The worker died; the spec may be an innocent bystander of
-            # another spec's crash, so its budget is refunded — but a spec
-            # present at every pool death is the likely culprit.
+            # Losing a worker is not evidence against the spec (the OOM
+            # killer picks its own victims), so its budget is refunded —
+            # but a spec whose worker keeps dying is the likely culprit.
             st.attempts -= 1
             st.infra_losses += 1
-            if st.infra_losses > self.max_pool_respawns:
-                self.settle_failure(
-                    index,
-                    "quarantined",
-                    cls,
-                    reason=(
-                        f"worker process died {st.infra_losses} times "
-                        f"while this spec was in flight"
-                    ),
-                )
-                return None
-            return 0.0
-        if cls is FailureClass.DETERMINISTIC:
+            if st.infra_losses <= self.max_pool_respawns:
+                return 0.0
+            quarantine = (
+                f"worker process died {st.infra_losses} times "
+                f"while this spec was in flight"
+            )
+        elif cls is FailureClass.DETERMINISTIC:
             st.det_failures += 1
             if st.det_failures >= self.quarantine_after:
-                self.settle_failure(
-                    index,
-                    "quarantined",
-                    cls,
-                    reason=(
-                        f"{st.det_failures} deterministic failures; "
-                        f"retrying cannot succeed"
-                    ),
+                quarantine = (
+                    f"{st.det_failures} deterministic failures; "
+                    f"retrying cannot succeed"
                 )
-                return None
+        if quarantine is not None:
+            self.settle_failure(index, "quarantined", cls, reason=quarantine)
+            return None
         if st.attempts >= self.retries + 1:
             self.settle_failure(
                 index,
@@ -662,233 +579,179 @@ class _Supervisor:
             return None
         return self.backoff * (2 ** max(0, st.attempts - 1))
 
-    def _after_failure(
+    def _finish(
         self,
         index: int,
-        error: BaseException,
+        reply: Union[Tuple[RunResult, float], _Failure],
         wall: float,
-        ready: List[int],
-        delayed: Dict[int, float],
     ) -> None:
-        tb = "".join(
-            traceback_module.format_exception(
-                type(error), error, error.__traceback__
-            )
-        )
-        delay = self.handle_failure(index, error, tb, wall)
+        """Settle one attempt, or requeue its spec after a failure."""
+        if not isinstance(reply, _Failure):
+            self.settle_ok(index, *reply)
+            return
+        delay = self.handle_failure(index, reply, wall)
+        st = self.state(index)
         self._span_attempt(
-            self.state(index),
+            st,
             "fault-retry",
             wall,
-            submission=self.state(index).submissions,
-            error=type(error).__name__,
+            submission=st.submissions,
+            error=reply.error_type,
             requeued=delay is not None,
         )
         if delay is None:
             return
         if delay <= 0:
-            ready.append(index)
+            self.ready.append(index)
         else:
-            delayed[index] = time.monotonic() + delay
+            self.delayed[index] = time.monotonic() + delay
 
-    # -- serial mode -----------------------------------------------------
-    def run_serial(self, pending: Sequence[int]) -> None:
+    # -- worker processes ------------------------------------------------
+    def _start_worker(self) -> _Slot:
+        """Start one worker process (default start method) on its own pipe."""
+        ours, theirs = multiprocessing.Pipe()
+        # The child holds its own copy of ``theirs``; closing this one is
+        # what turns the worker's death into an EOF on ``ours``.
+        with theirs:
+            process = multiprocessing.Process(
+                target=_worker_main, args=(theirs,)
+            )
+            process.start()
+        return _Slot(process, ours)
+
+    def _replace(self, slot: _Slot) -> None:
+        """Kill a worker that overran its deadline or died; a successor is
+        started by the next hand-off that finds no idle worker."""
+        slot.stop()
+        self.slots.remove(slot)
+        self.pool_respawns += 1
+
+    # -- the scheduling loop ---------------------------------------------
+    def run(self, pending: Sequence[int], jobs: int) -> None:
+        """Drive every pending spec to a settled outcome.
+
+        A slot is a worker process — except with one job and no deadline,
+        where there is nothing to kill and nothing to overlap, so the slot
+        is a plain call in this process.
+        """
         from ..faults import runtime as faults_runtime
 
-        if self.store is not None and self.store_root is not None:
-            # Reuse the caller's store handle so its hit/write accounting
-            # reflects the serial path exactly as before.
-            _WORKER_STORES.setdefault(self.store_root, self.store)
-        ready: List[int] = list(pending)
-        delayed: Dict[int, float] = {}
+        inline = jobs == 1 and not self.timeout
+        if inline and self.store is not None:
+            # Lend the caller's store handle to the inline worker so its
+            # hit/write accounting reflects the runs made on its behalf —
+            # for this run only: a handle left behind would be inherited,
+            # SQLite connection and all, by a later campaign's forked workers.
+            _WORKER_STORES[self.store_root] = self.store
+        self.ready = list(pending)
         try:
-            while ready or delayed:
+            while self.ready or self.delayed or self._busy():
                 now = time.monotonic()
-                for index, at in sorted(delayed.items(), key=lambda kv: kv[1]):
+                for index, at in sorted(
+                    self.delayed.items(), key=lambda kv: kv[1]
+                ):
                     if at <= now:
-                        ready.append(index)
-                        del delayed[index]
-                if not ready:
-                    time.sleep(
-                        max(0.005, min(delayed.values()) - time.monotonic())
-                    )
-                    continue
-                index = ready.pop(0)
-                st = self.state(index)
-                st.submissions += 1
-                st.attempts += 1
-                self._mark_handoff(st)
-                started = time.monotonic()
+                        self.ready.append(index)
+                        del self.delayed[index]
+                while self.ready and len(self._busy()) < jobs:
+                    self._hand_off(self.ready.pop(0), inline)
+                self._wait()
+        finally:
+            while self.slots:
+                self.slots.pop().stop()
+            if inline:
+                _WORKER_STORES.pop(self.store_root, None)
+                if self.fault_plan_doc is not None:
+                    # _worker installed the plan into *this* process; drop
+                    # it so later campaigns (and the caller) run fault-free.
+                    faults_runtime.reset()
+
+    def _busy(self) -> List[_Slot]:
+        return [slot for slot in self.slots if slot.index is not None]
+
+    def _hand_off(self, index: int, inline: bool) -> None:
+        st = self.state(index)
+        st.submissions += 1
+        st.attempts += 1
+        if self.tracer is not None and not st.started_us:
+            st.started_us = now_us()
+        args = (
+            self.specs[index],
+            self.store_root,
+            st.submissions,
+            self.fault_plan_doc,
+            self.safepoint_every,
+            self.checkpoint_dir,
+            self.span_dir,
+        )
+        started = time.monotonic()
+        if inline:
+            reply = _attempt(args)
+            self._finish(index, reply, time.monotonic() - started)
+            return
+        slot = next((s for s in self.slots if s.index is None), None)
+        try:
+            if slot is None:
+                slot = self._start_worker()
+                self.slots.append(slot)
+            slot.conn.send(args)
+        except OSError as error:
+            # No process to be had, or an idle worker died since its last
+            # reply. Running the spec unguarded instead would silently drop
+            # the deadline, so this is an infrastructure loss like any other.
+            if slot is not None:
+                self._replace(slot)
+            died = WorkerDiedError(f"could not hand off to a worker: {error}")
+            self._finish(index, _failure_of(died), 0.0)
+            return
+        slot.index = index
+        slot.handed_off = started
+        slot.deadline = started + self.timeout if self.timeout else None
+
+    def _wait(self) -> None:
+        """Block until a worker replies, dies or overruns its deadline, or
+        a delayed spec comes due; then act on every busy worker's state."""
+        busy = self._busy()
+        wake = list(self.delayed.values())
+        wake += [slot.deadline for slot in busy if slot.deadline is not None]
+        timeout = max(0.0, min(wake) - time.monotonic()) if wake else None
+        if not busy:
+            if timeout:
+                time.sleep(timeout)
+            return
+        signalled = wait(
+            [s.conn for s in busy] + [s.process.sentinel for s in busy],
+            timeout,
+        )
+        now = time.monotonic()
+        for slot in busy:
+            reply = None
+            timed_out = False
+            if slot.conn in signalled:
                 try:
-                    result, wall = _worker(
-                        self.specs[index],
-                        self.store_root,
-                        self.timeout,
-                        st.submissions,
-                        self.fault_plan_doc,
-                        self.safepoint_every,
-                        self.checkpoint_dir,
-                        self.span_dir,
+                    reply = slot.conn.recv()
+                except (EOFError, OSError):
+                    pass  # EOF: the worker died mid-attempt
+            elif slot.process.sentinel not in signalled:
+                timed_out = slot.deadline is not None and now >= slot.deadline
+                if not timed_out:
+                    continue  # still running, within its deadline
+            index, slot.index = slot.index, None
+            if reply is None:
+                self._replace(slot)
+                pid = slot.process.pid
+                reply = _failure_of(
+                    RunTimeoutError(
+                        f"per-run timeout of {self.timeout}s expired; "
+                        f"worker pid {pid} killed"
                     )
-                except Exception as error:
-                    self._after_failure(
-                        index,
-                        error,
-                        time.monotonic() - started,
-                        ready,
-                        delayed,
+                    if timed_out
+                    else WorkerDiedError(
+                        f"worker pid {pid} died mid-run "
+                        f"(exit code {slot.process.exitcode})"
                     )
-                else:
-                    self.settle_ok(index, result, wall)
-        finally:
-            if self.fault_plan_doc is not None:
-                # _worker installed the plan into *this* process; drop it
-                # so later campaigns (and the caller) run fault-free.
-                faults_runtime.reset()
-
-    # -- pooled mode -----------------------------------------------------
-    def run_pooled(self, pending: Sequence[int], jobs: int) -> None:
-        ready: List[int] = list(pending)
-        delayed: Dict[int, float] = {}
-        pool: Optional[ProcessPoolExecutor] = None
-        #: future -> (spec index, monotonic hand-off time)
-        futures: Dict[object, Tuple[int, float]] = {}
-        consecutive_respawns = 0
-
-        def degrade_to_serial() -> None:
-            remaining = sorted(
-                set(ready)
-                | set(delayed)
-                | {index for index, _ in futures.values()}
-            )
-            ready.clear()
-            delayed.clear()
-            futures.clear()
-            self.run_serial(remaining)
-
-        try:
-            while ready or delayed or futures:
-                now = time.monotonic()
-                for index, at in sorted(delayed.items(), key=lambda kv: kv[1]):
-                    if at <= now:
-                        ready.append(index)
-                        del delayed[index]
-                if pool is None and ready:
-                    try:
-                        pool = ProcessPoolExecutor(
-                            max_workers=min(jobs, max(1, len(ready)))
-                        )
-                    except (OSError, ValueError, RuntimeError):
-                        # No process pool on this platform/sandbox: degrade
-                        # to serial for everything still unfinished.
-                        degrade_to_serial()
-                        return
-                while ready and pool is not None:
-                    index = ready.pop(0)
-                    st = self.state(index)
-                    st.submissions += 1
-                    st.attempts += 1
-                    self._mark_handoff(st)
-                    try:
-                        future = pool.submit(
-                            _worker,
-                            self.specs[index],
-                            self.store_root,
-                            self.timeout,
-                            st.submissions,
-                            self.fault_plan_doc,
-                            self.safepoint_every,
-                            self.checkpoint_dir,
-                            self.span_dir,
-                        )
-                    except BrokenProcessPool:
-                        st.submissions -= 1
-                        st.attempts -= 1
-                        ready.insert(0, index)
-                        break
-                    futures[future] = (index, time.monotonic())
-                if not futures:
-                    if ready and pool is not None:
-                        # Every submit bounced off a broken pool: respawn.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = None
-                        self.pool_respawns += 1
-                        consecutive_respawns += 1
-                        if consecutive_respawns > self.max_pool_respawns:
-                            warnings.warn(
-                                f"worker pool died {consecutive_respawns} "
-                                f"times in a row; finishing the remaining "
-                                f"runs serially",
-                                RuntimeWarning,
-                            )
-                            degrade_to_serial()
-                            return
-                    elif delayed:
-                        time.sleep(
-                            max(
-                                0.005,
-                                min(delayed.values()) - time.monotonic(),
-                            )
-                        )
-                    continue
-                wait_timeout = None
-                if delayed:
-                    wait_timeout = max(
-                        0.0, min(delayed.values()) - time.monotonic()
-                    )
-                done, _ = wait(
-                    set(futures),
-                    timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
                 )
-                broken = False
-                for future in done:
-                    index, handed_off = futures.pop(future)
-                    wall = time.monotonic() - handed_off
-                    try:
-                        result, run_wall = future.result()
-                    except BrokenProcessPool as error:
-                        broken = True
-                        self._after_failure(
-                            index, error, wall, ready, delayed
-                        )
-                    except Exception as error:  # raised inside the worker
-                        consecutive_respawns = 0
-                        self._after_failure(
-                            index, error, wall, ready, delayed
-                        )
-                    else:
-                        consecutive_respawns = 0
-                        self.settle_ok(index, result, run_wall)
-                if broken:
-                    # The pool is unusable; in-flight futures are lost too.
-                    # None of them is charged — the crash may belong to any
-                    # one of them, and innocents must not lose budget.
-                    for future, (index, handed_off) in list(futures.items()):
-                        self._after_failure(
-                            index,
-                            BrokenProcessPool("worker process died"),
-                            time.monotonic() - handed_off,
-                            ready,
-                            delayed,
-                        )
-                    futures.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
-                    self.pool_respawns += 1
-                    consecutive_respawns += 1
-                    if consecutive_respawns > self.max_pool_respawns:
-                        warnings.warn(
-                            f"worker pool died {consecutive_respawns} times "
-                            f"in a row; finishing the remaining runs "
-                            f"serially",
-                            RuntimeWarning,
-                        )
-                        degrade_to_serial()
-                        return
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+            self._finish(index, reply, now - slot.handed_off)
 
 
 def execute(
@@ -912,8 +775,10 @@ def execute(
     first, so the default reports a run as failed once it has failed twice
     (infrastructure losses are not charged). ``backoff`` is the base of the
     exponential requeue delay. ``quarantine_after`` deterministic failures
-    quarantine a spec; ``max_pool_respawns`` bounds both one spec's
-    tolerated worker deaths and consecutive no-progress pool respawns.
+    quarantine a spec; ``max_pool_respawns`` bounds the worker deaths one
+    spec is forgiven before it is quarantined. ``timeout`` (seconds) is a
+    hard per-attempt deadline, enforced by running the attempt in a worker
+    process — even with ``jobs=1`` — and killing the one that overruns.
     ``safepoint_every`` (cycles) makes workers checkpoint into
     ``checkpoint_dir`` (default: ``<store>/checkpoints``) and retries
     resume from the last checkpoint. ``faults`` injects a deterministic
@@ -928,15 +793,10 @@ def execute(
     span_dir: Optional[str] = None
     if spans is not None:
         span_dir = str(spans) + ".parts"
-        os.makedirs(span_dir, exist_ok=True)
         # Stale parts from an earlier campaign pointed at the same output
-        # would pollute the merge; a part written this run replaces them.
-        for stale in os.listdir(span_dir):
-            if stale.endswith(".json"):
-                try:
-                    os.remove(os.path.join(span_dir, stale))
-                except OSError:
-                    pass
+        # would pollute the merge.
+        shutil.rmtree(span_dir, ignore_errors=True)
+        os.makedirs(span_dir)
         tracer = SpanTracer("campaign-supervisor")
     total = len(specs)
     outcomes: Dict[int, RunOutcome] = {}
@@ -993,10 +853,7 @@ def execute(
         span_dir=span_dir,
     )
     if pending:
-        if jobs > 1:
-            supervisor.run_pooled(pending, jobs)
-        else:
-            supervisor.run_serial(pending)
+        supervisor.run(pending, max(1, jobs))
 
     if tracer is not None and spans is not None:
         tracer.complete(
@@ -1012,20 +869,12 @@ def execute(
             for name in os.listdir(span_dir)
             if name.endswith(".json")
         )
-        # Missing/absent parts are expected: a SIGKILLed worker never
-        # flushes its tracer. The supervisor's own spans still record
-        # the failed attempt, so the timeline stays complete.
+        # Missing parts are expected: a killed worker never flushes its
+        # tracer (at most it leaves a ``.tmp``). The supervisor's own spans
+        # still record the failed attempt, so the timeline stays complete.
         merged = merge_trace_files(parts, extra=[tracer.to_chrome()])
         write_trace_file(str(spans), merged)
-        for part in parts:
-            try:
-                os.remove(part)
-            except OSError:
-                pass
-        try:
-            os.rmdir(span_dir)
-        except OSError:
-            pass
+        shutil.rmtree(span_dir, ignore_errors=True)
 
     ordered = [outcomes[i] for i in sorted(outcomes)]
     return CampaignResult(

@@ -12,15 +12,21 @@ class              typical causes                              reaction
 ``deterministic``  ConfigError, SimulationError, any other     retry once to
                    exception raised by the run itself          confirm, then
                                                                quarantine
-``timeout``        per-run deadline expired                    retry (from
-                                                               the last
-                                                               checkpoint if
+``timeout``        per-run deadline expired; the supervisor    retry (from
+                   killed the worker that overran it           the last
+                   (RunTimeoutError)                           checkpoint if
                                                                one exists);
                                                                charges budget
-``infrastructure`` worker process died (BrokenProcessPool),    requeue without
-                   pool respawn                                charging the
+``infrastructure`` the worker process holding the spec died    replace that
+                   or could not be started (WorkerDiedError)   worker; requeue
+                                                               without
+                                                               charging the
                                                                spec's budget
 =================  ==========================================  ==============
+
+``timeout`` and ``infrastructure`` are only ever observed by the supervisor
+(a missed deadline, a dead process sentinel), and only for the one spec the
+affected worker held; sibling workers are never disturbed.
 
 A spec that exhausts its budget or trips quarantine settles with a
 :class:`FailureRecord` — error class, per-attempt tracebacks, wall-clock
@@ -33,6 +39,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List
+
+from ..errors import ReproError
+
+
+class RunTimeoutError(ReproError):
+    """A run exceeded the campaign's per-run timeout."""
+
+
+class WorkerDiedError(ReproError):
+    """The worker process holding a spec died or could not be started."""
 
 
 class FailureClass(Enum):
@@ -52,16 +68,13 @@ def classify_failure(error: BaseException) -> FailureClass:
     is an ``OSError`` subclass on CPython 3.10+, so neither may fall
     through to a broader bucket.
     """
-    from concurrent.futures.process import BrokenProcessPool
-
     from ..faults.injectors import TransientFaultError
-    from .executor import RunTimeoutError
 
     if isinstance(error, RunTimeoutError):
         return FailureClass.TIMEOUT
     if isinstance(error, TransientFaultError):
         return FailureClass.TRANSIENT
-    if isinstance(error, BrokenProcessPool):
+    if isinstance(error, WorkerDiedError):
         return FailureClass.INFRASTRUCTURE
     if isinstance(error, (OSError, MemoryError)):
         return FailureClass.TRANSIENT

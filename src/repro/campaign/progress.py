@@ -170,7 +170,7 @@ def render_report(
     if result.time_lost_to_faults > 0 or result.pool_respawns > 0:
         parts.append(
             f"faults: {result.time_lost_to_faults:.1f}s lost to failed "
-            f"attempts, {result.pool_respawns} pool respawn(s)"
+            f"attempts, {result.pool_respawns} worker(s) replaced"
         )
     recovered = [
         o for o in result.executed if o.failure is not None

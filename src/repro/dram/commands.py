@@ -24,11 +24,6 @@ class CommandType(enum.Enum):
         return self.value
 
 
-# Column commands occupy the shared data bus; the other commands only use
-# the command/address bus.
-CAS_COMMANDS = frozenset({CommandType.READ, CommandType.WRITE})
-
-
 class Command(NamedTuple):
     """One command as placed on a channel's command bus.
 
@@ -49,18 +44,6 @@ class Command(NamedTuple):
     bank: int
     row: int = -1
     thread_id: Optional[int] = None
-
-    def is_cas(self) -> bool:
-        """True for READ/WRITE, the commands that move data."""
-        return self.kind in CAS_COMMANDS
-
-    def same_bank(self, other: "Command") -> bool:
-        """True if ``other`` addresses the same (channel, rank, bank)."""
-        return (
-            self.channel == other.channel
-            and self.rank == other.rank
-            and self.bank == other.bank
-        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         target = f"ch{self.channel}/rk{self.rank}/bk{self.bank}"

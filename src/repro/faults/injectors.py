@@ -2,8 +2,8 @@
 
 Each injector is deliberately faithful to the real failure it models:
 ``crash`` is a genuine ``SIGKILL`` of the current process (what the OOM
-killer or a ``kill -9`` delivers), ``hang`` blocks in short interruptible
-slices (so both SIGALRM and the watchdog-thread timeout can cut it off),
+killer or a ``kill -9`` delivers), ``hang`` simply blocks (the supervisor's
+deadline kills the whole worker process, so nothing needs to interrupt it),
 ``corrupt_blob``/``truncate_file`` damage real bytes on disk.
 """
 
@@ -60,15 +60,8 @@ def crash_process() -> None:  # pragma: no cover - kills the test process
 
 
 def hang(seconds: float) -> None:
-    """Block for ``seconds``, interruptibly.
-
-    Sleeps in 20 ms slices so an asynchronous timeout (SIGALRM handler or
-    ``PyThreadState_SetAsyncExc`` from the watchdog thread) lands at the
-    next slice boundary instead of waiting out one long C-level sleep.
-    """
-    deadline = time.monotonic() + seconds
-    while time.monotonic() < deadline:
-        time.sleep(0.02)
+    """Block for ``seconds`` — a run stuck past any reasonable deadline."""
+    time.sleep(seconds)
 
 
 def corrupt_file(path, offset_fraction: float = 0.5) -> None:

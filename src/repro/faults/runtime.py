@@ -1,7 +1,7 @@
 """Fault-plan activation and the injection-point API.
 
 A process activates a plan either programmatically (:func:`install_plan` —
-the executor does this in every pool worker via the pool initializer) or
+the campaign worker does this at every hand-off that carries a plan) or
 through the environment (``REPRO_FAULT_PLAN=<path.json>`` — how the chaos
 smoke script drives a whole CLI campaign). Injection points then call
 :func:`maybe_fire` with their site name and run identity; with no plan

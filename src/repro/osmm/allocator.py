@@ -155,10 +155,6 @@ class ColorAwareAllocator:
         """Free frames remaining in one bin."""
         return self._bins[(channel, color)].available()
 
-    def colors_of_threads(self) -> Dict[int, FrozenSet[int]]:
-        """Snapshot of every thread's color constraint."""
-        return dict(self._thread_colors)
-
     def collect_metrics(self, registry) -> None:
         """Export allocation counters and partition state into a registry."""
         registry.counter(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
@@ -237,7 +238,7 @@ class ResultIndex:
         self._conn = sqlite3.connect(self.path, timeout=timeout)
         self._conn.row_factory = sqlite3.Row
         if self.path != ":memory:":
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal(timeout)
         self._conn.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._ensure_schema()
@@ -251,6 +252,25 @@ class ResultIndex:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _enable_wal(self, timeout: float) -> None:
+        """Switch the file to WAL, waiting out concurrent creators.
+
+        The switch upgrades a shared lock to an exclusive one, and SQLite
+        fails that upgrade at once — without consulting the busy handler —
+        whenever another connection holds a write lock (waiting could
+        deadlock two upgraders). Processes creating one fresh index at the
+        same instant hit exactly that, so the wait has to happen here.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.005)
 
     def _ensure_schema(self) -> None:
         with self._conn:

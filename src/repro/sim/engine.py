@@ -48,10 +48,6 @@ class SimProfiler:
         # class implementing __call__ rather than lumping them as unknown.
         return type(callback).__name__
 
-    def charge(self, component: str, elapsed: float) -> None:
-        self.seconds[component] = self.seconds.get(component, 0.0) + elapsed
-        self.events[component] = self.events.get(component, 0) + 1
-
     def breakdown(self) -> List[Tuple[str, float, int]]:
         """(component, seconds, events), heaviest first."""
         return sorted(

@@ -16,7 +16,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence
 
 from ..config import SystemConfig
 from ..core.integration import Approach, get_approach
@@ -75,6 +75,33 @@ class RunResult:
     #: Wall-clock profile (:meth:`System.profile_report`) when the Runner
     #: was built with ``profile=True``; never persisted (host-specific).
     profile: Optional[Dict[str, object]] = None
+
+
+def describe_run(
+    mix: Optional[str],
+    apps: Sequence[str],
+    approach: str,
+    seed: int,
+    horizon: int,
+    target_insts: int,
+    trace_digests: Optional[Mapping[str, str]] = None,
+    telemetry: Optional[Dict[str, object]] = None,
+) -> Dict[str, object]:
+    """The ``spec`` metadata a store entry carries beside one run's result
+    (what the result index reads its mix/approach/seed columns from)."""
+    doc: Dict[str, object] = {
+        "mix": mix or "+".join(apps),
+        "apps": list(apps),
+        "approach": approach,
+        "seed": seed,
+        "horizon": horizon,
+        "target_insts": target_insts,
+    }
+    if trace_digests:
+        doc["trace_digests"] = dict(trace_digests)
+    if telemetry is not None:
+        doc["telemetry"] = telemetry
+    return doc
 
 
 class Runner:
@@ -333,22 +360,9 @@ class Runner:
             else None
         )
         if system is not None:
-            recorder = system.telemetry
             result = system.resume(safepoint_every=every, on_safepoint=hook)
         else:
-            traces = [self.trace_for(app) for app in apps]
-            recorder = self._make_recorder()
-            system = System(
-                config,
-                traces,
-                horizon=self.horizon,
-                policy=spec.make_policy(),
-                validate=self.validate,
-                ahead_limit=self.ahead_limit,
-                telemetry=recorder,
-                profile=self.profile,
-                kernel=self.kernel,
-            )
+            system = self._build_system(config, apps, spec.make_policy())
             result = system.run(safepoint_every=every, on_safepoint=hook)
         if tracer is not None:
             tracer.complete(
@@ -364,7 +378,41 @@ class Runner:
                 ckpt_path.unlink()
             except OSError:
                 pass
-        self.last_telemetry = recorder
+        run_result = self._assemble(apps, approach, mix_name, system, result)
+        self._run_cache[cache_key] = run_result
+        if self.store is not None and store_key is not None:
+            self.store.put(
+                store_key,
+                run_result,
+                time.perf_counter() - started,
+                describe=describe_run(
+                    mix_name, apps, approach, self.seed, self.horizon,
+                    self.target_insts, self.library_digests(apps),
+                    run_result.telemetry,
+                ),
+            )
+        if tracer is not None:
+            tracer.complete(
+                "run",
+                run_started,
+                now_us() - run_started,
+                mix=run_result.metrics.mix,
+                approach=approach,
+            )
+        return run_result
+
+    def _assemble(
+        self,
+        apps: Sequence[str],
+        label: str,
+        mix_name: Optional[str],
+        system: System,
+        result: SystemResult,
+    ) -> RunResult:
+        """The bookkeeping after any shared run: adopt its telemetry and
+        profile, check every thread retired, measure the alone baselines,
+        and fold the IPCs into the paper's metrics."""
+        recorder = self.last_telemetry = system.telemetry
         self.last_profile = (
             system.profile_report() if self.profile else None
         )
@@ -373,8 +421,9 @@ class Runner:
             if ipc <= 0:
                 raise ExperimentError(
                     f"thread {thread_id} ({apps[thread_id]}) retired nothing "
-                    f"under {approach}"
+                    f"under {label}"
                 )
+        tracer = current_tracer()
         alone_started = now_us() if tracer is not None else 0
         alone = {t: self.alone_ipc(app) for t, app in enumerate(apps)}
         if tracer is not None:
@@ -386,12 +435,12 @@ class Runner:
             )
         metrics = WorkloadRunMetrics(
             mix=mix_name or "+".join(apps),
-            approach=approach,
+            approach=label,
             summary=summarize(alone, shared),
             slowdowns=slowdowns(alone, shared),
             apps=tuple(apps),
         )
-        run_result = RunResult(
+        return RunResult(
             metrics=metrics,
             system=result,
             alone_ipcs=alone,
@@ -400,36 +449,6 @@ class Runner:
             metrics_snapshot=system.metrics_registry().snapshot(),
             profile=self.last_profile,
         )
-        self._run_cache[cache_key] = run_result
-        if self.store is not None and store_key is not None:
-            describe = {
-                "mix": metrics.mix,
-                "apps": list(apps),
-                "approach": approach,
-                "seed": self.seed,
-                "horizon": self.horizon,
-                "target_insts": self.target_insts,
-            }
-            digests = self.library_digests(apps)
-            if digests:
-                describe["trace_digests"] = digests
-            if run_result.telemetry is not None:
-                describe["telemetry"] = run_result.telemetry
-            self.store.put(
-                store_key,
-                run_result,
-                time.perf_counter() - started,
-                describe=describe,
-            )
-        if tracer is not None:
-            tracer.complete(
-                "run",
-                run_started,
-                now_us() - run_started,
-                mix=metrics.mix,
-                approach=approach,
-            )
-        return run_result
 
     # ------------------------------------------------------------------
     # Safepoints (checkpointed mid-run state for fault-tolerant retries).
@@ -541,55 +560,30 @@ class Runner:
         """
         config = replace(self.config, num_cores=len(apps))
         config = config.with_scheduler(scheduler, **scheduler_params)
-        traces = [self.trace_for(app) for app in apps]
-        recorder = self._make_recorder()
-        system = System(
+        system = self._build_system(config, apps, policy)
+        return self._assemble(apps, label, mix_name, system, system.run())
+
+    # ------------------------------------------------------------------
+    def _build_system(
+        self, config: SystemConfig, apps: Sequence[str], policy
+    ) -> System:
+        """A fresh shared-run System under this Runner's scope, with its own
+        telemetry recorder when telemetry is enabled."""
+        return System(
             config,
-            traces,
+            [self.trace_for(app) for app in apps],
             horizon=self.horizon,
             policy=policy,
             validate=self.validate,
             ahead_limit=self.ahead_limit,
-            telemetry=recorder,
+            telemetry=(
+                TelemetryRecorder(self.telemetry)
+                if self.telemetry is not None
+                else None
+            ),
             profile=self.profile,
             kernel=self.kernel,
         )
-        result = system.run()
-        self.last_telemetry = recorder
-        self.last_profile = (
-            system.profile_report() if self.profile else None
-        )
-        shared = {t: result.threads[t].ipc for t in range(len(apps))}
-        for thread_id, ipc in shared.items():
-            if ipc <= 0:
-                raise ExperimentError(
-                    f"thread {thread_id} ({apps[thread_id]}) retired nothing "
-                    f"under {label}"
-                )
-        alone = {t: self.alone_ipc(app) for t, app in enumerate(apps)}
-        metrics = WorkloadRunMetrics(
-            mix=mix_name or "+".join(apps),
-            approach=label,
-            summary=summarize(alone, shared),
-            slowdowns=slowdowns(alone, shared),
-            apps=tuple(apps),
-        )
-        return RunResult(
-            metrics=metrics,
-            system=result,
-            alone_ipcs=alone,
-            shared_ipcs=shared,
-            telemetry=recorder.summary() if recorder is not None else None,
-            metrics_snapshot=system.metrics_registry().snapshot(),
-            profile=self.last_profile,
-        )
-
-    # ------------------------------------------------------------------
-    def _make_recorder(self) -> Optional[TelemetryRecorder]:
-        """A fresh recorder when telemetry is enabled, else None."""
-        if self.telemetry is None:
-            return None
-        return TelemetryRecorder(self.telemetry)
 
     # ------------------------------------------------------------------
     def _configure(self, spec: Approach, num_cores: int) -> SystemConfig:

@@ -75,9 +75,6 @@ class SystemResult:
     #: Fraction of each channel's data-bus time spent transferring data.
     bus_utilization: Dict[int, float] = field(default_factory=dict)
 
-    def ipc_of(self, thread_id: int) -> float:
-        return self.threads[thread_id].ipc
-
 
 class System:
     """One fully-wired simulation instance (single use)."""

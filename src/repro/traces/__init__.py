@@ -20,7 +20,7 @@ this package is the escape hatch. It provides:
   the persistent store's run keys.
 """
 
-from .format import FORMAT_VERSION, load_rtrc, read_rtrc, read_rtrc_header, save_rtrc
+from .format import FORMAT_VERSION, load_rtrc, read_rtrc, save_rtrc
 from .importers import (
     FORMATS,
     detect_format,
@@ -54,7 +54,6 @@ __all__ = [
     "save_rtrc",
     "load_rtrc",
     "read_rtrc",
-    "read_rtrc_header",
     "FORMATS",
     "detect_format",
     "resolve_format",

@@ -94,12 +94,6 @@ def _read_exact(handle: BinaryIO, n: int, path: str, what: str) -> bytes:
     return data
 
 
-def read_rtrc_header(path: str) -> Dict[str, object]:
-    """Parse and validate just the header of an .rtrc file."""
-    with open(path, "rb") as handle:
-        return _parse_header(handle, path)
-
-
 def _parse_header(handle: BinaryIO, path: str) -> Dict[str, object]:
     magic, version, hlen = _PREAMBLE.unpack(
         _read_exact(handle, _PREAMBLE.size, path, "preamble")

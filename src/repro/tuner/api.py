@@ -49,13 +49,6 @@ class StudyResult:
     wall_clock: float = 0.0
 
     @property
-    def default_trial(self) -> Optional[TrialResult]:
-        for trial in self.trials:
-            if trial.is_default:
-                return trial
-        return None
-
-    @property
     def best(self) -> Optional[TrialResult]:
         """Best-scoring *full-fidelity* trial (screening rungs run a
         shorter horizon, so their scores are not comparable)."""

@@ -316,7 +316,7 @@ class TestExecutor:
         assert len(outcome.failure.attempts) == 2
 
     def test_timeout_enforced_serial(self, small_config):
-        # Far more work than 50ms allows; SIGALRM must cut it off.
+        # Far more work than 50ms allows; the deadline must cut it off.
         big = RunSpec(
             apps=("lbm", "gcc"),
             approach="shared-frfcfs",

@@ -11,9 +11,9 @@ checkpoints.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -29,6 +29,7 @@ from repro.campaign.executor import (
     _WORKER_STORES,
     RunTimeoutError,
 )
+from repro.campaign.failures import WorkerDiedError
 from repro.errors import SimulationError, TraceError
 from repro.faults import (
     FaultPlan,
@@ -138,7 +139,7 @@ class TestInjectors:
         assert path.stat().st_size == 500
 
     def test_hang_returns_after_deadline(self):
-        hang(0.05)  # interruptible slices; must simply return
+        hang(0.05)  # must simply return
 
     def test_maybe_fire_raises_by_kind(self):
         install_plan(
@@ -179,7 +180,7 @@ class TestClassification:
             (TransientFaultError("t"), FailureClass.TRANSIENT),
             (OSError("disk"), FailureClass.TRANSIENT),
             (MemoryError(), FailureClass.TRANSIENT),
-            (BrokenProcessPool("pool"), FailureClass.INFRASTRUCTURE),
+            (WorkerDiedError("worker"), FailureClass.INFRASTRUCTURE),
             (SimulationError("bug"), FailureClass.DETERMINISTIC),
             (ValueError("bug"), FailureClass.DETERMINISTIC),
         ]
@@ -333,9 +334,50 @@ class TestSerialFaults:
         outcome = results["campaign"].outcomes[0]
         assert outcome.status == "failed"
         assert "timeout" in outcome.error
-        assert any(
-            "watchdog thread" in str(w.message) for w in caught
-        ), "the fallback mechanism must be named in a warning"
+        assert outcome.failure.final_class == "timeout"
+        # One mechanism everywhere: the deadline is a kill of the worker
+        # process, so no thread-dependent fallback exists to warn about —
+        # and the killed worker must not outlive the campaign.
+        assert not [
+            w for w in caught if issubclass(w.category, RuntimeWarning)
+        ]
+        assert multiprocessing.active_children() == []
+
+    def test_unstartable_worker_is_an_infrastructure_loss_not_a_bypass(
+        self, small_config, monkeypatch
+    ):
+        def refuse(process):
+            raise OSError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+        result = execute(
+            [_spec(small_config)], jobs=1, timeout=5.0, max_pool_respawns=1
+        )
+        # The deadline could not be enforced, so the spec must not have
+        # been run unguarded: it is forgiven once, then quarantined.
+        outcome = result.outcomes[0]
+        assert outcome.status == "quarantined"
+        assert outcome.failure.final_class == "infrastructure"
+        assert [a.error_type for a in outcome.failure.attempts] == [
+            "WorkerDiedError"
+        ] * 2
+        assert result.unresolved == []
+
+    def test_single_job_without_timeout_starts_no_process(
+        self, small_config, monkeypatch
+    ):
+        started = []
+        original = multiprocessing.Process.start
+
+        def start(process):
+            started.append(process)
+            return original(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", start)
+        result = execute([_spec(small_config)], jobs=1)
+        assert result.outcomes[0].status == "ok"
+        assert started == []
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +492,50 @@ class TestPooledChaos:
         # not have been charged for it.
         assert killed.attempts == 1
         assert result.unresolved == []
+
+    def test_crash_leaves_in_flight_sibling_undisturbed(
+        self, small_config, tmp_path
+    ):
+        specs = [
+            _spec(small_config, approach="shared-frfcfs", mix_name="CRASH"),
+            # Hangs long enough to be in flight when CRASH's worker dies.
+            _spec(small_config, approach="shared-frfcfs", mix_name="SIBLING"),
+        ]
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(
+                    site="worker.run", kind="crash", match="CRASH/*", times=1
+                ),
+                FaultSpec(
+                    site="worker.run",
+                    kind="hang",
+                    match="SIBLING/*",
+                    times=1,
+                    seconds=1.0,
+                ),
+            ),
+        )
+        result = execute(
+            specs,
+            jobs=2,
+            store=ResultStore(tmp_path / "store"),
+            retries=1,
+            backoff=0.01,
+            faults=plan,
+        )
+        by_mix = {o.spec.mix_name: o for o in result.outcomes}
+        assert by_mix["CRASH"].status == "ok"
+        crashed = by_mix["CRASH"].failure.attempts
+        assert [a.error_class for a in crashed] == ["infrastructure"]
+        assert crashed[0].error_type == "WorkerDiedError"
+        # The sibling's one and only hand-off ran to completion: no
+        # failed attempt, so no failure record and no second submission.
+        sibling = by_mix["SIBLING"]
+        assert sibling.status == "ok"
+        assert sibling.attempts == 1
+        assert sibling.failure is None
+        # Exactly the dead worker was replaced.
+        assert result.pool_respawns == 1
 
     def test_mini_campaign_survives_mixed_faults(
         self, small_config, tmp_path

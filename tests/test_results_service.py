@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import sqlite3
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -719,7 +721,70 @@ print("done", start)
 """
 
 
+def _index_when_released(root, doc, path, barrier, errors):
+    """Child body: run the store's put-time index hook the moment every
+    sibling is ready, so all of them create ``index.sqlite`` at once."""
+    store = ResultStore(root)
+    barrier.wait(timeout=60)
+    store._index_put(doc, path)
+    errors.put(store.stats.index_errors)
+
+
 class TestConcurrentWriters:
+    def test_processes_racing_to_create_the_index_lose_no_row(self, tmp_path):
+        """N fresh handles create the index file at the same instant.
+
+        Switching a new file to WAL does not wait on SQLite's busy handler,
+        so a loser of that race used to see ``database is locked`` — which
+        the put-time hook swallows as an ``index_error``, dropping the row
+        until the next sync.
+        """
+        writers = 8
+        for round_no in range(5):
+            root = tmp_path / f"store-{round_no}"
+            docs = [
+                fake_doc(synth_key(round_no * writers + n))
+                for n in range(writers)
+            ]
+            barrier = multiprocessing.Barrier(writers)
+            errors = multiprocessing.Queue()
+            procs = [
+                multiprocessing.Process(
+                    target=_index_when_released,
+                    args=(root, doc, write_blob(root, doc), barrier, errors),
+                )
+                for doc in docs
+            ]
+            for proc in procs:
+                proc.start()
+            index_errors = [errors.get(timeout=60) for _ in procs]
+            for proc in procs:
+                proc.join(timeout=60)
+                assert proc.exitcode == 0
+            assert index_errors == [0] * writers
+            with ResultIndex(index_path_for(root)) as index:
+                assert sorted(r["key"] for r in index.rows()) == sorted(
+                    doc["key"] for doc in docs
+                )
+
+    def test_opening_waits_out_a_writer_instead_of_failing(self, tmp_path):
+        """The same race, made deterministic: a writer holds the file (still
+        in rollback-journal mode) while a second handle opens it."""
+        db = tmp_path / "index.sqlite"
+        writer = sqlite3.connect(db, check_same_thread=False)
+        writer.execute("CREATE TABLE other (x)")
+        writer.commit()
+        writer.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.2, writer.rollback)
+        release.start()
+        try:
+            with ResultIndex(db) as index:
+                index.upsert_doc(fake_doc(synth_key(1)))
+                assert index.count() == 1
+        finally:
+            release.join()
+            writer.close()
+
     def test_two_processes_share_one_index_without_lost_rows(self, tmp_path):
         """Two writers upsert overlapping key ranges concurrently.
 
