@@ -14,9 +14,16 @@ Supervision rules (see :mod:`repro.campaign.failures` for the taxonomy):
 * the rest are handed, one spec at a time, to up to ``jobs`` long-lived
   worker processes the supervisor starts itself (one duplex pipe each).
   A worker keeps a process-local Runner per configuration fingerprint —
-  so traces and alone-run baselines are shared between the cells it
-  serves — and persists its result to the store *before* replying, so a
-  campaign killed mid-flight resumes from everything that finished;
+  so generated traces are shared between the cells it serves — and
+  persists its result to the store *before* replying, so a campaign
+  killed mid-flight resumes from everything that finished;
+* alone-run baselines are shared through the store's alone records: with
+  worker processes and a store, the supervisor queues one *baseline task*
+  per distinct record its pending specs need and the store lacks, ahead of
+  the cells, on the same workers, pipes and deadlines. A cell is
+  dispatchable once none of its baselines is queued or in flight. The
+  task is a prefetch, not an outcome: however it ends, its dependents are
+  released, and a cell that finds no record simulates the baseline itself;
 * the supervisor waits on the workers' pipes and process sentinels. A
   worker that overruns the per-run deadline is killed (**timeout**); a
   worker found dead, or one that cannot be started, is an
@@ -73,7 +80,7 @@ from .failures import (
     classify_failure,
 )
 from .spec import RunSpec
-from .store import ResultStore
+from .store import ResultStore, scope_of
 
 #: Called after every settled run: (outcome, done_count, total_count).
 ProgressFn = Callable[["RunOutcome", int, int], None]
@@ -167,12 +174,8 @@ def _runner_for(
     if runner is None:
         runner = Runner(
             config=spec.config,
-            horizon=spec.horizon,
-            seed=spec.seed,
-            target_insts=spec.target_insts,
-            validate=spec.validate,
-            ahead_limit=spec.ahead_limit,
             telemetry=TelemetryConfig() if telemetry else None,
+            **scope_of(spec),
         )
         _WORKER_RUNNERS[key] = runner
     # Safepoint policy is per-campaign, not part of the runner's scope
@@ -213,11 +216,11 @@ def execute_one(
     return result, time.perf_counter() - started
 
 
-def _span_part_path(span_dir: str, spec: RunSpec, submission: int) -> str:
+def _span_part_path(span_dir: str, label: str, submission: int) -> str:
     """Unique per-attempt trace-part filename inside ``span_dir``."""
-    digest = hashlib.sha256(spec.label.encode("utf-8")).hexdigest()[:8]
+    digest = hashlib.sha256(label.encode("utf-8")).hexdigest()[:8]
     safe = "".join(
-        c if c.isalnum() or c in "-_+." else "_" for c in spec.label
+        c if c.isalnum() or c in "-_+." else "_" for c in label
     )[:40]
     return os.path.join(
         span_dir, f"{safe}-{digest}-s{submission}-p{os.getpid()}.json"
@@ -232,8 +235,17 @@ def _worker(
     safepoint_every: Optional[int] = None,
     safepoint_dir: Optional[str] = None,
     span_dir: Optional[str] = None,
-) -> Tuple[RunResult, float]:
-    """One hand-off: run, persist to the store, return the result."""
+    alone: Optional[Tuple[str, str]] = None,
+) -> Tuple[object, float]:
+    """One hand-off: run, persist to the store, return the result — or,
+    given ``alone`` (an alone-record key and its app), a baseline task:
+    measure that app alone under the spec's scope, which records it."""
+    from ..faults import maybe_fire
+
+    label = spec.label
+    if alone is not None:
+        alone_key, alone_app = alone
+        label = f"alone:{alone_app} {alone_key}"
     if fault_plan is not None:
         from ..faults import FaultPlan, install_plan
 
@@ -249,13 +261,20 @@ def _worker(
         tracer = SpanTracer(f"campaign-worker pid={os.getpid()}")
         previous_tracer = install_tracer(tracer)
     try:
+        # Like the safepoint policy, the store holding the alone records is
+        # per-campaign: point the (cached) Runner at this hand-off's.
+        store = _store_for(store_root) if store_root is not None else None
+        runner = _runner_for(spec)
+        runner.alone_store = store
+        if alone is not None:
+            # Chaos harness hook, as in execute_one; its own site, so plans
+            # written against ``worker.run`` keep meaning "a cell".
+            maybe_fire("worker.alone", key=label, attempt=submission)
+            return runner.alone_ipc(alone_app), 0.0  # the reply is unused
         result, wall = execute_one(
             spec, submission, safepoint_every, safepoint_dir
         )
-        if store_root is not None:
-            from ..faults import maybe_fire
-
-            store = _store_for(store_root)
+        if store is not None:
             key = spec.key()
             describe = describe_run(
                 spec.mix_name, spec.apps, spec.approach, spec.seed,
@@ -277,7 +296,7 @@ def _worker(
         if tracer is not None:
             install_tracer(previous_tracer)
             try:
-                tracer.write(_span_part_path(span_dir, spec, submission))
+                tracer.write(_span_part_path(span_dir, label, submission))
             except OSError:
                 pass  # tracing must never fail the run itself
     return result, wall
@@ -309,7 +328,7 @@ def _failure_of(error: BaseException) -> _Failure:
     )
 
 
-def _attempt(args: tuple) -> Union[Tuple[RunResult, float], _Failure]:
+def _attempt(args: tuple) -> Union[Tuple[object, float], _Failure]:
     """:func:`_worker` with its exception folded into the return value."""
     try:
         return _worker(*args)
@@ -322,7 +341,9 @@ def _worker_main(conn: Connection) -> None:
 
     The module-level Runner cache deliberately survives between hand-offs
     (and, under ``fork``, starts from the supervisor's warm copy), which is
-    what lets the cells one worker serves share traces and alone baselines.
+    what lets the cells one worker serves share generated traces. Alone
+    baselines are shared wider — across workers and campaigns — through
+    the store's alone records.
     """
     while True:
         try:
@@ -370,12 +391,13 @@ class _SpecState:
 
 @dataclass(eq=False)
 class _Slot:
-    """One supervisor-owned worker process and the spec it holds, if any."""
+    """One supervisor-owned worker process and the task it holds, if any."""
 
     process: multiprocessing.Process
     conn: Connection
-    #: Index of the spec in flight; None while the worker is idle.
-    index: Optional[int] = None
+    #: The task in flight — a spec index, or a baseline's alone-record
+    #: key; None while the worker is idle.
+    task: Union[int, str, None] = None
     handed_off: float = 0.0
     deadline: Optional[float] = None
 
@@ -410,9 +432,15 @@ class _Supervisor:
     states: Dict[int, _SpecState] = field(default_factory=dict)
     time_lost: float = 0.0
     pool_respawns: int = 0
-    #: Spec indices runnable now / requeued for a later monotonic time.
-    ready: List[int] = field(default_factory=list)
+    #: Tasks runnable now (spec indices; alone-record keys for baseline
+    #: tasks) / spec indices requeued for a later monotonic time.
+    ready: List[Union[int, str]] = field(default_factory=list)
     delayed: Dict[int, float] = field(default_factory=dict)
+    #: Baseline tasks still queued or in flight: alone-record key → (a
+    #: spec carrying the scope to measure under, app).
+    baselines: Dict[str, Tuple[RunSpec, str]] = field(default_factory=dict)
+    #: Spec index → the alone-record keys its run divides by.
+    needs: Dict[int, Sequence[str]] = field(default_factory=dict)
     #: Live worker processes, busy and idle.
     slots: List[_Slot] = field(default_factory=list)
 
@@ -581,11 +609,20 @@ class _Supervisor:
 
     def _finish(
         self,
-        index: int,
-        reply: Union[Tuple[RunResult, float], _Failure],
+        index: Union[int, str],
+        reply: Union[Tuple[object, float], _Failure],
         wall: float,
     ) -> None:
         """Settle one attempt, or requeue its spec after a failure."""
+        if isinstance(index, str):
+            # A baseline task is a prefetch: however it ended, release its
+            # dependents. One that finds no record simulates it itself.
+            _spec, app = self.baselines.pop(index)
+            if self.tracer is not None and isinstance(reply, _Failure):
+                self.tracer.instant(
+                    "alone-prefetch-lost", app=app, error=reply.error_type
+                )
+            return
         if not isinstance(reply, _Failure):
             self.settle_ok(index, *reply)
             return
@@ -644,6 +681,8 @@ class _Supervisor:
             # SQLite connection and all, by a later campaign's forked workers.
             _WORKER_STORES[self.store_root] = self.store
         self.ready = list(pending)
+        if not inline and self.store is not None:
+            self._queue_baselines(pending)
         try:
             while self.ready or self.delayed or self._busy():
                 now = time.monotonic()
@@ -653,8 +692,11 @@ class _Supervisor:
                     if at <= now:
                         self.ready.append(index)
                         del self.delayed[index]
-                while self.ready and len(self._busy()) < jobs:
-                    self._hand_off(self.ready.pop(0), inline)
+                while len(self._busy()) < jobs:
+                    task = self._next_task()
+                    if task is None:
+                        break
+                    self._hand_off(task, inline)
                 self._wait()
         finally:
             while self.slots:
@@ -667,29 +709,60 @@ class _Supervisor:
                     faults_runtime.reset()
 
     def _busy(self) -> List[_Slot]:
-        return [slot for slot in self.slots if slot.index is not None]
+        return [slot for slot in self.slots if slot.task is not None]
 
-    def _hand_off(self, index: int, inline: bool) -> None:
-        st = self.state(index)
-        st.submissions += 1
-        st.attempts += 1
-        if self.tracer is not None and not st.started_us:
-            st.started_us = now_us()
+    def _queue_baselines(self, pending: Sequence[int]) -> None:
+        """Queue, ahead of the cells, one baseline task per distinct alone
+        record the pending specs need and the store does not hold."""
+        for index in pending:
+            spec = self.specs[index]
+            keys = spec.alone_keys()
+            self.needs[index] = tuple(keys)
+            for key, app in keys.items():
+                self.baselines.setdefault(key, (spec, app))
+        for key in list(self.baselines):
+            if self.store.get_alone(key) is not None:
+                del self.baselines[key]
+        self.ready[:0] = self.baselines
+
+    def _next_task(self) -> Union[int, str, None]:
+        """Pop the first queued task that may start now: a baseline task
+        always, a cell once none of its baselines is queued or in flight."""
+        for position, task in enumerate(self.ready):
+            if isinstance(task, str) or not any(
+                key in self.baselines for key in self.needs.get(task, ())
+            ):
+                return self.ready.pop(position)
+        return None
+
+    def _hand_off(self, index: Union[int, str], inline: bool) -> None:
+        if isinstance(index, str):
+            spec, app = self.baselines[index]
+            submission, alone = 1, (index, app)
+        else:
+            spec, alone = self.specs[index], None
+            st = self.state(index)
+            st.submissions += 1
+            st.attempts += 1
+            if self.tracer is not None and not st.started_us:
+                st.started_us = now_us()
+            submission = st.submissions
         args = (
-            self.specs[index],
+            spec,
             self.store_root,
-            st.submissions,
+            submission,
             self.fault_plan_doc,
             self.safepoint_every,
             self.checkpoint_dir,
             self.span_dir,
+            alone,
         )
         started = time.monotonic()
         if inline:
             reply = _attempt(args)
             self._finish(index, reply, time.monotonic() - started)
             return
-        slot = next((s for s in self.slots if s.index is None), None)
+        slot = next((s for s in self.slots if s.task is None), None)
         try:
             if slot is None:
                 slot = self._start_worker()
@@ -704,7 +777,7 @@ class _Supervisor:
             died = WorkerDiedError(f"could not hand off to a worker: {error}")
             self._finish(index, _failure_of(died), 0.0)
             return
-        slot.index = index
+        slot.task = index
         slot.handed_off = started
         slot.deadline = started + self.timeout if self.timeout else None
 
@@ -736,7 +809,7 @@ class _Supervisor:
                 timed_out = slot.deadline is not None and now >= slot.deadline
                 if not timed_out:
                     continue  # still running, within its deadline
-            index, slot.index = slot.index, None
+            index, slot.task = slot.task, None
             if reply is None:
                 self._replace(slot)
                 pid = slot.process.pid

@@ -12,13 +12,13 @@ policy/scheduler rather than the label.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
 from ..core.integration import get_approach
 from ..errors import ExperimentError
 from ..workloads import resolve_mix
-from .store import run_key, runner_fingerprint
+from .store import alone_key, run_key, runner_fingerprint, scope_of
 
 #: The F2/F3 headline grid's approaches — the campaign CLI default.
 DEFAULT_APPROACHES: Tuple[str, ...] = ("shared-frfcfs", "ebp", "dbp")
@@ -73,24 +73,26 @@ class RunSpec:
             self.config,
             self.apps,
             self.approach,
-            seed=self.seed,
-            horizon=self.horizon,
-            target_insts=self.target_insts,
-            ahead_limit=self.ahead_limit,
-            validate=self.validate,
             trace_digests=dict(self.trace_digests),
+            **scope_of(self),
         )
+
+    def alone_keys(self) -> Dict[str, str]:
+        """{alone-record key: app} for the baselines this run divides by."""
+        digests = dict(self.trace_digests)
+        return {
+            alone_key(
+                self.config,
+                app,
+                trace_digest=digests.get(app),
+                **scope_of(self),
+            ): app
+            for app in self.apps
+        }
 
     def runner_key(self) -> str:
         """Fingerprint of the Runner this spec needs (apps/approach aside)."""
-        return runner_fingerprint(
-            self.config,
-            seed=self.seed,
-            horizon=self.horizon,
-            target_insts=self.target_insts,
-            ahead_limit=self.ahead_limit,
-            validate=self.validate,
-        )
+        return runner_fingerprint(self.config, **scope_of(self))
 
 
 @dataclass(frozen=True)
@@ -167,13 +169,9 @@ def plan_sweep(
                     apps=tuple(mix.apps),
                     approach=approach,
                     config=runner.config,
-                    seed=runner.seed,
-                    horizon=runner.horizon,
-                    target_insts=runner.target_insts,
-                    ahead_limit=runner.ahead_limit,
-                    validate=runner.validate,
                     mix_name=mix.name,
                     trace_digests=digests,
+                    **scope_of(runner),
                 )
             )
     return specs

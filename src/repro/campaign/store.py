@@ -66,23 +66,57 @@ def _canonical(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=repr)
 
 
-def run_key(
+#: The Runner/RunSpec attributes every key hashes beside the config.
+_SCOPE_FIELDS = ("seed", "horizon", "target_insts", "ahead_limit", "validate")
+
+
+def scope_of(owner: object) -> Dict[str, object]:
+    """A Runner's or RunSpec's scope, as the ``**scope`` of a key function."""
+    return {name: getattr(owner, name) for name in _SCOPE_FIELDS}
+
+
+def _scope_doc(
     config: SystemConfig,
-    apps: Sequence[str],
-    approach: str,
     *,
     seed: int,
     horizon: int,
     target_insts: int,
     ahead_limit: int = 8192,
     validate: bool = False,
+) -> Dict[str, object]:
+    """What every key here hashes — the code-version salt, the machine and
+    the scope a simulation runs under — and the one signature behind the
+    key functions' ``**scope``."""
+    return {
+        "store_version": STORE_VERSION,
+        "config": dataclasses.asdict(config),
+        "seed": seed,
+        "horizon": horizon,
+        "target_insts": target_insts,
+        "ahead_limit": ahead_limit,
+        "validate": bool(validate),
+    }
+
+
+def _digest(doc: object) -> str:
+    return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
+
+
+def run_key(
+    config: SystemConfig,
+    apps: Sequence[str],
+    approach: str,
+    *,
     trace_digests: Optional[Mapping[str, str]] = None,
+    **scope: object,
 ) -> str:
     """Content hash addressing one (config, apps, approach, seed, horizon) run.
 
-    The approach is resolved through the registry so the key binds the
-    *resolved* policy and scheduler (names and parameters), not just the
-    label: two registrations sharing a label can never collide.
+    ``scope`` is ``seed``, ``horizon``, ``target_insts`` and optionally
+    ``ahead_limit`` (8192) and ``validate`` (False). The approach is
+    resolved through the registry so the key binds the *resolved* policy
+    and scheduler (names and parameters), not just the label: two
+    registrations sharing a label can never collide.
 
     ``trace_digests`` maps library-trace app names to their
     :attr:`~repro.cpu.trace.Trace.digest`. Library traces are *not* pure
@@ -92,55 +126,52 @@ def run_key(
     all-synthetic key (and the results already stored under it) untouched.
     """
     spec = get_approach(approach)
-    doc = {
-        "store_version": STORE_VERSION,
-        "config": dataclasses.asdict(config),
-        "apps": list(apps),
-        "approach": {
-            "name": spec.name,
-            "policy": spec.policy,
-            "policy_params": dict(spec.policy_params),
-            "scheduler": spec.scheduler,
-            "scheduler_params": dict(spec.scheduler_params),
-        },
-        "seed": seed,
-        "horizon": horizon,
-        "target_insts": target_insts,
-        "ahead_limit": ahead_limit,
-        "validate": bool(validate),
+    doc = _scope_doc(config, **scope)
+    doc["apps"] = list(apps)
+    doc["approach"] = {
+        "name": spec.name,
+        "policy": spec.policy,
+        "policy_params": dict(spec.policy_params),
+        "scheduler": spec.scheduler,
+        "scheduler_params": dict(spec.scheduler_params),
     }
     if trace_digests:
         doc["library_traces"] = {
             str(app): str(digest)
             for app, digest in dict(trace_digests).items()
         }
-    return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
+    return _digest(doc)
 
 
-def runner_fingerprint(
+def alone_key(
     config: SystemConfig,
+    app: str,
     *,
-    seed: int,
-    horizon: int,
-    target_insts: int,
-    ahead_limit: int = 8192,
-    validate: bool = False,
+    trace_digest: Optional[str] = None,
+    **scope: object,
 ) -> str:
+    """Content hash addressing one application's alone-run baseline.
+
+    Hashes the system the baseline actually runs on
+    (:meth:`SystemConfig.alone`), so cells that differ only in core count,
+    scheduler or approach — every cell of a C1–C3 grid — share one record
+    per app. ``scope`` is as for :func:`run_key`, and a library trace
+    contributes its content digest as it does there.
+    """
+    doc = _scope_doc(config.alone(), **scope)
+    doc["alone"] = app
+    if trace_digest:
+        doc["library_trace"] = trace_digest
+    return _digest(doc)
+
+
+def runner_fingerprint(config: SystemConfig, **scope: object) -> str:
     """Hash of everything a Runner needs besides (apps, approach).
 
-    Campaign workers key their process-local Runner cache on this, so runs
-    sharing a configuration reuse traces and alone-run baselines.
+    Campaign workers key their process-local Runner cache on this, so the
+    cells one worker serves reuse generated traces.
     """
-    doc = {
-        "store_version": STORE_VERSION,
-        "config": dataclasses.asdict(config),
-        "seed": seed,
-        "horizon": horizon,
-        "target_insts": target_insts,
-        "ahead_limit": ahead_limit,
-        "validate": bool(validate),
-    }
-    return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
+    return _digest(_scope_doc(config, **scope))
 
 
 def default_store_dir() -> Path:
@@ -206,8 +237,7 @@ def result_digest(result: RunResult) -> str:
     accounting, and telemetry — the fidelity check the trace-library
     round-trip tests and the CI smoke job rely on.
     """
-    doc = encode_run_result(result)
-    return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
+    return _digest(encode_run_result(result))
 
 
 def decode_run_result(doc: Dict[str, object]) -> RunResult:
@@ -359,8 +389,6 @@ class ResultStore:
         describe: Optional[Dict[str, object]] = None,
     ) -> Path:
         """Persist one run atomically; last concurrent writer wins."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         doc = {
             "version": STORE_VERSION,
             "key": key,
@@ -368,9 +396,7 @@ class ResultStore:
             "wall_clock": wall_clock,
             "result": encode_run_result(result),
         }
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, path)
+        path = _write_json_atomic(self.path_for(key), doc)
         self.stats.writes += 1
         self._index_put(doc, path)
         return path
@@ -393,6 +419,49 @@ class ResultStore:
             self.stats.index_errors += 1
 
     # ------------------------------------------------------------------
+    # Alone-baseline records: one app's alone-run IPC, addressed by
+    # :func:`alone_key`, under ``alone/<shard>/<key>.json`` — three path
+    # levels, like failure records, so the two-level ``*/*.json`` globs the
+    # index and every results view read through never see them.
+    # ------------------------------------------------------------------
+    def alone_path_for(self, key: str) -> Path:
+        return self.root / "alone" / key[:2] / f"{key}.json"
+
+    def get_alone(self, key: str) -> Optional[float]:
+        """The recorded alone IPC for ``key``, or None.
+
+        A record that is missing, torn, of another ``STORE_VERSION``, for
+        another key or not a positive number is a miss, never an error:
+        the caller simulates and its write replaces the same path.
+        """
+        doc = _read_json(self.alone_path_for(key)) or {}
+        ipc = doc.get("ipc")
+        if (
+            doc.get("key") == key
+            and doc.get("version") == STORE_VERSION
+            and isinstance(ipc, float)
+            and ipc > 0
+        ):
+            return ipc
+        return None
+
+    def put_alone(
+        self, key: str, ipc: float, describe: Dict[str, object]
+    ) -> Path:
+        """Persist one alone IPC atomically (same contract as put)."""
+        doc = {
+            "version": STORE_VERSION,
+            "key": key,
+            "describe": describe,
+            "ipc": ipc,
+        }
+        return _write_json_atomic(self.alone_path_for(key), doc)
+
+    def alone_paths(self) -> List[Path]:
+        """Every alone-baseline record on disk."""
+        return sorted(self.root.glob("alone/*/*.json"))
+
+    # ------------------------------------------------------------------
     # Failure records (the supervisor's forensics; see campaign.failures).
     # They live under ``failures/<shard>/<key>.json`` — three path levels,
     # so the two-level ``*/*.json`` result-blob globs never see them.
@@ -402,12 +471,7 @@ class ResultStore:
 
     def put_failure(self, key: str, doc: Dict[str, object]) -> Path:
         """Persist one failure record atomically (same contract as put)."""
-        path = self.failure_path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, path)
-        return path
+        return _write_json_atomic(self.failure_path_for(key), doc)
 
     def get_failure(self, key: str) -> Optional[Dict[str, object]]:
         """The persisted failure record for ``key``, or None.
@@ -415,11 +479,7 @@ class ResultStore:
         An unreadable record returns None rather than raising: failure
         records are forensics, never inputs to a simulation.
         """
-        try:
-            doc = json.loads(self.failure_path_for(key).read_text())
-        except (OSError, ValueError):
-            return None
-        return doc if isinstance(doc, dict) else None
+        return _read_json(self.failure_path_for(key))
 
     def clear_failure(self, key: str) -> None:
         """Drop the failure record for ``key`` (the spec now has a result)."""
@@ -430,15 +490,9 @@ class ResultStore:
 
     def iter_failures(self) -> Iterator[Tuple[str, Dict[str, object]]]:
         """Every readable failure record on disk as (key, document)."""
-        root = self.root / "failures"
-        if not root.is_dir():
-            return
-        for path in sorted(root.glob("*/*.json")):
-            try:
-                doc = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if isinstance(doc, dict):
+        for path in sorted(self.root.glob("failures/*/*.json")):
+            doc = _read_json(path)
+            if doc is not None:
                 yield path.stem, doc
 
     # ------------------------------------------------------------------
@@ -446,8 +500,6 @@ class ResultStore:
     # ------------------------------------------------------------------
     def iter_blobs(self) -> Iterator[Tuple[str, Path]]:
         """Every entry on disk as (key, path), without decoding."""
-        if not self.root.is_dir():
-            return
         for path in sorted(self.root.glob("*/*.json")):
             yield path.stem, path
 
@@ -464,52 +516,47 @@ class ResultStore:
 
     def quarantined_paths(self) -> List[Path]:
         """Every ``.corrupt``-quarantined entry on disk."""
-        if not self.root.is_dir():
-            return []
         return sorted(self.root.glob("*/*.corrupt"))
 
     def orphaned_tmp_paths(self) -> List[Path]:
         """Leftover ``.tmp.<pid>`` files from writers that died mid-put."""
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("*/*.json.tmp.*"))
+        return sorted(self.root.glob("*/*.json.tmp.*")) + sorted(
+            self.root.glob("alone/*/*.json.tmp.*")
+        )
 
     def stale_paths(self) -> List[Path]:
-        """Entries whose document version differs from STORE_VERSION.
+        """Entries and alone records whose document version differs from
+        STORE_VERSION.
 
         Reads every blob — O(store); meant for ``store gc --stale``, not
         hot paths. Malformed entries are not reported here (they are
-        ``gc``'s quarantine listing's business once ``get`` renames them).
+        ``gc``'s quarantine listing's business once ``get`` renames them;
+        a malformed alone record is overwritten by its next recompute).
         """
-        out: List[Path] = []
-        for _key, path in self.iter_blobs():
-            try:
-                doc = self.load_doc(path)
-            except (OSError, ValueError):
-                continue
-            if doc.get("version") != STORE_VERSION:
-                out.append(path)
-        return out
+        paths = [path for _key, path in self.iter_blobs()] + self.alone_paths()
+        docs = ((path, _read_json(path)) for path in paths)
+        return [
+            path
+            for path, doc in docs
+            if doc is not None and doc.get("version") != STORE_VERSION
+        ]
 
     def disk_stats(self) -> Dict[str, object]:
-        """Disk-level accounting: entry/quarantine/tmp counts and bytes."""
-        entries = quarantined = tmp = 0
-        entry_bytes = quarantined_bytes = 0
-        for _key, path in self.iter_blobs():
-            entries += 1
-            entry_bytes += _size_of(path)
-        for path in self.quarantined_paths():
-            quarantined += 1
-            quarantined_bytes += _size_of(path)
-        tmp = len(self.orphaned_tmp_paths())
+        """Disk-level accounting: entry/alone-record/quarantine/tmp counts
+        and bytes."""
+        blobs = [path for _key, path in self.iter_blobs()]
+        alone = self.alone_paths()
+        quarantined = self.quarantined_paths()
         index_path = self.index_path()
         return {
             "root": str(self.root),
-            "entries": entries,
-            "entry_bytes": entry_bytes,
-            "quarantined": quarantined,
-            "quarantined_bytes": quarantined_bytes,
-            "tmp_files": tmp,
+            "entries": len(blobs),
+            "entry_bytes": _total_size(blobs),
+            "alone_records": len(alone),
+            "alone_bytes": _total_size(alone),
+            "quarantined": len(quarantined),
+            "quarantined_bytes": _total_size(quarantined),
+            "tmp_files": len(self.orphaned_tmp_paths()),
             "index_exists": index_path.is_file(),
             "index_bytes": _size_of(index_path),
         }
@@ -535,9 +582,31 @@ class ResultStore:
 
     def entry_count(self) -> int:
         """Number of valid-looking entries on disk (no decode attempted)."""
-        if not self.root.is_dir():
-            return 0
         return sum(1 for _ in self.root.glob("*/*.json"))
+
+
+def _write_json_atomic(path: Path, doc: Dict[str, object]) -> Path:
+    """Write ``doc`` to a temp file beside ``path`` and rename it into
+    place, so readers see the old file or the new one, never a torn one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    os.replace(tmp, path)
+    return path
+
+
+def _read_json(path: Path) -> Optional[Dict[str, object]]:
+    """The JSON object at ``path``; None when missing, undecodable (torn,
+    bit-flipped, not UTF-8) or not an object."""
+    try:
+        doc = json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def _total_size(paths: Sequence[Path]) -> int:
+    return sum(_size_of(path) for path in paths)
 
 
 def _size_of(path: Path) -> int:

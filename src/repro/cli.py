@@ -18,9 +18,9 @@ Subcommands:
   JSON gates file) with a machine-readable report, and ``results
   perf-trend`` ingests ``benchmarks/BENCH_*.json`` trajectories into the
   index and flags perf regressions (the perf-observatory CI hook).
-* ``store``    — blob-store maintenance: ``store stats`` (entries, bytes,
-  quarantine and index state), ``store ls`` (entries or quarantined
-  files), ``store gc`` (prune quarantined/tmp/stale files).
+* ``store``    — blob-store maintenance: ``store stats`` (entries, alone
+  records, bytes, quarantine and index state), ``store ls`` (entries or
+  quarantined files), ``store gc`` (prune quarantined/tmp/stale files).
 * ``tune``     — auto-tuning over the declared parameter spaces:
   ``tune run`` drives a seeded search strategy (random | halving | tpe)
   with the campaign grid as the objective (every simulation lands in the
@@ -482,7 +482,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sgc.add_argument(
         "--stale",
         action="store_true",
-        help="also delete entries written by another STORE_VERSION",
+        help="also delete entries and alone records written by another "
+        "STORE_VERSION",
     )
     sgc.add_argument(
         "--dry-run",
@@ -1747,6 +1748,10 @@ def _cmd_store_stats(args: argparse.Namespace, store) -> int:
     print(
         f"  entries:     {disk['entries']} "
         f"({disk['entry_bytes']} bytes)"
+    )
+    print(
+        f"  alone:       {disk['alone_records']} record(s) "
+        f"({disk['alone_bytes']} bytes)"
     )
     print(
         f"  quarantined: {disk['quarantined']} "

@@ -274,6 +274,11 @@ class SystemConfig:
         )
         return replace(self, controller=controller)
 
+    def alone(self) -> "SystemConfig":
+        """The system every alone-run baseline is measured on: this machine
+        with one core and plain FR-FCFS (no policy partitions anything)."""
+        return replace(self, num_cores=1).with_scheduler("frfcfs")
+
     def describe(self) -> str:
         """Human-readable configuration summary (the paper's Table 1)."""
         org = self.organization

@@ -18,6 +18,7 @@ from ..core.demand import DemandConfig
 from ..errors import ExperimentError
 from ..sim.runner import Runner
 from ..sim.system import System
+from ..traces.characterize import characterize_trace
 from ..utils import geometric_mean
 from ..workloads import MIXES, get_mix, mixes_for_cores
 from ..workloads.mixes import MAIN_MIXES
@@ -109,16 +110,11 @@ def t2_characteristics(
         columns=["app", "ipc", "mpki", "rbh", "blp", "class"],
     )
     for app in apps:
-        config = replace(runner.config, num_cores=1)
-        system = System(
-            config, [runner.trace_for(app)], horizon=runner.horizon
+        c = characterize_trace(
+            runner.trace_for(app), runner.config, runner.horizon
         )
-        system.run()
-        profile = system.profiler.snapshot(system.engine.now).profile(0)
-        ipc = system.cores[0].ipc()
-        kind = "intensive" if profile.mpki >= 1.0 else "light"
         result.rows.append(
-            [app, ipc, profile.mpki, profile.rbh, profile.blp, kind]
+            [app, c.ipc_alone, c.mpki, c.rbh, c.blp, c.mpki_class]
         )
     return result
 

@@ -4,8 +4,10 @@ The runner owns the methodology boilerplate every experiment shares:
 
 * traces are generated once per (app, seed) and reused;
 * each application's *alone* IPC — the denominator of every speedup — is
-  measured once per configuration on the unpartitioned FR-FCFS system with
-  a single core, then cached;
+  measured on the unpartitioned FR-FCFS system with a single core
+  (:meth:`SystemConfig.alone`) once per content key: remembered in memory
+  and, with a store attached, as an alone record every later process and
+  campaign worker reads instead of simulating;
 * a mix run builds a fresh :class:`~repro.sim.system.System` for the chosen
   approach and converts the resulting IPCs into the paper's metrics.
 """
@@ -137,6 +139,10 @@ class Runner:
         #: Optional persistent result store (see :mod:`repro.campaign.store`)
         #: consulted before and fed after every cacheable mix run.
         self.store = store
+        #: Where alone-baseline records are read and written when not
+        #: ``store``: a campaign worker persists run results itself, so it
+        #: leaves ``store`` unset and points this at the campaign's store.
+        self.alone_store: Optional["ResultStore"] = None
         #: Worker processes campaign-backed sweeps may fan out over.
         self.jobs = jobs
         #: When set, every mix run records per-epoch telemetry; the full
@@ -177,24 +183,18 @@ class Runner:
             trace_source if trace_source is not None else DefaultTraceSource()
         )
         self._trace_cache: Dict[tuple, Trace] = {}
-        self._alone_cache: Dict[tuple, float] = {}
+        self._alone_cache: Dict[str, float] = {}
         self._run_cache: Dict[tuple, RunResult] = {}
 
     # ------------------------------------------------------------------
-    def _source_key(self, app: str) -> tuple:
-        """The trace source's identity key for ``app`` under this scope.
-
-        For synthetic apps this is (app, seed, target_insts) — the full
-        generator input — so mutating the Runner's fields can never serve
-        a stale trace; for library traces it is (app, content digest).
-        """
-        return self.trace_source.cache_key(
-            app, self.seed, self.target_insts
-        )
-
     def trace_for(self, app: str) -> Trace:
-        """The (cached) trace for one application — synthetic or library."""
-        key = self._source_key(app)
+        """The (cached) trace for one application — synthetic or library.
+
+        Cached under the full generator input (app, seed, target_insts) —
+        so mutating the Runner's fields can never serve a stale trace — or,
+        for a library trace, under its content digest alone."""
+        digest = self.trace_source.digest_for(app)
+        key = (app, digest) if digest else (app, self.seed, self.target_insts)
         trace = self._trace_cache.get(key)
         if trace is None:
             trace = self.trace_source.trace_for(
@@ -217,31 +217,51 @@ class Runner:
         return digests
 
     def alone_ipc(self, app: str) -> float:
-        """IPC of ``app`` running alone on the full machine (cached)."""
-        key = self._source_key(app)
+        """IPC of ``app`` running alone on the full machine.
+
+        Looked up by content key (:func:`repro.campaign.store.alone_key`)
+        in memory, then among the store's alone records, and only then
+        simulated — and recorded for every later reader.
+        """
+        from ..campaign.store import alone_key, scope_of
+
+        key = alone_key(
+            self.config,
+            app,
+            trace_digest=self.trace_source.digest_for(app),
+            **scope_of(self),
+        )
         ipc = self._alone_cache.get(key)
+        if ipc is not None:
+            return ipc
+        store = self.alone_store or self.store
+        if store is not None:
+            ipc = store.get_alone(key)
         if ipc is None:
-            tracer = current_tracer()
-            started = now_us() if tracer is not None else 0
-            config = replace(self.config, num_cores=1)
-            config = config.with_scheduler("frfcfs")
-            system = System(
-                config,
-                [self.trace_for(app)],
-                horizon=self.horizon,
-                validate=self.validate,
-                ahead_limit=self.ahead_limit,
-                kernel=self.kernel,
-            )
-            result = system.run()
-            if tracer is not None:
-                tracer.complete(
-                    "alone-run", started, now_us() - started, app=app
-                )
-            ipc = result.threads[0].ipc
-            if ipc <= 0:
-                raise ExperimentError(f"alone run of {app!r} retired nothing")
-            self._alone_cache[key] = ipc
+            ipc = self._simulate_alone(app)
+            if store is not None:
+                store.put_alone(key, ipc, {"app": app, **scope_of(self)})
+        self._alone_cache[key] = ipc
+        return ipc
+
+    def _simulate_alone(self, app: str) -> float:
+        """One single-core FR-FCFS run of ``app`` (the ``alone-run`` span)."""
+        tracer = current_tracer()
+        started = now_us() if tracer is not None else 0
+        system = System(
+            self.config.alone(),
+            [self.trace_for(app)],
+            horizon=self.horizon,
+            validate=self.validate,
+            ahead_limit=self.ahead_limit,
+            kernel=self.kernel,
+        )
+        result = system.run()
+        if tracer is not None:
+            tracer.complete("alone-run", started, now_us() - started, app=app)
+        ipc = result.threads[0].ipc
+        if ipc <= 0:
+            raise ExperimentError(f"alone run of {app!r} retired nothing")
         return ipc
 
     # ------------------------------------------------------------------
@@ -283,18 +303,14 @@ class Runner:
         self._run_cache[self.run_cache_key(apps, approach)] = result
 
     def _store_key(self, apps: Sequence[str], approach: str) -> str:
-        from ..campaign.store import run_key
+        from ..campaign.store import run_key, scope_of
 
         return run_key(
             self.config,
             apps,
             approach,
-            seed=self.seed,
-            horizon=self.horizon,
-            target_insts=self.target_insts,
-            ahead_limit=self.ahead_limit,
-            validate=self.validate,
             trace_digests=self.library_digests(apps),
+            **scope_of(self),
         )
 
     def run_apps(

@@ -4,8 +4,8 @@ Static analysis (:func:`repro.workloads.analyze_trace`) reads intrinsic
 properties off the record stream; this module measures what the *machine*
 observes — post-cache MPKI, row-buffer hit rate, bank-level parallelism,
 alone IPC — by replaying the trace on a single-core unpartitioned FR-FCFS
-system, exactly the configuration ``Runner.alone_ipc`` uses for every
-speedup denominator. The intensive/light classification reuses the
+system (:meth:`SystemConfig.alone`), the one ``Runner.alone_ipc`` measures
+every speedup denominator on. The intensive/light classification reuses the
 :data:`~repro.workloads.analysis.INTENSIVE_MPKI_THRESHOLD` convention the
 partitioning policies key on, so an imported real trace slots into DBP's
 thread classes on the same terms as the synthetic apps.
@@ -13,7 +13,7 @@ thread classes on the same terms as the synthetic apps.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 from ..cpu.trace import Trace
@@ -83,9 +83,9 @@ def characterize_trace(
 ) -> TraceCharacterization:
     """Measure one trace alone on the single-core FR-FCFS baseline system.
 
-    Mirrors ``Runner.alone_ipc``'s configuration (one core, unpartitioned,
-    FR-FCFS) so the numbers are commensurable with every alone-run
-    baseline in the repo. Neither the shared policy nor FR-FCFS has an
+    Runs on :meth:`SystemConfig.alone` (one core, unpartitioned, FR-FCFS)
+    so the numbers are commensurable with every alone-run baseline in the
+    repo. Neither the shared policy nor FR-FCFS has an
     epoch cadence, so one post-run profiler snapshot covers the whole run.
     """
     from ..config import SystemConfig
@@ -94,9 +94,8 @@ def characterize_trace(
     if horizon <= 0:
         raise ExperimentError("characterization horizon must be positive")
     base = config if config is not None else SystemConfig()
-    alone = replace(base, num_cores=1).with_scheduler("frfcfs")
     system = System(
-        alone, [trace], horizon=horizon, ahead_limit=ahead_limit
+        base.alone(), [trace], horizon=horizon, ahead_limit=ahead_limit
     )
     result = system.run()
     thread = result.threads[0]

@@ -20,7 +20,7 @@ looked up.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..cpu.trace import Trace
 from ..errors import ConfigError
@@ -36,17 +36,6 @@ class TraceSource:
     def digest_for(self, app: str) -> Optional[str]:
         """Content digest for non-seed-keyed apps; None for synthetic."""
         raise NotImplementedError
-
-    def cache_key(self, app: str, seed: int, target_insts: int) -> Tuple:
-        """What a cached trace/alone-run for ``app`` is keyed by.
-
-        A library trace is keyed by content digest (seed and length do not
-        affect it); a synthetic one by the full generator input.
-        """
-        digest = self.digest_for(app)
-        if digest is not None:
-            return (app, digest)
-        return (app, seed, target_insts)
 
 
 class SyntheticTraceSource(TraceSource):

@@ -70,3 +70,17 @@ def address_map(small_config):
 def fast_runner(small_config):
     """A Runner with a short horizon for integration tests."""
     return Runner(config=small_config, horizon=30_000, target_insts=200_000)
+
+
+@pytest.fixture
+def alone_runs(monkeypatch):
+    """The apps whose alone run was simulated in this process, in order."""
+    simulated = []
+    original = Runner._simulate_alone
+
+    def counting(runner, app):
+        simulated.append(app)
+        return original(runner, app)
+
+    monkeypatch.setattr(Runner, "_simulate_alone", counting)
+    return simulated

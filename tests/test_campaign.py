@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,7 @@ from repro.campaign import (
     sweep_metrics,
 )
 from repro.campaign.executor import _WORKER_RUNNERS
+from repro.campaign.store import STORE_VERSION, alone_key, result_digest
 from repro.errors import ExperimentError
 from repro.sim.runner import Runner
 
@@ -340,6 +343,130 @@ class TestExecutor:
         outcome = result.outcomes[0]
         assert outcome.status == "quarantined"  # deterministic, confirmed
         assert outcome.attempts == 2  # failed twice, then quarantined
+
+
+def _alone_ipc_in_child(root, config, barrier, replies):
+    """Measure lbm alone against the store at ``root``, on the barrier."""
+    runner = Runner(
+        config, horizon=30_000, target_insts=200_000, store=ResultStore(root)
+    )
+    barrier.wait(timeout=60)
+    replies.put(runner.alone_ipc("lbm"))
+
+
+class TestAloneRecords:
+    """Alone baselines as content-addressed records beside the store."""
+
+    def test_key_binds_the_alone_system_and_scope(self, small_config):
+        from dataclasses import replace
+
+        scope = dict(seed=1, horizon=30_000, target_insts=200_000)
+        base = alone_key(small_config, "lbm", **scope)
+        # Core count and scheduler are overridden by the alone system, so
+        # every cell of a grid shares one record per app...
+        assert base == alone_key(
+            replace(small_config, num_cores=4).with_scheduler("tcm"),
+            "lbm",
+            **scope,
+        )
+        # ...while everything the alone run depends on forks the key.
+        variants = {
+            alone_key(small_config, "gcc", **scope),
+            alone_key(small_config, "lbm", **{**scope, "seed": 2}),
+            alone_key(small_config, "lbm", **{**scope, "horizon": 60_000}),
+            alone_key(small_config, "lbm", **{**scope, "target_insts": 9}),
+            alone_key(small_config, "lbm", ahead_limit=64, **scope),
+            alone_key(small_config, "lbm", validate=True, **scope),
+            alone_key(small_config, "lbm", trace_digest="abc", **scope),
+            alone_key(replace(small_config, clock_ratio=4), "lbm", **scope),
+        }
+        assert base not in variants and len(variants) == 8
+        assert base != run_key(small_config, ["lbm"], "shared-frfcfs", **scope)
+
+    def test_digests_identical_across_jobs_and_sidecar_states(
+        self, tmp_path, specs, alone_runs
+    ):
+        """jobs=1/jobs=2, alone records absent/present: same bits."""
+        cold_alone = tmp_path / "pooled-cold" / "alone"
+        digests = {}
+        for name, jobs, warm in (
+            ("pooled-cold", 2, False),
+            ("inline-cold", 1, False),
+            ("pooled-warm", 2, True),
+            ("inline-warm", 1, True),
+        ):
+            _WORKER_RUNNERS.clear()
+            del alone_runs[:]
+            store = ResultStore(tmp_path / name)
+            if warm:
+                shutil.copytree(cold_alone, store.root / "alone")
+            result = execute(specs, jobs=jobs, store=store)
+            digests[name] = [result_digest(o.result) for o in result.outcomes]
+            assert len(store.alone_paths()) == 2
+            assert store.entry_count() == len(specs)
+            if jobs == 1:  # inline: the alone runs happen in this process
+                assert alone_runs == ([] if warm else ["lbm", "gcc"])
+        _WORKER_RUNNERS.clear()
+        unstored = execute(specs, jobs=1)
+        reference = [result_digest(o.result) for o in unstored.outcomes]
+        assert all(seen == reference for seen in digests.values()), digests
+
+    def test_unusable_record_is_a_miss_and_is_replaced(
+        self, tmp_path, small_config
+    ):
+        scope = dict(horizon=30_000, target_insts=200_000)
+        expected = Runner(small_config, **scope).alone_ipc("lbm")
+        key = alone_key(small_config, "lbm", seed=1, **scope)
+        store = ResultStore(tmp_path / "store")
+        good = {"version": STORE_VERSION, "key": key, "ipc": expected}
+        torn = json.dumps(good)[: len(json.dumps(good)) // 2]
+        for raw in (
+            torn.encode(),
+            b"{ not json",
+            b"\xff\xfe\x00garbage",
+            b"[1, 2, 3]",
+            json.dumps({**good, "version": STORE_VERSION + 1}).encode(),
+            json.dumps({**good, "key": "0" * 64}).encode(),
+            json.dumps({**good, "ipc": -1.0}).encode(),
+            json.dumps({**good, "ipc": "fast"}).encode(),
+            json.dumps({"version": STORE_VERSION, "key": key}).encode(),
+        ):
+            path = store.alone_path_for(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(raw)
+            assert store.get_alone(key) is None, raw
+            runner = Runner(small_config, store=store, **scope)
+            assert runner.alone_ipc("lbm") == expected, raw
+            assert store.get_alone(key) == expected, raw
+
+    def test_concurrent_writers_of_one_record_both_succeed(
+        self, tmp_path, small_config
+    ):
+        scope = dict(horizon=30_000, target_insts=200_000)
+        expected = Runner(small_config, **scope).alone_ipc("lbm")
+        root = tmp_path / "store"
+        barrier = multiprocessing.Barrier(2)
+        replies = multiprocessing.Queue()
+        children = [
+            multiprocessing.Process(
+                target=_alone_ipc_in_child,
+                args=(root, small_config, barrier, replies),
+            )
+            for _ in range(2)
+        ]
+        for child in children:
+            child.start()
+        try:
+            seen = [replies.get(timeout=60) for _ in children]
+        finally:
+            for child in children:
+                child.join(timeout=60)
+        assert seen == [expected, expected]
+        assert [child.exitcode for child in children] == [0, 0]
+        store = ResultStore(root)
+        key = alone_key(small_config, "lbm", seed=1, **scope)
+        assert store.get_alone(key) == expected
+        assert store.orphaned_tmp_paths() == []
 
 
 class TestSweepIntegration:

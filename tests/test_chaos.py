@@ -537,6 +537,54 @@ class TestPooledChaos:
         # Exactly the dead worker was replaced.
         assert result.pool_respawns == 1
 
+    @pytest.mark.parametrize(
+        "kind, timeout, replaced",
+        [("crash", None, 1), ("hang", 2.0, 1), ("transient", None, 0)],
+    )
+    def test_lost_baseline_task_only_releases_its_dependents(
+        self, small_config, tmp_path, kind, timeout, replaced
+    ):
+        """A baseline task that fails, or whose worker is SIGKILLed or
+        hangs past the deadline: a prefetch was lost, not a run. Both
+        cells (they share the lost baseline) settle ok on their first
+        attempt with no failure record, and measure the baseline
+        themselves."""
+        specs = [
+            _spec(small_config, approach="shared-frfcfs"),
+            _spec(small_config, approach="ebp"),
+        ]
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(
+                    site="worker.alone",
+                    kind=kind,
+                    match="alone:lbm *",
+                    times=1,
+                    seconds=30.0,
+                ),
+            ),
+        )
+        store = ResultStore(tmp_path / "store")
+        result = execute(
+            specs,
+            jobs=2,
+            store=store,
+            retries=0,
+            timeout=timeout,
+            backoff=0.01,
+            faults=plan,
+        )
+        assert [o.status for o in result.outcomes] == ["ok", "ok"]
+        assert [o.attempts for o in result.outcomes] == [1, 1]
+        assert [o.failure for o in result.outcomes] == [None, None]
+        assert result.unresolved == []
+        assert list(store.iter_failures()) == []
+        assert result.time_lost_to_faults == 0
+        # Exactly the worker holding the baseline was replaced, if any.
+        assert result.pool_respawns == replaced
+        assert len(store.alone_paths()) == 2  # lbm's came from a cell
+        assert multiprocessing.active_children() == []
+
     def test_mini_campaign_survives_mixed_faults(
         self, small_config, tmp_path
     ):

@@ -1094,3 +1094,47 @@ class TestStoreCLI:
         assert store.quarantined_paths() == []
         assert store.orphaned_tmp_paths() == []
         assert store.stale_paths() == []
+
+    def test_alone_records_counted_collected_and_unseen_by_results(
+        self, tmp_path, capsys
+    ):
+        root = tmp_path / "store"
+        populated_store(root, c1_grid())
+        index_argv = ["results", "index", "--store", str(root)]
+        assert self.run_cli(index_argv) == 0
+        assert "index rows: 4" in capsys.readouterr().out
+        store = ResultStore(root, index=False)
+        for n in (1, 2):
+            store.put_alone(synth_key(n), 1.5, {"app": f"app{n}"})
+        stale = store.alone_path_for(synth_key(3))
+        stale.parent.mkdir(parents=True, exist_ok=True)
+        stale.write_text(
+            json.dumps(
+                {"version": STORE_VERSION - 1, "key": synth_key(3), "ipc": 1.0}
+            )
+        )
+        stale.with_name(stale.name + ".tmp.1234").write_text("x")
+        # The sidecar is invisible to everything that reads run results...
+        assert store.entry_count() == 4
+        assert len(list(store.iter_blobs())) == 4
+        assert self.run_cli(index_argv) == 0
+        out = capsys.readouterr().out
+        assert "0 added" in out and "index rows: 4" in out
+        # ...and visible to the maintenance verbs.
+        stats_argv = ["store", "stats", "--store", str(root)]
+        assert self.run_cli(stats_argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["alone_records"] == 3 and doc["alone_bytes"] > 0
+        assert doc["entries"] == 4 and doc["tmp_files"] == 1
+        assert self.run_cli(stats_argv) == 0
+        assert "alone:       3 record(s)" in capsys.readouterr().out
+        gc_argv = ["store", "gc", "--store", str(root), "--stale"]
+        assert self.run_cli(gc_argv + ["--dry-run"]) == 0
+        assert "0 quarantined, 1 tmp, 1 stale" in capsys.readouterr().out
+        assert self.run_cli(gc_argv) == 0
+        capsys.readouterr()
+        assert [p.stem for p in store.alone_paths()] == sorted(
+            synth_key(n) for n in (1, 2)
+        )
+        assert store.orphaned_tmp_paths() == []
+        assert store.entry_count() == 4

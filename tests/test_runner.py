@@ -1,9 +1,12 @@
 """Experiment runner tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.dbp import DBPConfig, DynamicBankPartitioning
 from repro.errors import ExperimentError
+from repro.sim.runner import Runner
 from repro.workloads import Mix
 
 
@@ -33,20 +36,44 @@ class TestTraceCache:
         c = fast_runner.trace_for("lbm")
         assert c is not a
 
+    def test_alone_cache_keyed_by_everything_the_run_depends_on(
+        self, small_config
+    ):
+        """Mutating horizon (or config/validate/ahead_limit) must never
+        serve a stale baseline: the cache key is the alone content key."""
+        runner = Runner(small_config, horizon=40_000, target_insts=200_000)
+        short = runner.alone_ipc("lbm")
+        runner.horizon = 80_000
+        fresh = Runner(small_config, horizon=80_000, target_insts=200_000)
+        assert runner.alone_ipc("lbm") == fresh.alone_ipc("lbm")
+        assert runner.alone_ipc("lbm") != short
+        runner.horizon = 40_000
+        assert runner.alone_ipc("lbm") == short
+        runner.config = replace(
+            small_config, core=replace(small_config.core, rob_size=16)
+        )
+        assert runner.alone_ipc("lbm") != short
+
 
 class TestAloneRuns:
-    def test_alone_ipc_positive_and_cached(self, fast_runner):
+    def test_alone_ipc_positive_and_cached(self, fast_runner, alone_runs):
         first = fast_runner.alone_ipc("lbm")
         assert first > 0
         assert fast_runner.alone_ipc("lbm") == first
-        assert (
-            "lbm",
-            fast_runner.seed,
-            fast_runner.target_insts,
-        ) in fast_runner._alone_cache
+        assert alone_runs == ["lbm"]  # the second call simulated nothing
 
     def test_light_app_faster_alone(self, fast_runner):
         assert fast_runner.alone_ipc("gcc") > fast_runner.alone_ipc("lbm")
+
+    @pytest.mark.parametrize("app", ["lbm", "gcc", "mcf"])
+    def test_one_core_shared_run_equals_the_alone_baseline(
+        self, fast_runner, app
+    ):
+        """Metamorphic: alone is the 1-core case of shared FR-FCFS."""
+        result = fast_runner.run_apps([app], "shared-frfcfs")
+        assert result.shared_ipcs[0] == fast_runner.alone_ipc(app)
+        assert result.metrics.weighted_speedup == 1.0
+        assert result.metrics.max_slowdown == 1.0
 
 
 class TestRunApps:

@@ -310,3 +310,40 @@ class TestCampaignSpans:
             e for e in runs if e.get("args", {}).get("status") == "ok"
         ]
         assert len(ok_runs) >= len(specs)
+
+    def test_pooled_campaign_runs_each_alone_baseline_once(
+        self, small_config, tmp_path
+    ):
+        """Two mixes sharing an app on two workers: one ``alone-run`` span
+        per distinct app, and none for other approaches on the same store."""
+
+        def grid(*approaches):
+            return [
+                RunSpec(
+                    apps=apps,
+                    approach=approach,
+                    config=small_config,
+                    horizon=30_000,
+                    target_insts=200_000,
+                    mix_name=mix_name,
+                )
+                for mix_name, apps in (
+                    ("A", ("lbm", "gcc")), ("B", ("lbm", "mcf")),
+                )
+                for approach in approaches
+            ]
+
+        def alone_apps(specs, name):
+            spans = tmp_path / name
+            result = execute(specs, jobs=2, store=store, spans=str(spans))
+            assert [o.status for o in result.outcomes] == ["ok"] * len(specs)
+            return sorted(
+                e["args"]["app"]
+                for e in _x_events(load_trace_file(str(spans)), "alone-run")
+            )
+
+        store = ResultStore(tmp_path / "store")
+        assert alone_apps(grid("shared-frfcfs", "ebp"), "cold.json") == [
+            "gcc", "lbm", "mcf",
+        ]
+        assert alone_apps(grid("dbp"), "warm.json") == []
