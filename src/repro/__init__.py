@@ -20,131 +20,81 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every reconstructed table and figure.
 """
 
-from .config import (
-    CacheConfig,
-    ControllerConfig,
-    CoreConfig,
-    DRAMOrganization,
-    OSConfig,
-    SystemConfig,
-)
-from .core import (
-    APPROACHES,
-    Approach,
-    BankDemandEstimator,
-    DBPConfig,
-    DemandConfig,
-    DynamicBankPartitioning,
-    ThreadProfiler,
-    get_approach,
-)
-from .baselines import (
-    EqualBankPartitioning,
-    MCPConfig,
-    MemoryChannelPartitioning,
-    PartitionPolicy,
-    SharedPolicy,
-)
-from .errors import (
-    AllocationError,
-    ConfigError,
-    ExperimentError,
-    MappingError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    TraceError,
-)
-from .metrics import (
-    MetricSummary,
-    harmonic_speedup,
-    max_slowdown,
-    slowdowns,
-    summarize,
-    weighted_speedup,
-)
-from .campaign import (
-    CampaignResult,
-    CampaignSpec,
-    ResultStore,
-    RunOutcome,
-    RunSpec,
-    run_campaign,
-)
-from .sim import Engine, RunResult, Runner, System, SystemResult, WorkloadRunMetrics
-from .workloads import (
-    APP_PROFILES,
-    AppProfile,
-    MIXES,
-    Mix,
-    generate_trace,
-    get_mix,
-    get_profile,
-    mixes_for_cores,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # configuration
-    "SystemConfig",
-    "DRAMOrganization",
-    "CoreConfig",
-    "CacheConfig",
-    "ControllerConfig",
-    "OSConfig",
-    # contribution
-    "DynamicBankPartitioning",
-    "DBPConfig",
-    "BankDemandEstimator",
-    "DemandConfig",
-    "ThreadProfiler",
-    "Approach",
-    "APPROACHES",
-    "get_approach",
-    # baselines
-    "PartitionPolicy",
-    "SharedPolicy",
-    "EqualBankPartitioning",
-    "MemoryChannelPartitioning",
-    "MCPConfig",
-    # workloads
-    "AppProfile",
-    "APP_PROFILES",
-    "get_profile",
-    "generate_trace",
-    "Mix",
-    "MIXES",
-    "get_mix",
-    "mixes_for_cores",
-    # campaigns
-    "CampaignSpec",
-    "CampaignResult",
-    "RunSpec",
-    "RunOutcome",
-    "ResultStore",
-    "run_campaign",
-    # simulation
-    "Engine",
-    "System",
-    "SystemResult",
-    "Runner",
-    "RunResult",
-    "WorkloadRunMetrics",
-    # metrics
-    "MetricSummary",
-    "weighted_speedup",
-    "harmonic_speedup",
-    "max_slowdown",
-    "slowdowns",
-    "summarize",
-    # errors
-    "ReproError",
-    "ConfigError",
-    "ProtocolError",
-    "MappingError",
-    "AllocationError",
-    "TraceError",
-    "SimulationError",
-    "ExperimentError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".config": (
+            "CacheConfig",
+            "ControllerConfig",
+            "CoreConfig",
+            "DRAMOrganization",
+            "OSConfig",
+            "SystemConfig",
+        ),
+        ".core": (
+            "APPROACHES",
+            "Approach",
+            "BankDemandEstimator",
+            "DBPConfig",
+            "DemandConfig",
+            "DynamicBankPartitioning",
+            "ThreadProfiler",
+            "get_approach",
+        ),
+        ".baselines": (
+            "EqualBankPartitioning",
+            "MCPConfig",
+            "MemoryChannelPartitioning",
+            "PartitionPolicy",
+            "SharedPolicy",
+        ),
+        ".errors": (
+            "AllocationError",
+            "ConfigError",
+            "ExperimentError",
+            "MappingError",
+            "ProtocolError",
+            "ReproError",
+            "SimulationError",
+            "TraceError",
+        ),
+        ".metrics": (
+            "MetricSummary",
+            "harmonic_speedup",
+            "max_slowdown",
+            "slowdowns",
+            "summarize",
+            "weighted_speedup",
+        ),
+        ".campaign": (
+            "CampaignResult",
+            "CampaignSpec",
+            "ResultStore",
+            "RunOutcome",
+            "RunSpec",
+            "run_campaign",
+        ),
+        ".sim": (
+            "Engine",
+            "RunResult",
+            "Runner",
+            "System",
+            "SystemResult",
+            "WorkloadRunMetrics",
+        ),
+        ".workloads": (
+            "APP_PROFILES",
+            "AppProfile",
+            "MIXES",
+            "Mix",
+            "generate_trace",
+            "get_mix",
+            "get_profile",
+            "mixes_for_cores",
+        ),
+    },
+)

@@ -9,20 +9,20 @@
   Muralidhara et al., MICRO 2011, reimplemented.
 """
 
-from .base import PartitionContext, PartitionPolicy, make_policy, policy_names
-from .shared import SharedPolicy
-from .equal import EqualBankPartitioning
-from .mcp import MemoryChannelPartitioning, MCPConfig
-from .fixed import FixedAllocationPolicy
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PartitionContext",
-    "PartitionPolicy",
-    "make_policy",
-    "policy_names",
-    "SharedPolicy",
-    "EqualBankPartitioning",
-    "MemoryChannelPartitioning",
-    "MCPConfig",
-    "FixedAllocationPolicy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".base": (
+            "PartitionContext",
+            "PartitionPolicy",
+            "make_policy",
+            "policy_names",
+        ),
+        ".shared": ("SharedPolicy",),
+        ".equal": ("EqualBankPartitioning",),
+        ".mcp": ("MemoryChannelPartitioning", "MCPConfig"),
+        ".fixed": ("FixedAllocationPolicy",),
+    },
+)

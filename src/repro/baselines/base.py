@@ -108,10 +108,23 @@ def register_policy(cls: type) -> type:
     return cls
 
 
+def policy_registry() -> Dict[str, type]:
+    """Name → class, with every built-in policy registered.
+
+    Registration is a side effect of importing a policy's module and no
+    package ``__init__`` imports them eagerly, so by-name lookups load the
+    built-ins here first.
+    """
+    from ..core import combined, dbp  # noqa: F401
+    from . import equal, fixed, mcp, shared  # noqa: F401
+
+    return _REGISTRY
+
+
 def make_policy(name: str, **params: object) -> PartitionPolicy:
     """Instantiate a partitioning policy by registry name."""
     try:
-        cls = _REGISTRY[name]
+        cls = policy_registry()[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ConfigError(
@@ -122,4 +135,4 @@ def make_policy(name: str, **params: object) -> PartitionPolicy:
 
 def policy_names() -> list:
     """All registered policy names."""
-    return sorted(_REGISTRY)
+    return sorted(policy_registry())

@@ -1,13 +1,16 @@
 """Set-associative cache model (used as the private per-core LLC)."""
 
-from .cache import Cache, AccessResult
-from .replacement import LRUPolicy, RandomPolicy, ReplacementPolicy, make_policy
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Cache",
-    "AccessResult",
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "RandomPolicy",
-    "make_policy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".cache": ("Cache", "AccessResult"),
+        ".replacement": (
+            "LRUPolicy",
+            "RandomPolicy",
+            "ReplacementPolicy",
+            "make_policy",
+        ),
+    },
+)

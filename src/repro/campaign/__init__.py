@@ -21,54 +21,43 @@ Entry points: :func:`run_campaign` for scripts and the
 catalog's sweeps.
 """
 
-from .executor import (
-    CampaignResult,
-    RunOutcome,
-    RunTimeoutError,
-    execute,
-    execute_one,
-)
-from .failures import (
-    FailureAttempt,
-    FailureClass,
-    FailureRecord,
-    classify_failure,
-)
-from .api import run_campaign, sweep_metrics
-from .progress import ProgressPrinter, aggregate_telemetry, render_report
-from .spec import DEFAULT_APPROACHES, CampaignSpec, RunSpec, plan_sweep
-from .store import (
-    STORE_VERSION,
-    ResultStore,
-    StoreStats,
-    default_store_dir,
-    run_key,
-    runner_fingerprint,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignSpec",
-    "RunSpec",
-    "plan_sweep",
-    "DEFAULT_APPROACHES",
-    "CampaignResult",
-    "RunOutcome",
-    "RunTimeoutError",
-    "execute",
-    "execute_one",
-    "FailureAttempt",
-    "FailureClass",
-    "FailureRecord",
-    "classify_failure",
-    "run_campaign",
-    "sweep_metrics",
-    "ProgressPrinter",
-    "aggregate_telemetry",
-    "render_report",
-    "ResultStore",
-    "StoreStats",
-    "STORE_VERSION",
-    "default_store_dir",
-    "run_key",
-    "runner_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".executor": (
+            "CampaignResult",
+            "RunOutcome",
+            "RunTimeoutError",
+            "execute",
+            "execute_one",
+        ),
+        ".failures": (
+            "FailureAttempt",
+            "FailureClass",
+            "FailureRecord",
+            "classify_failure",
+        ),
+        ".api": ("run_campaign", "sweep_metrics"),
+        ".progress": (
+            "ProgressPrinter",
+            "aggregate_telemetry",
+            "render_report",
+        ),
+        ".spec": (
+            "DEFAULT_APPROACHES",
+            "CampaignSpec",
+            "RunSpec",
+            "plan_sweep",
+        ),
+        ".store": (
+            "STORE_VERSION",
+            "ResultStore",
+            "StoreStats",
+            "default_store_dir",
+            "run_key",
+            "runner_fingerprint",
+        ),
+    },
+)

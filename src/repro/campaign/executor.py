@@ -50,20 +50,19 @@ Supervision rules (see :mod:`repro.campaign.failures` for the taxonomy):
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import shutil
 import time
 import traceback as traceback_module
 import warnings
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import (
-    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence,
+    Tuple, Union,
 )
 
-from ..sim.runner import RunResult, describe_run
+from ..records import RunResult, describe_run
 from ..telemetry.spans import (
     SpanTracer,
     install_tracer,
@@ -81,6 +80,10 @@ from .failures import (
 )
 from .spec import RunSpec
 from .store import ResultStore, scope_of
+
+if TYPE_CHECKING:  # a fully cached plan never loads multiprocessing
+    import multiprocessing
+    from multiprocessing.connection import Connection
 
 #: Called after every settled run: (outcome, done_count, total_count).
 ProgressFn = Callable[["RunOutcome", int, int], None]
@@ -646,6 +649,8 @@ class _Supervisor:
     # -- worker processes ------------------------------------------------
     def _start_worker(self) -> _Slot:
         """Start one worker process (default start method) on its own pipe."""
+        import multiprocessing
+
         ours, theirs = multiprocessing.Pipe()
         # The child holds its own copy of ``theirs``; closing this one is
         # what turns the worker's death into an EOF on ``ours``.
@@ -674,6 +679,14 @@ class _Supervisor:
         from ..faults import runtime as faults_runtime
 
         inline = jobs == 1 and not self.timeout
+        if not inline:
+            # Workers are forked and inherit what this process has loaded:
+            # import the simulator and its policies here, once, or every
+            # worker pays for them.
+            from ..baselines.base import policy_registry
+            from ..sim import runner  # noqa: F401
+
+            policy_registry()
         if inline and self.store is not None:
             # Lend the caller's store handle to the inline worker so its
             # hit/write accounting reflects the runs made on its behalf —
@@ -792,6 +805,8 @@ class _Supervisor:
             if timeout:
                 time.sleep(timeout)
             return
+        from multiprocessing.connection import wait
+
         signalled = wait(
             [s.conn for s in busy] + [s.process.sentinel for s in busy],
             timeout,

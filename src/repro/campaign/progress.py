@@ -14,6 +14,7 @@ import sys
 import time
 from typing import IO, Dict, Iterable, List, Optional
 
+from ..experiments.report import render_table
 from .executor import CampaignResult, RunOutcome
 from .store import ResultStore
 
@@ -133,8 +134,6 @@ def render_report(
     result: CampaignResult, store: Optional[ResultStore] = None
 ) -> str:
     """The finished campaign as a text table plus a summary block."""
-    from ..experiments.report import render_table
-
     columns = [
         "mix", "approach", "seed", "horizon", "status", "tries", "ws", "hs",
         "ms", "secs",

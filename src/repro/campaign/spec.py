@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..config import SystemConfig
 from ..core.integration import get_approach
 from ..errors import ExperimentError
+from ..traces.registry import library_digests
 from ..workloads import resolve_mix
 from .store import alone_key, run_key, runner_fingerprint, scope_of
 
@@ -26,8 +27,6 @@ DEFAULT_APPROACHES: Tuple[str, ...] = ("shared-frfcfs", "ebp", "dbp")
 
 def _mix_trace_digests(apps: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
     """Sorted (app, digest) pairs for the library traces among ``apps``."""
-    from ..traces.registry import library_digests
-
     return tuple(sorted(library_digests(apps).items()))
 
 

@@ -7,7 +7,7 @@ trace seed and length, and the horizon. The store exploits that purity: the
 SHA-256 of a canonical JSON encoding of those inputs addresses one JSON
 entry under ``benchmarks/results/store/``, so any process that reproduces
 the same inputs — a later CLI invocation, a benchmark session, a campaign
-worker — gets the finished :class:`~repro.sim.runner.RunResult` for free.
+worker — gets the finished :class:`~repro.records.RunResult` for free.
 
 Properties the executor and the benches rely on:
 
@@ -43,13 +43,21 @@ import os
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
-from ..config import SystemConfig
 from ..core.integration import get_approach
 from ..metrics import MetricSummary
-from ..sim.runner import RunResult, WorkloadRunMetrics
-from ..sim.system import SystemResult, ThreadResult
+from ..records import (
+    RunResult,
+    SystemResult,
+    ThreadResult,
+    WorkloadRunMetrics,
+)
+
+if TYPE_CHECKING:  # keys take a config; reading a store needs none
+    from ..config import SystemConfig
 
 #: Salt hashed into every key. Bump on any change that alters what a
 #: simulation computes, so old entries become unreachable rather than wrong.

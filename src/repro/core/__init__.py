@@ -11,20 +11,15 @@
   the evaluation compares).
 """
 
-from .profiler import ThreadProfiler
-from .demand import BankDemandEstimator, DemandConfig
-from .dbp import DynamicBankPartitioning, DBPConfig
-from .integration import APPROACHES, Approach, get_approach
-from .combined import CombinedPartitioning
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ThreadProfiler",
-    "BankDemandEstimator",
-    "DemandConfig",
-    "DynamicBankPartitioning",
-    "DBPConfig",
-    "APPROACHES",
-    "Approach",
-    "get_approach",
-    "CombinedPartitioning",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".profiler": ("ThreadProfiler",),
+        ".demand": ("BankDemandEstimator", "DemandConfig"),
+        ".dbp": ("DynamicBankPartitioning", "DBPConfig"),
+        ".integration": ("APPROACHES", "Approach", "get_approach"),
+        ".combined": ("CombinedPartitioning",),
+    },
+)

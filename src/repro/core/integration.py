@@ -9,10 +9,12 @@ examples can request them by string.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from ..baselines.base import PartitionPolicy, make_policy
 from ..errors import ConfigError
+
+if TYPE_CHECKING:
+    from ..baselines.base import PartitionPolicy
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,10 @@ class Approach:
 
     def make_policy(self) -> PartitionPolicy:
         """Instantiate this approach's partitioning policy."""
+        # Imported here: naming an approach (planning, store keys, the
+        # result index) must not load the policy and OS layers.
+        from ..baselines.base import make_policy
+
         return make_policy(self.policy, **self.policy_params)
 
 

@@ -8,7 +8,12 @@ event per memory request rather than one per cycle, which is what makes a
 pure-Python cycle study of this scale feasible.
 """
 
-from .trace import Trace, TraceRecord, load_trace, save_trace
-from .core import Core, CoreStats
+from .._lazy import lazy_exports
 
-__all__ = ["Trace", "TraceRecord", "load_trace", "save_trace", "Core", "CoreStats"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".trace": ("Trace", "TraceRecord", "load_trace", "save_trace"),
+        ".core": ("Core", "CoreStats"),
+    },
+)

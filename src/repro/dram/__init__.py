@@ -13,28 +13,23 @@ raises on any timing violation, so the device model and the validator guard
 each other.
 """
 
-from .commands import Command, CommandType
-from .timing import DRAMTimings, DDR3_1066, DDR3_1333, DDR3_1600, scaled_timings
-from .bank import Bank, BankState
-from .rank import Rank
-from .channel import Channel
-from .validator import ProtocolValidator
-from .power import EnergyReport, PowerParams, estimate_energy
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Command",
-    "CommandType",
-    "DRAMTimings",
-    "DDR3_1066",
-    "DDR3_1333",
-    "DDR3_1600",
-    "scaled_timings",
-    "Bank",
-    "BankState",
-    "Rank",
-    "Channel",
-    "ProtocolValidator",
-    "EnergyReport",
-    "PowerParams",
-    "estimate_energy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".commands": ("Command", "CommandType"),
+        ".timing": (
+            "DRAMTimings",
+            "DDR3_1066",
+            "DDR3_1333",
+            "DDR3_1600",
+            "scaled_timings",
+        ),
+        ".bank": ("Bank", "BankState"),
+        ".rank": ("Rank",),
+        ".channel": ("Channel",),
+        ".validator": ("ProtocolValidator",),
+        ".power": ("EnergyReport", "PowerParams", "estimate_energy"),
+    },
+)

@@ -8,35 +8,25 @@ trace files, and checkpoint writes torn mid-flush. See
 across processes and retries.
 """
 
-from .injectors import (
-    TransientFaultError,
-    corrupt_file,
-    crash_process,
-    hang,
-    truncate_file,
-)
-from .plan import FAULT_KINDS, FaultPlan, FaultPlanError, FaultSpec
-from .runtime import (
-    active_plan,
-    check_fault,
-    install_plan,
-    maybe_fire,
-    reset,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultPlanError",
-    "FaultSpec",
-    "TransientFaultError",
-    "active_plan",
-    "check_fault",
-    "corrupt_file",
-    "crash_process",
-    "hang",
-    "install_plan",
-    "maybe_fire",
-    "reset",
-    "truncate_file",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".injectors": (
+            "TransientFaultError",
+            "corrupt_file",
+            "crash_process",
+            "hang",
+            "truncate_file",
+        ),
+        ".plan": ("FAULT_KINDS", "FaultPlan", "FaultPlanError", "FaultSpec"),
+        ".runtime": (
+            "active_plan",
+            "check_fault",
+            "install_plan",
+            "maybe_fire",
+            "reset",
+        ),
+    },
+)

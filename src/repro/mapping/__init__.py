@@ -1,5 +1,10 @@
 """Physical address mapping and page-color extraction."""
 
-from .address import AddressMap, MemLocation
+from .._lazy import lazy_exports
 
-__all__ = ["AddressMap", "MemLocation"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".address": ("AddressMap", "MemLocation"),
+    },
+)

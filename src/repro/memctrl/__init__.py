@@ -8,8 +8,13 @@ CAS sequencing, write drain, refresh — is the controller's job and identical
 under every policy, which is what makes scheduler comparisons fair.
 """
 
-from .request import Request
-from .controller import ChannelController
-from .schedulers import make_scheduler, Scheduler
+from .._lazy import lazy_exports
 
-__all__ = ["Request", "ChannelController", "make_scheduler", "Scheduler"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".request": ("Request",),
+        ".controller": ("ChannelController",),
+        ".schedulers": ("make_scheduler", "Scheduler"),
+    },
+)

@@ -1,35 +1,26 @@
 """System-level performance and fairness metrics, plus the simulator-wide
 metrics registry (see :mod:`repro.metrics.registry`)."""
 
-from .metrics import (
-    harmonic_speedup,
-    max_slowdown,
-    slowdowns,
-    summarize,
-    MetricSummary,
-    weighted_speedup,
-)
-from .kernelstats import kernel_counter_summary, render_kernel_summary
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    prometheus_text,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "kernel_counter_summary",
-    "render_kernel_summary",
-    "weighted_speedup",
-    "harmonic_speedup",
-    "max_slowdown",
-    "slowdowns",
-    "summarize",
-    "MetricSummary",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "prometheus_text",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": (
+            "harmonic_speedup",
+            "max_slowdown",
+            "slowdowns",
+            "summarize",
+            "MetricSummary",
+            "weighted_speedup",
+        ),
+        ".kernelstats": ("kernel_counter_summary", "render_kernel_summary"),
+        ".registry": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "prometheus_text",
+        ),
+    },
+)

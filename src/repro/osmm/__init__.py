@@ -1,12 +1,12 @@
 """OS memory management: page-coloring allocator, page tables, migration."""
 
-from .allocator import ColorAwareAllocator
-from .page_table import PageTable
-from .migration import MigrationEngine, MigrationPlan
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ColorAwareAllocator",
-    "PageTable",
-    "MigrationEngine",
-    "MigrationPlan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".allocator": ("ColorAwareAllocator",),
+        ".page_table": ("PageTable",),
+        ".migration": ("MigrationEngine", "MigrationPlan"),
+    },
+)

@@ -24,94 +24,57 @@ Entry points: the ``repro-dbp results index|query|compare|gates`` CLI and
 upserting on every ``put``.
 """
 
-from .db import (
-    INDEX_FILENAME,
-    SCHEMA_VERSION,
-    ResultIndex,
-    ResultsError,
-    SyncReport,
-    index_outcomes,
-    index_path_for,
-    open_index,
-    row_from_doc,
-)
-from .views import (
-    METRICS,
-    PairDeltas,
-    approach_rollup,
-    gain_pct,
-    geomean,
-    intensity_breakdown,
-    pair_deltas,
-    render_intensity,
-    render_pair_deltas,
-    render_rollup,
-)
-from .compare import CompareSummary, compare_indexes, render_compare
-from .observatory import (
-    BENCH_SCHEMA_VERSION,
-    BenchSample,
-    RegressionFinding,
-    bench_samples_from_doc,
-    bench_trend,
-    check_bench_docs,
-    load_bench_docs,
-    render_findings,
-    render_trend,
-    sync_bench_dir,
-)
-from .gates import (
-    PAPER_GATES,
-    DeltaGate,
-    GateCheck,
-    GatesReport,
-    OrderingGate,
-    evaluate_gates,
-    gate_from_dict,
-    gate_to_dict,
-    load_gates_file,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "INDEX_FILENAME",
-    "SCHEMA_VERSION",
-    "ResultIndex",
-    "ResultsError",
-    "SyncReport",
-    "index_outcomes",
-    "index_path_for",
-    "open_index",
-    "row_from_doc",
-    "METRICS",
-    "PairDeltas",
-    "approach_rollup",
-    "gain_pct",
-    "geomean",
-    "intensity_breakdown",
-    "pair_deltas",
-    "render_intensity",
-    "render_pair_deltas",
-    "render_rollup",
-    "CompareSummary",
-    "compare_indexes",
-    "render_compare",
-    "BENCH_SCHEMA_VERSION",
-    "BenchSample",
-    "RegressionFinding",
-    "bench_samples_from_doc",
-    "bench_trend",
-    "check_bench_docs",
-    "load_bench_docs",
-    "render_findings",
-    "render_trend",
-    "sync_bench_dir",
-    "PAPER_GATES",
-    "DeltaGate",
-    "GateCheck",
-    "GatesReport",
-    "OrderingGate",
-    "evaluate_gates",
-    "gate_from_dict",
-    "gate_to_dict",
-    "load_gates_file",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".db": (
+            "INDEX_FILENAME",
+            "SCHEMA_VERSION",
+            "ResultIndex",
+            "ResultsError",
+            "SyncReport",
+            "index_outcomes",
+            "index_path_for",
+            "open_index",
+            "row_from_doc",
+        ),
+        ".views": (
+            "METRICS",
+            "PairDeltas",
+            "approach_rollup",
+            "gain_pct",
+            "geomean",
+            "intensity_breakdown",
+            "pair_deltas",
+            "render_intensity",
+            "render_pair_deltas",
+            "render_rollup",
+        ),
+        ".compare": ("CompareSummary", "compare_indexes", "render_compare"),
+        ".observatory": (
+            "BENCH_SCHEMA_VERSION",
+            "BenchSample",
+            "RegressionFinding",
+            "bench_samples_from_doc",
+            "bench_trend",
+            "check_bench_docs",
+            "load_bench_docs",
+            "render_findings",
+            "render_trend",
+            "sync_bench_dir",
+        ),
+        ".gates": (
+            "PAPER_GATES",
+            "DeltaGate",
+            "GateCheck",
+            "GatesReport",
+            "OrderingGate",
+            "evaluate_gates",
+            "gate_from_dict",
+            "gate_to_dict",
+            "load_gates_file",
+        ),
+    },
+)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..experiments.report import render_table
 from .db import ResultIndex
 from .views import METRICS, gain_pct
 
@@ -135,8 +136,6 @@ def compare_indexes(
 
 def render_compare(summary: CompareSummary) -> str:
     """The compare_summary as a text table plus a verdict block."""
-    from ..experiments.report import render_table
-
     def fmt(row: Dict[str, object], metric: str) -> object:
         if f"{metric}_delta_pct" in row:
             return f"{row[f'{metric}_delta_pct']:+.2f}"

@@ -33,7 +33,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..errors import ReproError
+from ..campaign.store import STORE_VERSION, ResultStore
+from ..core.integration import get_approach
+from ..errors import ConfigError, ReproError
+from ..workloads.mixes import MIXES
+from ..workloads.profiles import app_intensive
 
 #: Bump when the ``runs`` table layout changes; a mismatched index file is
 #: dropped and rebuilt from the blobs (the blobs are the source of truth,
@@ -197,13 +201,10 @@ def _annotate_registries(row: Dict[str, object], apps: Sequence[str]) -> None:
     name approaches, apps, or mixes this process does not know — the row
     still indexes, with those columns NULL.
     """
-    from ..core.integration import get_approach
-    from ..errors import ConfigError
-    from ..workloads.mixes import MIXES
-    from ..workloads.profiles import app_intensive
-
     try:
-        spec = get_approach(str(row["approach"]))
+        # A tuned ``base@k=v`` name keeps its base's policy and scheduler;
+        # looking up the base spares the reader the tunables' classes.
+        spec = get_approach(str(row["approach"]).partition("@")[0])
         row["policy"] = spec.policy
         row["scheduler"] = spec.scheduler
     except ConfigError:
@@ -336,8 +337,6 @@ class ResultIndex:
         the JSON, which is what makes a no-change re-sync O(stat). With
         ``prune``, rows whose blob disappeared (e.g. a gc) are removed.
         """
-        from ..campaign.store import STORE_VERSION
-
         report = SyncReport()
         known = {
             r["key"]: r["mtime"]
@@ -392,8 +391,6 @@ class ResultIndex:
         returned — stale-version rows stay queryable with
         ``current_version_only=False`` (or an explicit ``version``).
         """
-        from ..campaign.store import STORE_VERSION
-
         clauses: List[str] = []
         params: List[object] = []
         if version is not None:
@@ -464,8 +461,6 @@ def index_outcomes(outcomes, index: Optional[ResultIndex] = None) -> ResultIndex
     which have no blob directory to sync from. Defaults to a fresh
     in-memory index.
     """
-    from ..campaign.store import STORE_VERSION
-
     if index is None:
         index = ResultIndex(":memory:")
     for outcome in outcomes:
@@ -512,8 +507,6 @@ def open_index(path: Union[str, Path], *, sync: bool = False) -> ResultIndex:
     (and created/synced when ``sync``). Anything else is opened as an
     SQLite file directly.
     """
-    from ..campaign.store import ResultStore
-
     p = Path(path)
     if p.is_dir():
         index = ResultIndex(index_path_for(p))

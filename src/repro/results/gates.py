@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..experiments.report import render_table
 from .db import ResultIndex, ResultsError
 from .views import PairDeltas, pair_deltas
 
@@ -192,8 +193,6 @@ class GatesReport:
         }
 
     def render(self) -> str:
-        from ..experiments.report import render_table
-
         rows = []
         for check in self.checks:
             gate = check.gate

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..experiments.report import render_table
 from .db import ResultIndex, ResultsError
 
 #: The metrics every view reports, in display order.
@@ -183,8 +184,6 @@ def pair_deltas(
 
 def render_pair_deltas(deltas: PairDeltas) -> str:
     """The pairwise view as a per-mix text table plus a summary line."""
-    from ..experiments.report import render_table
-
     if not deltas.cells:
         return (
             f"no matched cells for {deltas.better} vs {deltas.baseline} "
@@ -281,8 +280,6 @@ def intensity_breakdown(
 
 
 def render_rollup(rollup: Dict[str, Dict[str, object]]) -> str:
-    from ..experiments.report import render_table
-
     rows = []
     for name, agg in rollup.items():
         rows.append(

@@ -1,14 +1,12 @@
 """Simulation wiring: event engine, system builder, experiment runner."""
 
-from .engine import Engine
-from .system import System, SystemResult
-from .runner import Runner, RunResult, WorkloadRunMetrics
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Engine",
-    "System",
-    "SystemResult",
-    "Runner",
-    "RunResult",
-    "WorkloadRunMetrics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".engine": ("Engine",),
+        ".system": ("System", "SystemResult"),
+        ".runner": ("Runner", "RunResult", "WorkloadRunMetrics"),
+    },
+)

@@ -16,94 +16,27 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
+from ..campaign.store import ResultStore, alone_key, run_key, scope_of
 from ..config import SystemConfig
 from ..core.integration import Approach, get_approach
 from ..cpu.trace import Trace
 from ..errors import ExperimentError
-from ..metrics import MetricSummary, slowdowns, summarize
+from ..metrics import slowdowns, summarize
+from ..records import (
+    RunResult,
+    SystemResult,
+    WorkloadRunMetrics,
+    describe_run,
+)
 from ..telemetry import TelemetryConfig, TelemetryRecorder
 from ..telemetry.spans import current_tracer, now_us
 from ..traces.source import DefaultTraceSource, TraceSource
 from ..workloads import Mix
-from .system import System, SystemResult
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
-    from ..campaign.store import ResultStore
-
-
-@dataclass(frozen=True)
-class WorkloadRunMetrics:
-    """Metrics of one (mix, approach) run."""
-
-    mix: str
-    approach: str
-    summary: MetricSummary
-    slowdowns: Dict[int, float]
-    apps: Sequence[str]
-
-    @property
-    def weighted_speedup(self) -> float:
-        return self.summary.weighted_speedup
-
-    @property
-    def max_slowdown(self) -> float:
-        return self.summary.max_slowdown
-
-    @property
-    def harmonic_speedup(self) -> float:
-        return self.summary.harmonic_speedup
-
-
-@dataclass
-class RunResult:
-    """Metrics plus the raw system result, for deeper inspection."""
-
-    metrics: WorkloadRunMetrics
-    system: SystemResult
-    alone_ipcs: Dict[int, float] = field(default_factory=dict)
-    shared_ipcs: Dict[int, float] = field(default_factory=dict)
-    #: Telemetry run digest (:meth:`TelemetryRecorder.summary`) when the
-    #: Runner recorded the run; None otherwise. Persisted with the result.
-    telemetry: Optional[Dict[str, object]] = None
-    #: Deterministic metrics-registry snapshot
-    #: (:meth:`System.metrics_registry` → :meth:`MetricsRegistry.snapshot`)
-    #: collected after every simulated run. Persisted with the result;
-    #: render it with :func:`repro.metrics.prometheus_text`.
-    metrics_snapshot: Optional[Dict[str, object]] = None
-    #: Wall-clock profile (:meth:`System.profile_report`) when the Runner
-    #: was built with ``profile=True``; never persisted (host-specific).
-    profile: Optional[Dict[str, object]] = None
-
-
-def describe_run(
-    mix: Optional[str],
-    apps: Sequence[str],
-    approach: str,
-    seed: int,
-    horizon: int,
-    target_insts: int,
-    trace_digests: Optional[Mapping[str, str]] = None,
-    telemetry: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """The ``spec`` metadata a store entry carries beside one run's result
-    (what the result index reads its mix/approach/seed columns from)."""
-    doc: Dict[str, object] = {
-        "mix": mix or "+".join(apps),
-        "apps": list(apps),
-        "approach": approach,
-        "seed": seed,
-        "horizon": horizon,
-        "target_insts": target_insts,
-    }
-    if trace_digests:
-        doc["trace_digests"] = dict(trace_digests)
-    if telemetry is not None:
-        doc["telemetry"] = telemetry
-    return doc
+from .system import System
 
 
 class Runner:
@@ -117,7 +50,7 @@ class Runner:
         target_insts: int = 4_000_000,
         validate: bool = False,
         ahead_limit: int = 8192,
-        store: Optional["ResultStore"] = None,
+        store: Optional[ResultStore] = None,
         jobs: int = 1,
         telemetry: Optional[TelemetryConfig] = None,
         profile: bool = False,
@@ -142,7 +75,7 @@ class Runner:
         #: Where alone-baseline records are read and written when not
         #: ``store``: a campaign worker persists run results itself, so it
         #: leaves ``store`` unset and points this at the campaign's store.
-        self.alone_store: Optional["ResultStore"] = None
+        self.alone_store: Optional[ResultStore] = None
         #: Worker processes campaign-backed sweeps may fan out over.
         self.jobs = jobs
         #: When set, every mix run records per-epoch telemetry; the full
@@ -223,8 +156,6 @@ class Runner:
         in memory, then among the store's alone records, and only then
         simulated — and recorded for every later reader.
         """
-        from ..campaign.store import alone_key, scope_of
-
         key = alone_key(
             self.config,
             app,
@@ -303,8 +234,6 @@ class Runner:
         self._run_cache[self.run_cache_key(apps, approach)] = result
 
     def _store_key(self, apps: Sequence[str], approach: str) -> str:
-        from ..campaign.store import run_key, scope_of
-
         return run_key(
             self.config,
             apps,

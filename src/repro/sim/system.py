@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..baselines.base import PartitionContext, PartitionPolicy
@@ -30,7 +29,9 @@ from ..mapping import AddressMap
 from ..memctrl.controller import ChannelController, resolve_kernel
 from ..memctrl.request import Request
 from ..memctrl.schedulers import make_scheduler
+from ..metrics.registry import MetricsRegistry
 from ..osmm import ColorAwareAllocator, MigrationEngine, MigrationPlan, PageTable
+from ..records import SystemResult, ThreadResult
 from ..telemetry.spans import current_tracer, now_us
 from .checkpoint import (
     CheckpointError,
@@ -45,35 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 #: Cycles between successive migration copy pairs, so a page move does not
 #: slam the queues in a single cycle.
 _MIGRATION_SPACING = 16
-
-
-@dataclass(frozen=True)
-class ThreadResult:
-    """Per-thread outcome of one run."""
-
-    thread_id: int
-    app: str
-    ipc: float
-    retired_insts: int
-    reads: int
-    writes: int
-    llc_miss_rate: float
-    row_hit_rate: float
-    mean_read_latency: float
-
-
-@dataclass
-class SystemResult:
-    """Everything a run produced."""
-
-    horizon: int
-    threads: Dict[int, ThreadResult] = field(default_factory=dict)
-    total_commands: int = 0
-    total_refreshes: int = 0
-    pages_migrated: int = 0
-    engine_events: int = 0
-    #: Fraction of each channel's data-bus time spent transferring data.
-    bus_utilization: Dict[int, float] = field(default_factory=dict)
 
 
 class System:
@@ -633,8 +605,6 @@ class System:
         it costs nothing during simulation and may be called at any point
         (normally after :meth:`run`). Deterministic for a given state.
         """
-        from ..metrics.registry import MetricsRegistry
-
         registry = MetricsRegistry()
         cycles = registry.gauge(
             "repro_sim_cycles", "Simulated CPU cycles elapsed"

@@ -6,43 +6,33 @@ nothing per request. :mod:`repro.telemetry.stream` adds the on-disk
 streaming sink (rotating JSONL with schema headers) and its loader.
 """
 
-from .recorder import ControllerProbe, TelemetryConfig, TelemetryRecorder
-from .report import render_decisions, render_timeline
-from .spans import (
-    SpanTracer,
-    current_tracer,
-    install_tracer,
-    load_trace_file,
-    merge_trace_files,
-    merge_traces,
-    uninstall_tracer,
-    write_trace_file,
-)
-from .stream import (
-    STREAM_SCHEMA,
-    STREAM_SCHEMA_VERSION,
-    StoredTelemetry,
-    TelemetryStreamWriter,
-    load_stream,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ControllerProbe",
-    "STREAM_SCHEMA",
-    "STREAM_SCHEMA_VERSION",
-    "SpanTracer",
-    "StoredTelemetry",
-    "TelemetryConfig",
-    "TelemetryRecorder",
-    "TelemetryStreamWriter",
-    "current_tracer",
-    "install_tracer",
-    "load_stream",
-    "load_trace_file",
-    "merge_trace_files",
-    "merge_traces",
-    "render_decisions",
-    "render_timeline",
-    "uninstall_tracer",
-    "write_trace_file",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".recorder": (
+            "ControllerProbe",
+            "TelemetryConfig",
+            "TelemetryRecorder",
+        ),
+        ".report": ("render_decisions", "render_timeline"),
+        ".spans": (
+            "SpanTracer",
+            "current_tracer",
+            "install_tracer",
+            "load_trace_file",
+            "merge_trace_files",
+            "merge_traces",
+            "uninstall_tracer",
+            "write_trace_file",
+        ),
+        ".stream": (
+            "STREAM_SCHEMA",
+            "STREAM_SCHEMA_VERSION",
+            "StoredTelemetry",
+            "TelemetryStreamWriter",
+            "load_stream",
+        ),
+    },
+)

@@ -20,64 +20,44 @@ this package is the escape hatch. It provides:
   the persistent store's run keys.
 """
 
-from .format import FORMAT_VERSION, load_rtrc, read_rtrc, save_rtrc
-from .importers import (
-    FORMATS,
-    detect_format,
-    import_champsim,
-    import_dramsim,
-    import_trace,
-    resolve_format,
-)
-from .transforms import remap_footprint, skip_warmup, slice_records, splice_phases
-from .characterize import TraceCharacterization, characterize_trace
-from .registry import (
-    LIBRARY_APPS,
-    RegisteredTrace,
-    clear_registry,
-    library_digests,
-    lookup_registered,
-    register_trace,
-    registered_names,
-    unregister_trace,
-)
-from .source import (
-    DefaultTraceSource,
-    LibraryTraceSource,
-    SyntheticTraceSource,
-    TraceSource,
-)
-from .library import TraceLibrary, default_library_dir
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FORMAT_VERSION",
-    "save_rtrc",
-    "load_rtrc",
-    "read_rtrc",
-    "FORMATS",
-    "detect_format",
-    "resolve_format",
-    "import_trace",
-    "import_champsim",
-    "import_dramsim",
-    "slice_records",
-    "skip_warmup",
-    "remap_footprint",
-    "splice_phases",
-    "TraceCharacterization",
-    "characterize_trace",
-    "RegisteredTrace",
-    "LIBRARY_APPS",
-    "register_trace",
-    "unregister_trace",
-    "clear_registry",
-    "lookup_registered",
-    "registered_names",
-    "library_digests",
-    "TraceSource",
-    "SyntheticTraceSource",
-    "LibraryTraceSource",
-    "DefaultTraceSource",
-    "TraceLibrary",
-    "default_library_dir",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".format": ("FORMAT_VERSION", "load_rtrc", "read_rtrc", "save_rtrc"),
+        ".importers": (
+            "FORMATS",
+            "detect_format",
+            "import_champsim",
+            "import_dramsim",
+            "import_trace",
+            "resolve_format",
+        ),
+        ".transforms": (
+            "remap_footprint",
+            "skip_warmup",
+            "slice_records",
+            "splice_phases",
+        ),
+        ".characterize": ("TraceCharacterization", "characterize_trace"),
+        ".registry": (
+            "LIBRARY_APPS",
+            "RegisteredTrace",
+            "clear_registry",
+            "default_library_dir",
+            "library_digests",
+            "lookup_registered",
+            "register_trace",
+            "registered_names",
+            "unregister_trace",
+        ),
+        ".source": (
+            "DefaultTraceSource",
+            "LibraryTraceSource",
+            "SyntheticTraceSource",
+            "TraceSource",
+        ),
+        ".library": ("TraceLibrary",),
+    },
+)

@@ -38,27 +38,10 @@ from ..errors import ConfigError, TraceError
 from .characterize import TraceCharacterization, characterize_trace
 from .format import read_rtrc, save_rtrc
 from .importers import import_trace, resolve_format
-from .registry import RegisteredTrace, register_trace
+from .registry import RegisteredTrace, default_library_dir, register_trace
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
-
-
-def default_library_dir() -> Path:
-    """Where the trace library lives by default.
-
-    ``REPRO_TRACE_LIBRARY`` overrides; otherwise ``benchmarks/traces/
-    library`` in a source checkout, falling back to
-    ``~/.cache/repro-dbp/traces`` for installed copies — the same
-    convention as the campaign result store.
-    """
-    env = os.environ.get("REPRO_TRACE_LIBRARY")
-    if env:
-        return Path(env)
-    root = Path(__file__).resolve().parents[3]
-    if (root / "benchmarks").is_dir():
-        return root / "benchmarks" / "traces" / "library"
-    return Path.home() / ".cache" / "repro-dbp" / "traces"
 
 
 class TraceLibrary:

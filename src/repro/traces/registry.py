@@ -18,7 +18,9 @@ Resolution order everywhere an app name is looked up:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..cpu.trace import Trace
@@ -146,6 +148,23 @@ def library_digests(apps) -> Dict[str, str]:
     return digests
 
 
+def default_library_dir() -> Path:
+    """Where the trace library lives by default.
+
+    ``REPRO_TRACE_LIBRARY`` overrides; otherwise ``benchmarks/traces/
+    library`` in a source checkout, falling back to
+    ``~/.cache/repro-dbp/traces`` for installed copies — the same
+    convention as the campaign result store.
+    """
+    env = os.environ.get("REPRO_TRACE_LIBRARY")
+    if env:
+        return Path(env)
+    root = Path(__file__).resolve().parents[3]
+    if (root / "benchmarks").is_dir():
+        return root / "benchmarks" / "traces" / "library"
+    return Path.home() / ".cache" / "repro-dbp" / "traces"
+
+
 def _autoload_default_library() -> None:
     """Load the default on-disk library's manifest, once per process.
 
@@ -159,12 +178,13 @@ def _autoload_default_library() -> None:
         return
     _autoload_done = True
     from ..errors import ReproError
-    from .library import TraceLibrary, default_library_dir
 
     root = default_library_dir()
     try:
         if not (root / "manifest.json").is_file():
             return
+        from .library import TraceLibrary
+
         TraceLibrary(root).register_all(override=False, strict=False)
     except (OSError, ReproError):  # pragma: no cover - defensive
         pass

@@ -24,6 +24,8 @@ from typing import Optional
 
 from ..cpu.trace import Trace
 from ..errors import ConfigError
+from ..workloads.profiles import APP_PROFILES, get_profile
+from ..workloads.synthetic import generate_trace
 from .registry import lookup_registered, registered_names
 
 
@@ -42,8 +44,6 @@ class SyntheticTraceSource(TraceSource):
     """The classic path: generate from a registered app profile."""
 
     def trace_for(self, app: str, seed: int, target_insts: int) -> Trace:
-        from ..workloads import generate_trace, get_profile
-
         return generate_trace(
             get_profile(app), seed=seed, target_insts=target_insts
         )
@@ -79,8 +79,6 @@ class DefaultTraceSource(TraceSource):
         self._library = LibraryTraceSource()
 
     def _is_library(self, app: str) -> bool:
-        from ..workloads.profiles import APP_PROFILES
-
         if lookup_registered(app, autoload=False) is not None:
             return True
         if app in APP_PROFILES:

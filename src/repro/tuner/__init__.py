@@ -23,75 +23,51 @@ existing campaign machinery into a tuner for them:
   the loop the ``repro-dbp tune`` CLI drives.
 """
 
-from .api import StudyResult, run_study, study_name
-from .objective import OBJECTIVES, CampaignObjective, TrialResult, scalarize
-from .report import (
-    dominates,
-    frontier_doc,
-    pareto_front,
-    render_frontier,
-    render_studies,
-    render_trials,
-)
-from .searchers import (
-    STRATEGIES,
-    HalvingSearcher,
-    RandomSearcher,
-    Searcher,
-    TPESearcher,
-    TrialPoint,
-    make_searcher,
-)
-from .space import (
-    ParameterSpace,
-    Tunable,
-    approach_space,
-    derive_approach,
-    format_params,
-    parameterized_name,
-    parse_params,
-    split_point,
-)
-from .trials import (
-    TUNER_SCHEMA_VERSION,
-    ensure_tuner_schema,
-    record_trial,
-    studies,
-    trial_rows,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "StudyResult",
-    "run_study",
-    "study_name",
-    "OBJECTIVES",
-    "CampaignObjective",
-    "TrialResult",
-    "scalarize",
-    "dominates",
-    "frontier_doc",
-    "pareto_front",
-    "render_frontier",
-    "render_studies",
-    "render_trials",
-    "STRATEGIES",
-    "HalvingSearcher",
-    "RandomSearcher",
-    "Searcher",
-    "TPESearcher",
-    "TrialPoint",
-    "make_searcher",
-    "ParameterSpace",
-    "Tunable",
-    "approach_space",
-    "derive_approach",
-    "format_params",
-    "parameterized_name",
-    "parse_params",
-    "split_point",
-    "TUNER_SCHEMA_VERSION",
-    "ensure_tuner_schema",
-    "record_trial",
-    "studies",
-    "trial_rows",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".api": ("StudyResult", "run_study", "study_name"),
+        ".objective": (
+            "OBJECTIVES",
+            "CampaignObjective",
+            "TrialResult",
+            "scalarize",
+        ),
+        ".report": (
+            "dominates",
+            "frontier_doc",
+            "pareto_front",
+            "render_frontier",
+            "render_studies",
+            "render_trials",
+        ),
+        ".searchers": (
+            "STRATEGIES",
+            "HalvingSearcher",
+            "RandomSearcher",
+            "Searcher",
+            "TPESearcher",
+            "TrialPoint",
+            "make_searcher",
+        ),
+        ".space": (
+            "ParameterSpace",
+            "Tunable",
+            "approach_space",
+            "derive_approach",
+            "format_params",
+            "parameterized_name",
+            "parse_params",
+            "split_point",
+        ),
+        ".trials": (
+            "TUNER_SCHEMA_VERSION",
+            "ensure_tuner_schema",
+            "record_trial",
+            "studies",
+            "trial_rows",
+        ),
+    },
+)

@@ -235,9 +235,9 @@ def parse_params(text: str) -> Dict[str, str]:
 # Space assembly from the tunables() declarations.
 
 def _policy_class(name: str) -> Optional[type]:
-    from ..baselines.base import _REGISTRY
+    from ..baselines.base import policy_registry
 
-    return _REGISTRY.get(name)
+    return policy_registry().get(name)
 
 
 def _scheduler_class(name: str) -> Optional[type]:

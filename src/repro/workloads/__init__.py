@@ -9,37 +9,32 @@ partitioning and scheduling policies under study only ever observe those
 properties, which is what makes the substitution sound.
 """
 
-from .profiles import (
-    AppProfile,
-    APP_PROFILES,
-    app_intensive,
-    get_profile,
-    profiles_by_intensity,
-    validate_app,
-)
-from .synthetic import generate_trace
-from .mixes import Mix, MIXES, adhoc_mix, get_mix, mixes_for_cores, resolve_mix
-from .analysis import (
-    INTENSIVE_MPKI_THRESHOLD,
-    TraceAnalysis,
-    analyze_trace,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AppProfile",
-    "APP_PROFILES",
-    "get_profile",
-    "validate_app",
-    "app_intensive",
-    "profiles_by_intensity",
-    "generate_trace",
-    "Mix",
-    "MIXES",
-    "get_mix",
-    "adhoc_mix",
-    "resolve_mix",
-    "mixes_for_cores",
-    "INTENSIVE_MPKI_THRESHOLD",
-    "TraceAnalysis",
-    "analyze_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".profiles": (
+            "AppProfile",
+            "APP_PROFILES",
+            "app_intensive",
+            "get_profile",
+            "profiles_by_intensity",
+            "validate_app",
+        ),
+        ".synthetic": ("generate_trace",),
+        ".mixes": (
+            "Mix",
+            "MIXES",
+            "adhoc_mix",
+            "get_mix",
+            "mixes_for_cores",
+            "resolve_mix",
+        ),
+        ".analysis": (
+            "INTENSIVE_MPKI_THRESHOLD",
+            "TraceAnalysis",
+            "analyze_trace",
+        ),
+    },
+)

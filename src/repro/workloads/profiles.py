@@ -143,9 +143,11 @@ def get_profile(name: str) -> AppProfile:
 
 def validate_app(name: str) -> None:
     """Check that ``name`` is a known app — synthetic or library trace."""
+    if name in APP_PROFILES:
+        return
     from ..traces.registry import lookup_registered, registered_names
 
-    if name in APP_PROFILES or lookup_registered(name) is not None:
+    if lookup_registered(name) is not None:
         return
     known = ", ".join(sorted(APP_PROFILES))
     library = ", ".join(registered_names())

@@ -158,3 +158,98 @@ class TestMetrics:
     def test_metrics_unknown_mix_errors(self, capsys):
         assert main(["metrics", "M99"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestOutOfDomainOptions:
+    """Counts are checked by argparse, not clamped or mis-run later."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--mixes", "M4", "--jobs", "0"],
+            ["campaign", "--mixes", "M4", "--jobs", "-3"],
+            ["campaign", "--mixes", "M4", "--retries", "-1"],
+            ["run", "T3", "--jobs", "0"],
+            ["tune", "run", "--jobs", "0"],
+            ["tune", "run", "--retries", "-1"],
+            ["tune", "run", "--budget", "0"],
+            ["campaign", "--mixes", "M4", "--jobs", "two"],
+        ],
+    )
+    def test_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}" in err
+        assert "must be >=" in err or "invalid int value" in err
+
+    def test_boundary_values_are_accepted(self, tmp_path, capsys):
+        argv = [
+            "--horizon", "20000", "campaign", "--mixes", "M4",
+            "--approaches", "ebp", "--jobs", "1", "--retries", "0",
+            "--store", str(tmp_path / "store"), "--quiet",
+        ]
+        assert main(argv) == 0
+        assert "1 executed" in capsys.readouterr().out
+
+
+class TestResultsIndexSource:
+    def test_missing_store_fails_like_the_readers(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-store"
+        for verb in (["index"], ["query"], ["gates"]):
+            assert main(["results", *verb, "--store", str(missing)]) == 1
+            err = capsys.readouterr().err
+            assert "no index database or store directory at" in err
+        assert not missing.exists()
+
+    def test_existing_empty_store_indexes_to_zero_rows(self, tmp_path, capsys):
+        empty = tmp_path / "store"
+        empty.mkdir()
+        assert main(["results", "index", "--store", str(empty)]) == 0
+        assert "index rows: 0" in capsys.readouterr().out
+
+
+#: Every registered command line that must parse: the 13 top-level
+#: commands and each results/tune/store/traces verb.
+HELP_TARGETS = [
+    [command]
+    for command in (
+        "list", "config", "run", "campaign", "results", "store", "tune",
+        "trace", "perf", "metrics", "mix", "traces", "gen-traces",
+    )
+] + [
+    [command, verb]
+    for command, verbs in (
+        ("results", ("index", "query", "compare", "gates", "perf-trend")),
+        ("tune", ("run", "report", "frontier")),
+        ("store", ("stats", "ls", "gc")),
+        ("traces", ("import", "list", "info", "export")),
+    )
+    for verb in verbs
+]
+
+
+class TestRegistryCompleteness:
+    @pytest.mark.parametrize("target", HELP_TARGETS, ids=" ".join)
+    def test_help_exits_zero_with_usage(self, target, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*target, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro-dbp " + target[0])
+
+    def test_every_subparser_binds_a_handler(self):
+        from repro.cli import _build_parser
+
+        parser = _build_parser()
+        for argv in (
+            ["list"], ["config"], ["run", "T3"], ["campaign"],
+            ["results", "index"], ["results", "query"],
+            ["results", "compare", "a", "b"], ["results", "gates"],
+            ["results", "perf-trend"], ["store", "stats"], ["store", "ls"],
+            ["store", "gc"], ["tune", "run"], ["tune", "report"],
+            ["tune", "frontier"], ["trace"], ["perf"], ["metrics", "M4"],
+            ["mix", "M4"], ["traces", "list"], ["gen-traces", "mcf"],
+        ):
+            assert callable(parser.parse_args(argv).handler), argv
