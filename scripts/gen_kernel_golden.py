@@ -6,10 +6,13 @@ writes every simulation-visible result — per-thread outcomes, command and
 refresh totals, engine event counts, and the full metrics-registry
 snapshot — to ``tests/data/kernel_golden.json``.
 
-The committed fixture was generated from the pre-fast-path reference
-implementation, so it pins both kernel paths to the seed semantics. Only
-regenerate it deliberately, when a simulation-*visible* behaviour change is
-intended (and say so in the commit):
+The committed fixture was generated from the full-rescan loop that is now
+the test oracle (``tests/reference_kernel.py``), so it pins the production
+kernel and the oracle alike to the seed semantics. This script runs the
+production controller. Only regenerate the fixture deliberately, when a
+simulation-*visible* behaviour change is intended (say so in the commit),
+and only once ``tests/test_kernel_equivalence.py`` shows the oracle
+reproducing the new file too:
 
     PYTHONPATH=src python scripts/gen_kernel_golden.py
 """
@@ -38,13 +41,8 @@ DEFAULT_OUT = os.path.join(
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=DEFAULT_OUT)
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        help="kernel path to generate with (default: the repo default)",
-    )
     args = parser.parse_args()
-    doc = golden_document(kernel=args.kernel)
+    doc = golden_document()
     os.makedirs(os.path.dirname(args.out), exist_ok=True)
     with open(args.out, "w") as handle:
         json.dump(doc, handle, indent=1, sort_keys=True)

@@ -67,15 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=1, help="workload generation seed"
     )
-    parser.add_argument(
-        "--kernel",
-        choices=("fast", "reference"),
-        default=None,
-        help=(
-            "controller hot-loop implementation (default: REPRO_KERNEL env "
-            "or 'fast'); results are bit-identical either way"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     for add in _REGISTRY:
         add(sub)

@@ -101,9 +101,7 @@ def make_runner(args: argparse.Namespace, **extra: object):
     """The Runner the global options describe (loads the simulator)."""
     from ..sim.runner import Runner
 
-    return Runner(
-        horizon=args.horizon, seed=args.seed, kernel=args.kernel, **extra
-    )
+    return Runner(horizon=args.horizon, seed=args.seed, **extra)
 
 
 def print_profile(report: dict) -> None:

@@ -227,7 +227,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    from ..memctrl.controller import resolve_kernel
     from ..metrics.kernelstats import (
         kernel_counter_summary,
         render_kernel_summary,
@@ -238,14 +237,12 @@ def cmd_perf(args: argparse.Namespace) -> int:
     runner = make_runner(args, profile=True)
     result = runner.run_mix(mix, args.approach)
     summary = kernel_counter_summary(result.metrics_snapshot or {})
-    kernel = resolve_kernel(runner.kernel)
     if args.format == "json":
         doc = {
             "mix": mix.name,
             "approach": args.approach,
             "horizon": args.horizon,
             "seed": args.seed,
-            "kernel": kernel,
             "profile": runner.last_profile,
             "kernel_counters": summary,
         }
@@ -253,17 +250,12 @@ def cmd_perf(args: argparse.Namespace) -> int:
         return 0
     print(
         f"{mix.name} under {args.approach}  "
-        f"(horizon {args.horizon}, seed {args.seed}, kernel {kernel})"
+        f"(horizon {args.horizon}, seed {args.seed})"
     )
     if runner.last_profile is not None:
         print_profile(runner.last_profile)
     print()
     print(render_kernel_summary(summary))
-    if summary["decisions"] == 0:
-        print(
-            "\n(counters are all zero: the reference kernel records "
-            "nothing — rerun with --kernel fast)"
-        )
     return 0
 
 

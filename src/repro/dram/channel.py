@@ -55,7 +55,7 @@ class Channel:
         self.stat_commands = 0
         # Flight-recorder counters, bumped by the controller's fast
         # kernel: per-decision cas_floor computations vs per-rank cache
-        # reuses. The reference kernel never touches them (stays zero).
+        # reuses.
         self.kc_cas_floor_computed = 0
         self.kc_cas_floor_skipped = 0
 

@@ -73,7 +73,6 @@ def _traces(apps, seed: int, target_insts: int):
 
 def build_grid_system(
     spec: GridSpec,
-    kernel: Optional[str] = None,
     horizon: int = HORIZON,
 ) -> System:
     """A fresh, unrun :class:`System` for one grid entry."""
@@ -88,33 +87,27 @@ def build_grid_system(
             controller=replace(config.controller, page_policy=page_policy),
         )
     traces = _traces(resolve_mix(MIX).apps, SEED, TARGET_INSTS)
-    kwargs: Dict[str, object] = {}
-    if kernel is not None:
-        kwargs["kernel"] = kernel
     return System(
         config,
         traces,
         horizon=horizon,
         policy=approach.make_policy(),
         validate=validate,
-        **kwargs,
     )
 
 
 def run_grid_spec(
     spec: GridSpec,
-    kernel: Optional[str] = None,
     horizon: int = HORIZON,
 ) -> Dict[str, object]:
     """Run one grid entry; returns a JSON-comparable result document."""
-    system = build_grid_system(spec, kernel=kernel, horizon=horizon)
+    system = build_grid_system(spec, horizon=horizon)
     result = system.run()
     return grid_doc(system, result)
 
 
 def run_grid_spec_checkpointed(
     spec: GridSpec,
-    kernel: Optional[str] = None,
     horizon: int = HORIZON,
     interrupt_at: Optional[int] = None,
 ) -> Dict[str, object]:
@@ -137,7 +130,7 @@ def run_grid_spec_checkpointed(
         captured["blob"] = system.checkpoint()
         raise _Interrupted
 
-    first = build_grid_system(spec, kernel=kernel, horizon=horizon)
+    first = build_grid_system(spec, horizon=horizon)
     try:
         first.run(safepoint_every=every, on_safepoint=_snap_and_die)
     except _Interrupted:
@@ -155,9 +148,9 @@ def run_grid_spec_checkpointed(
 def grid_doc(system: System, result) -> Dict[str, object]:
     """The JSON-comparable document for one finished grid run."""
     snapshot = system.metrics_registry().snapshot()
-    # repro_kernel_* flight-recorder counters are the one sanctioned
-    # fast-vs-reference divergence (reference leaves them at zero);
-    # strip them so the differential document compares only
+    # repro_kernel_* flight-recorder counters describe the controller's
+    # memo machinery, which the full-rescan oracle the fixture came from
+    # does not have; strip them so the differential document compares only
     # simulation-visible state against the committed golden fixture.
     snapshot["metrics"] = [
         metric
@@ -190,12 +183,12 @@ def grid_doc(system: System, result) -> Dict[str, object]:
     }
 
 
-def golden_document(kernel: Optional[str] = None) -> Dict[str, object]:
+def golden_document() -> Dict[str, object]:
     """The full grid as one fixture document."""
     return {
         "mix": MIX,
         "horizon": HORIZON,
         "seed": SEED,
         "target_insts": TARGET_INSTS,
-        "runs": {spec[0]: run_grid_spec(spec, kernel=kernel) for spec in GRID},
+        "runs": {spec[0]: run_grid_spec(spec) for spec in GRID},
     }

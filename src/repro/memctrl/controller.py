@@ -8,62 +8,34 @@ then reschedules itself either one command-bus slot later (more work ready)
 or at the earliest cycle anything can become issuable (event skipping) —
 never cycle by cycle.
 
-Two interchangeable decision kernels implement the per-decision work (see
-DESIGN.md "Simulation kernel"):
-
-* ``reference`` — rescans every queued request each decision through
-  :meth:`Scheduler.key` / :meth:`Scheduler.thread_priority` and the
-  channel's ``earliest_*`` queries. Deliberately transparent; the golden
-  fixture in ``tests/data/kernel_golden.json`` pins its results.
-* ``fast`` (default) — per-bank indexed queues with a memoized best
-  request per bank, invalidated by command issue and by the scheduler's
-  :meth:`Scheduler.ordering_token`, plus bank-independent per-rank timing
-  floors computed once per decision. Bit-identical to ``reference`` by
-  contract, enforced by ``tests/test_kernel_equivalence.py`` over the full
-  approach x page-policy grid.
-
-Both kernels share the same decision-event scheduling, so even the engine's
-event stream (and therefore ``Engine.stat_events``) is identical.
+A decision does not rescan the queues (see DESIGN.md "Simulation kernel"):
+requests live in per-bank indexed queues with a memoized best request per
+bank, invalidated by command issue and by the scheduler's
+:meth:`Scheduler.ordering_token`, plus bank-independent per-rank timing
+floors computed once per decision. The transparent full rescan it must stay
+bit-identical to is a test oracle (``tests/reference_kernel.py``);
+``tests/test_kernel_equivalence.py`` holds both to the golden fixture in
+``tests/data/kernel_golden.json`` over the full approach x page-policy
+grid, ``Engine.stat_events`` included.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappush
 from typing import Dict, List, Optional, Tuple
 
 from ..config import ControllerConfig
 from ..dram.channel import Channel
 from ..dram.commands import Command, CommandType
-from ..errors import ConfigError, SimulationError
+from ..errors import SimulationError
 from .request import Request
 from .schedulers.base import Scheduler
 
 _FAR_FUTURE = 1 << 62
 
-#: The two decision kernels; ``fast`` must stay bit-identical to
-#: ``reference`` (differential-tested), so the default is safe to flip.
-KERNELS = ("fast", "reference")
-
 #: Unique sentinel: "no ordering token cached yet" (distinct from any
 #: token a scheduler can return, including None).
 _TOKEN_UNSET = object()
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Resolve a kernel name: explicit argument > $REPRO_KERNEL > fast.
-
-    The kernel is an implementation switch with no simulation-visible
-    effect, which is why it is *not* part of :class:`SystemConfig` (and
-    therefore never perturbs campaign store keys).
-    """
-    if kernel is None:
-        kernel = os.environ.get("REPRO_KERNEL") or "fast"
-    if kernel not in KERNELS:
-        raise ConfigError(
-            f"unknown simulation kernel {kernel!r} (choose from {KERNELS})"
-        )
-    return kernel
 
 
 class ControllerStats:
@@ -143,13 +115,11 @@ class ChannelController:
         config: ControllerConfig,
         scheduler: Scheduler,
         engine,
-        kernel: Optional[str] = None,
     ) -> None:
         self.channel = channel
         self.config = config
         self.scheduler = scheduler
         self.engine = engine
-        self.kernel = resolve_kernel(kernel)
         self._write_drain = False
         self._next_decision: Optional[int] = None
         self.stats = ControllerStats()
@@ -208,19 +178,11 @@ class ChannelController:
         self._page_closed = config.page_policy == "closed"
         self._high_wm = config.write_high_watermark
         self._low_wm = config.write_low_watermark
-        self._try_issue = (
-            self._try_issue_fast
-            if self.kernel == "fast"
-            else self._try_issue_reference
-        )
         # Kernel introspection counters (flight recorder). Plain ints so
         # they pickle with the system and cost one attribute bump where
         # they fire; exported as repro_kernel_* metrics, which kernelgrid
-        # strips from the differential document (the two kernels
-        # legitimately differ here and nowhere else). `_kc_on` gates the
-        # sites shared with the reference kernel so `reference` stays
-        # all-zero — pinned by tests/test_kernel_counters.py.
-        self._kc_on = self.kernel == "fast"
+        # strips from the differential document (they describe the memo
+        # machinery, which the golden fixture's full-rescan oracle lacks).
         self.kc_decisions = 0
         self.kc_wake_hits = 0
         self.kc_wake_misses = 0
@@ -301,10 +263,10 @@ class ChannelController:
     def _collect_kernel_metrics(self, registry, channel: str) -> None:
         """Export the fast-kernel introspection counters.
 
-        All repro_kernel_* series legitimately differ between the two
-        decision kernels (reference leaves them at zero), so
-        ``kernelgrid.grid_doc`` strips the prefix from the differential
-        document rather than regenerating the golden fixture.
+        The repro_kernel_* series describe the memo machinery, not the
+        simulated machine — the golden fixture's full-rescan oracle has
+        none — so ``kernelgrid.grid_doc`` strips the prefix from the
+        differential document.
         """
         registry.counter(
             "repro_kernel_decisions_total",
@@ -357,8 +319,7 @@ class ChannelController:
             )
         gb = request.rank * self._banks_per_rank + request.bank
         self._gen += 1
-        if self._kc_on:
-            self.kc_inval_enqueue += 1
+        self.kc_inval_enqueue += 1
         if request.is_write:
             self._write_by_bank[gb].append(request)
             self._write_count += 1
@@ -449,97 +410,13 @@ class ChannelController:
         self._request_decision(self._min_refresh_due)
 
     # ------------------------------------------------------------------
-    # Reference kernel: full rescan per decision.
+    # The kernel: memoized per-bank bests + per-rank timing floors.
     # ------------------------------------------------------------------
-    def _try_issue_reference(self, now: int) -> Tuple[bool, int]:
-        """Issue the best legal command at ``now``; returns (issued, next_t)."""
-        next_event = _FAR_FUTURE
-        ranks = self.channel.ranks
-        # 1. Refresh has absolute priority on its rank.
-        refresh_ranks = [r for r in ranks if now >= r.next_refresh_due]
-        for rank in refresh_ranks:
-            issued, ready = self._progress_refresh(rank, now)
-            if issued:
-                return True, _FAR_FUTURE
-            next_event = min(next_event, ready)
-        blocked_ranks = {r.rank_id for r in refresh_ranks}
-        # 2. Pick the active queue.
-        if self._write_drain:
-            buckets, is_write = self._write_by_bank, True
-        elif self._read_count:
-            buckets, is_write = self._read_by_bank, False
-        elif self._write_count:
-            buckets, is_write = self._write_by_bank, True
-        else:
-            if self._page_closed:
-                issued, ready = self._close_stale_rows(now, blocked_ranks)
-                if issued:
-                    return True, _FAR_FUTURE
-                next_event = min(next_event, ready)
-            return False, next_event
-        # 3. Best request per bank under the scheduler's ordering, then the
-        # best issuable candidate among the per-bank bests. Thread-level
-        # schedulers expose a per-thread priority prefix so key() need not
-        # run per request. Keys embed req_id, so the per-bank minimum (and
-        # the global choice) is independent of scan order.
-        scheduler = self.scheduler
-        banks_flat = self._banks_flat
-        rank_of = self._rank_of_gb
-        prefixes: Dict[int, Optional[Tuple]] = {}
-        best_choice = None
-        for gb, bucket in enumerate(buckets):
-            if not bucket:
-                continue
-            rank_id = rank_of[gb]
-            if rank_id in blocked_ranks:
-                continue
-            open_row = banks_flat[gb].open_row
-            best = None
-            for request in bucket:
-                row_hit = open_row == request.row
-                if is_write:
-                    # Writes drain row-hit-first regardless of policy.
-                    key = (0 if row_hit else 1, request.arrival, request.req_id)
-                else:
-                    thread_id = request.thread_id
-                    if thread_id in prefixes:
-                        prefix = prefixes[thread_id]
-                    else:
-                        prefix = scheduler.thread_priority(thread_id, now)
-                        prefixes[thread_id] = prefix
-                    if prefix is None:
-                        key = scheduler.key(request, row_hit, now)
-                    else:
-                        key = prefix + (
-                            0 if row_hit else 1,
-                            request.arrival,
-                            request.req_id,
-                        )
-                if best is None or key < best[0]:
-                    best = (key, request, row_hit)
-            key, request, row_hit = best
-            command, ready = self._next_command_for(request, row_hit, now)
-            if ready <= now:
-                if best_choice is None or key < best_choice[0]:
-                    best_choice = (key, request, command, row_hit)
-            elif ready < next_event:
-                next_event = ready
-        if best_choice is None:
-            if self._page_closed:
-                issued, ready = self._close_stale_rows(now, blocked_ranks)
-                if issued:
-                    return True, _FAR_FUTURE
-                next_event = min(next_event, ready)
-            return False, next_event
-        _key, request, command, _row_hit = best_choice
-        self._issue_command(request, command, now, is_write)
-        return True, _FAR_FUTURE
+    def _try_issue(self, now: int) -> Tuple[bool, int]:
+        """Issue the best legal command at ``now``; returns (issued, next_t).
 
-    # ------------------------------------------------------------------
-    # Fast kernel: memoized per-bank bests + per-rank timing floors.
-    # ------------------------------------------------------------------
-    def _try_issue_fast(self, now: int) -> Tuple[bool, int]:
-        """Bit-identical fast path of :meth:`_try_issue_reference`."""
+        Bit-identical to the full rescan in ``tests/reference_kernel.py``.
+        """
         self.kc_decisions += 1
         memo = self._wake_memo
         if memo is not None:
@@ -805,29 +682,11 @@ class ChannelController:
                     self._gen += 1
                     self._dirty_read[gb] = True
                     self._dirty_write[gb] = True
-                    if self._kc_on:
-                        self.kc_inval_precharge += 1
+                    self.kc_inval_precharge += 1
                     return True, _FAR_FUTURE
                 if t < ready:
                     ready = t
         return False, ready
-
-    def _next_command_for(
-        self, request: Request, row_hit: bool, now: int
-    ) -> Tuple[CommandType, int]:
-        rank, bank_id = request.rank, request.bank
-        bank = self.channel.ranks[rank].banks[bank_id]
-        if row_hit:
-            ready = self.channel.earliest_cas(rank, bank_id, request.is_write)
-            kind = CommandType.WRITE if request.is_write else CommandType.READ
-            return kind, ready
-        if bank.open_row is None:
-            return CommandType.ACTIVATE, self.channel.earliest_activate(
-                rank, bank_id
-            )
-        return CommandType.PRECHARGE, self.channel.earliest_precharge(
-            rank, bank_id
-        )
 
     def _issue_command(
         self, request: Request, kind: CommandType, now: int, is_write: bool
@@ -850,22 +709,19 @@ class ChannelController:
             # directions.
             self._dirty_read[gb] = True
             self._dirty_write[gb] = True
-            if self._kc_on:
-                self.kc_inval_activate += 1
+            self.kc_inval_activate += 1
             return
         if kind is CommandType.PRECHARGE:
             self._dirty_read[gb] = True
             self._dirty_write[gb] = True
-            if self._kc_on:
-                self.kc_inval_precharge += 1
+            self.kc_inval_precharge += 1
             return
         # CAS: the request is served. The CAS also moves the bank's
         # precharge horizon (tRTP / tWR), so cached entries go stale in
         # *both* directions, not just the bucket the request left.
         self._dirty_read[gb] = True
         self._dirty_write[gb] = True
-        if self._kc_on:
-            self.kc_inval_cas += 1
+        self.kc_inval_cas += 1
         if is_write:
             bucket = self._write_by_bank[gb]
             bucket.remove(request)
@@ -912,8 +768,7 @@ class ChannelController:
                     self._gen += 1
                     self._dirty_read[gb] = True
                     self._dirty_write[gb] = True
-                    if self._kc_on:
-                        self.kc_inval_precharge += 1
+                    self.kc_inval_precharge += 1
                     return True, _FAR_FUTURE
                 ready = min(ready, t)
             return False, ready
@@ -941,7 +796,6 @@ class ChannelController:
             self._min_refresh_due = min(
                 r.next_refresh_due for r in self.channel.ranks
             )
-            if self._kc_on:
-                self.kc_inval_refresh += 1
+            self.kc_inval_refresh += 1
             return True, _FAR_FUTURE
         return False, ready

@@ -97,7 +97,7 @@ class Scheduler(abc.ABC):
         new ordering takes effect.
 
         Return None (the default) to disable caching: the controller then
-        rescans every decision, exactly like the reference kernel.
+        rescans every occupied bank's queue on every decision.
         """
         return None
 

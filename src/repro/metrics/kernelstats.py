@@ -46,8 +46,8 @@ def kernel_counter_summary(snapshot: Dict[str, object]) -> Dict[str, object]:
     """Derived kernel statistics from one metrics snapshot.
 
     All ratios are ``None`` (rather than zero) when their denominator is
-    empty — a reference-kernel run reports a structurally identical
-    summary with every count at zero and every ratio ``None``.
+    empty — a snapshot without the counters reports a structurally
+    identical summary with every count at zero and every ratio ``None``.
     """
     decisions = _total(snapshot, "repro_kernel_decisions_total")
     wake_hits = _total(

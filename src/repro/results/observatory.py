@@ -1,7 +1,7 @@
 """The perf-regression observatory: benchmark trajectories in the index.
 
-The kernel benchmark (``scripts/bench_kernel.py --record``) appends one
-dated entry per host/commit to ``benchmarks/BENCH_kernel.json``.  Those
+A benchmark script run with ``--record`` (``scripts/bench_tuner.py``)
+appends one dated entry to its ``benchmarks/BENCH_*.json``.  Those
 snapshots are append-only JSON — fine as the source of truth, useless
 for queries.  This module ingests every ``BENCH_*.json`` under a
 benchmark directory into additive tables inside the result-service
@@ -11,8 +11,8 @@ trajectory, and flags regressions:
 
 * **ratio regressions** — an entry whose ``speedup_vs_baseline`` fell
   below the snapshot's committed CI gate (``ci.min_ratio``).  The ratio
-  compares two kernels on the *same* host and run, so this check is
-  host-independent.
+  compares two measurements from the *same* host and run, so this check
+  is host-independent.
 * **trajectory regressions** — a dated entry whose best throughput
   dropped more than ``tolerance`` below the best earlier entry.
   Absolute cycles/sec only compare within one host class, so this is a

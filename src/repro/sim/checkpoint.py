@@ -48,10 +48,13 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ReproError
 
-#: Bump whenever the serialized layout (header or reducer contract)
-#: changes incompatibly. Distinct from the store's ``STORE_VERSION``:
-#: checkpoints are short-lived scratch state, not results.
-CHECKPOINT_VERSION = 1
+#: Bump whenever the serialized layout (header, reducer contract, or the
+#: attributes of a pickled simulator class) changes incompatibly — a
+#: safepoint file left by a killed run of the older code is found by store
+#: key alone and must read as stale, not fail to unpickle. Distinct from
+#: the store's ``STORE_VERSION``: checkpoints are short-lived scratch
+#: state, not results.
+CHECKPOINT_VERSION = 2
 
 _MAGIC = b"RDBPCKPT\n"
 _HEADER_LEN = struct.Struct(">I")

@@ -76,8 +76,8 @@ class Engine:
         self.stat_events = 0
         #: High-water mark of the agenda: the deepest the event heap ever
         #: got. Updated at both push sites (here and the controller's
-        #: direct heappush); identical between decision kernels because
-        #: the event stream is identical by contract.
+        #: direct heappush); the kernel-equivalence oracle must reproduce
+        #: it, because the event stream is identical by contract.
         self.stat_agenda_peak = 0
 
     @property

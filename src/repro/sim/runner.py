@@ -55,7 +55,6 @@ class Runner:
         telemetry: Optional[TelemetryConfig] = None,
         profile: bool = False,
         trace_source: Optional[TraceSource] = None,
-        kernel: Optional[str] = None,
         safepoint_every: Optional[int] = None,
         safepoint_dir: Optional[object] = None,
     ) -> None:
@@ -90,15 +89,6 @@ class Runner:
         #: :attr:`last_profile` and on ``RunResult.profile``.
         self.profile = profile
         self.last_profile: Optional[Dict[str, object]] = None
-        #: Controller hot-loop implementation ("fast" or "reference");
-        #: ``None`` defers to ``REPRO_KERNEL`` / the repo default. The two
-        #: kernels are bit-identical by contract (pinned by the kernel
-        #: equivalence grid), so this deliberately does NOT enter run-cache
-        #: or store keys — switching kernels must never fork result sets.
-        self.kernel = kernel
-        #: Where app names resolve to traces: the default source serves
-        #: synthetic profiles and registered library traces alike (see
-        #: :mod:`repro.traces.source`).
         #: When both are set, every cacheable mix run writes a checkpoint
         #: to ``safepoint_dir/<store_key>.ckpt`` every ``safepoint_every``
         #: cycles and *resumes from* a matching checkpoint left behind by a
@@ -112,6 +102,9 @@ class Runner:
         #: harness so ``times=N`` checkpoint-write faults stop firing once
         #: the campaign has moved past attempt N.
         self.fault_attempt = 1
+        #: Where app names resolve to traces: the default source serves
+        #: synthetic profiles and registered library traces alike (see
+        #: :mod:`repro.traces.source`).
         self.trace_source: TraceSource = (
             trace_source if trace_source is not None else DefaultTraceSource()
         )
@@ -185,7 +178,6 @@ class Runner:
             horizon=self.horizon,
             validate=self.validate,
             ahead_limit=self.ahead_limit,
-            kernel=self.kernel,
         )
         result = system.run()
         if tracer is not None:
@@ -527,7 +519,6 @@ class Runner:
                 else None
             ),
             profile=self.profile,
-            kernel=self.kernel,
         )
 
     # ------------------------------------------------------------------

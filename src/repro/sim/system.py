@@ -26,7 +26,7 @@ from ..dram.channel import Channel
 from ..dram.validator import ProtocolValidator
 from ..errors import ConfigError, SimulationError
 from ..mapping import AddressMap
-from ..memctrl.controller import ChannelController, resolve_kernel
+from ..memctrl.controller import ChannelController
 from ..memctrl.request import Request
 from ..memctrl.schedulers import make_scheduler
 from ..metrics.registry import MetricsRegistry
@@ -63,7 +63,6 @@ class System:
         profile: bool = False,
         policy_epoch_offset: Optional[int] = None,
         quantum_offset: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         if len(traces) != config.num_cores:
             raise SimulationError(
@@ -74,11 +73,6 @@ class System:
         self.horizon = horizon
         self.policy = policy if policy is not None else SharedPolicy()
         self.validate = validate
-        # The simulation kernel is an implementation switch, not part of
-        # SystemConfig: both kernels are bit-identical by contract (see
-        # tests/test_kernel_equivalence.py), so it must not perturb
-        # campaign store keys derived from the config.
-        self.kernel = resolve_kernel(kernel)
         # Wall-clock profiler (distinct from self.profiler, the in-sim
         # ThreadProfiler measuring MPKI/RBH/BLP).
         self.sim_profiler = SimProfiler() if profile else None
@@ -129,7 +123,6 @@ class System:
                 config.controller,
                 self.scheduler,
                 self.engine,
-                kernel=self.kernel,
             )
             self.channels.append(channel)
             self.controllers.append(controller)
@@ -540,7 +533,6 @@ class System:
         doc: Dict[str, object] = {
             "cycle": self.engine.now,
             "horizon": self.horizon,
-            "kernel": self.kernel,
         }
         if meta:
             doc.update(meta)

@@ -39,6 +39,7 @@ from repro.sim.checkpoint import (
     read_checkpoint_header,
     write_checkpoint_file,
 )
+from repro.sim.runner import Runner
 from repro.sim.system import System
 
 _GOLDEN_PATH = os.path.join(
@@ -123,12 +124,13 @@ class TestCodec:
             load_checkpoint(damaged)
 
     def test_foreign_version_is_stale_not_corrupt(self):
-        blob = _rewrite_header(
-            dump_checkpoint({"x": 1}), version=CHECKPOINT_VERSION + 1
-        )
-        with pytest.raises(CheckpointError) as excinfo:
-            read_checkpoint_header(blob)
-        assert not isinstance(excinfo.value, CheckpointCorruptError)
+        # A future format, and version 1 (whose pickled controllers still
+        # carried a kernel selection).
+        for version in (CHECKPOINT_VERSION + 1, 1):
+            blob = _rewrite_header(dump_checkpoint({"x": 1}), version=version)
+            with pytest.raises(CheckpointError) as excinfo:
+                read_checkpoint_header(blob)
+            assert not isinstance(excinfo.value, CheckpointCorruptError)
 
     def test_foreign_interpreter_is_stale_not_corrupt(self):
         blob = _rewrite_header(
@@ -260,6 +262,53 @@ class TestSystemGuards:
         blob = dump_checkpoint({"not": "a system"})
         with pytest.raises(CheckpointError):
             System.restore(blob)
+
+
+# ---------------------------------------------------------------------------
+# A safepoint left behind by an older checkpoint format.
+# ---------------------------------------------------------------------------
+class TestStaleSafepoint:
+    """A ``.ckpt`` is looked up by store key alone, so one written before a
+    pickled-layout change must read as *stale* and never be unpickled."""
+
+    def test_runner_reruns_from_scratch_over_a_version_1_safepoint(
+        self, small_config, tmp_path, clean_faults, monkeypatch
+    ):
+        apps, approach = ["mcf", "lbm"], "dbp"
+        scope = dict(config=small_config, horizon=30_000, target_insts=200_000)
+        safepoints = dict(safepoint_every=10_000, safepoint_dir=tmp_path)
+
+        # A run killed right after flushing its first safepoint...
+        install_plan(
+            FaultPlan(
+                faults=(
+                    FaultSpec(site="checkpoint.write", kind="transient"),
+                ),
+            )
+        )
+        with pytest.raises(TransientFaultError):
+            Runner(**scope, **safepoints).run_apps(apps, approach)
+        faults_reset()
+        (ckpt,) = tmp_path.glob("*.ckpt")
+        assert read_checkpoint_file_header(ckpt)["meta"]["cycle"] == 10_000
+        # ...by code that still wrote format version 1.
+        ckpt.write_bytes(_rewrite_header(ckpt.read_bytes(), version=1))
+
+        def _never(_blob):
+            raise AssertionError("a stale checkpoint must not be unpickled")
+
+        monkeypatch.setattr("repro.sim.checkpoint.load_checkpoint", _never)
+        with pytest.warns(
+            RuntimeWarning,
+            match="discarding unusable checkpoint .* format version 1 != ",
+        ):
+            rerun = Runner(**scope, **safepoints).run_apps(apps, approach)
+        assert not list(tmp_path.glob("*.ckpt"))
+
+        clean = Runner(**scope).run_apps(apps, approach)
+        assert rerun.system.engine_events == clean.system.engine_events
+        assert rerun.metrics_snapshot == clean.metrics_snapshot
+        assert rerun.shared_ipcs == clean.shared_ipcs
 
 
 # ---------------------------------------------------------------------------

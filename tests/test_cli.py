@@ -210,6 +210,25 @@ class TestResultsIndexSource:
         assert "index rows: 0" in capsys.readouterr().out
 
 
+class TestOneKernel:
+    """The controller has one decision kernel and no way to ask for another."""
+
+    def test_kernel_flag_is_rejected_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--kernel", "fast", "list"])
+        assert exit_info.value.code == 2
+        assert "usage: repro-dbp" in capsys.readouterr().err
+
+    def test_constructors_take_no_kernel(self, small_config):
+        from repro.sim.runner import Runner
+        from repro.sim.system import System
+
+        with pytest.raises(TypeError):
+            Runner(config=small_config, kernel="fast")
+        with pytest.raises(TypeError):
+            System(small_config, [], horizon=1_000, kernel="fast")
+
+
 #: Every registered command line that must parse: the 13 top-level
 #: commands and each results/tune/store/traces verb.
 HELP_TARGETS = [

@@ -1,16 +1,17 @@
-"""Differential test: fast kernel == reference kernel == committed golden.
+"""Differential test: production kernel == full-rescan oracle == golden.
 
-The controller's fast path (per-bank indexed queues, memoized best-request
-cache, wake memo, direct agenda pushes) must be *bit-identical* to the
-transparent reference rescan — same commands, same cycles, same metrics,
-same engine event counts. This test runs every grid spec (all six
+The controller's decision loop (per-bank indexed queues, memoized
+best-request cache, wake memo, direct agenda pushes) must be
+*bit-identical* to the transparent full rescan it replaced — same commands,
+same cycles, same metrics, same engine event counts. The rescan lives on as
+a test oracle (``tests/reference_kernel.py``), swapped in where ``System``
+looks the controller class up. This test runs every grid spec (all six
 schedulers x every partitioning policy x open/closed page x validator-on)
-under both kernels and compares the full result document against
-``tests/data/kernel_golden.json``, which was generated from the reference
-implementation.
+under both controllers and compares the full result document against
+``tests/data/kernel_golden.json``, which was generated from the rescan.
 
-A mismatch in anything — even ``engine_events`` — means the fast path
-changed simulation-visible behaviour and is a bug (or, if the semantic
+A mismatch in anything — even ``engine_events`` — means the production
+loop changed simulation-visible behaviour and is a bug (or, if the semantic
 change is intended, the fixture must be deliberately regenerated via
 ``scripts/gen_kernel_golden.py`` and the change called out in the commit).
 """
@@ -21,6 +22,7 @@ import os
 import pytest
 
 from repro.kernelgrid import GRID, run_grid_spec
+from tests import reference_kernel
 
 _GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "kernel_golden.json"
@@ -63,11 +65,14 @@ def _roundtrip(doc):
     return json.loads(json.dumps(doc))
 
 
+#: ``fast`` is the production controller, ``reference`` the oracle.
 @pytest.mark.parametrize("kernel", ["fast", "reference"])
 @pytest.mark.parametrize("spec", GRID, ids=[spec[0] for spec in GRID])
-def test_kernel_matches_golden(spec, kernel, golden):
+def test_kernel_matches_golden(spec, kernel, golden, monkeypatch):
+    if kernel == "reference":
+        reference_kernel.swap_in(monkeypatch)
     expected = golden["runs"][spec[0]]
-    actual = _roundtrip(run_grid_spec(spec, kernel=kernel))
+    actual = _roundtrip(run_grid_spec(spec))
     if actual != expected:
         diffs = _diff_paths(expected, actual, prefix=spec[0])
         pytest.fail(
