@@ -109,7 +109,9 @@ class Core:
         self.stats = CoreStats()
         # Virtual (looping) record indexing.
         self._n = len(trace)
-        self._records = trace.records
+        self._gaps = trace.gaps
+        self._vlines = trace.vlines
+        self._writes = trace.writes
         self._cum = trace.cumulative_insts
         self._insts_per_loop = trace.total_insts
         # Hoisted config constants for the per-record hot loops.
@@ -136,9 +138,6 @@ class Core:
     def _m(self, virt_idx: int) -> int:
         loops, i = divmod(virt_idx, self._n)
         return loops * self._insts_per_loop + self._cum[i]
-
-    def _record(self, virt_idx: int):
-        return self._records[virt_idx % self._n]
 
     # ------------------------------------------------------------------
     # Public surface.
@@ -189,7 +188,8 @@ class Core:
         width = self._width
         limit = now + self.ahead_limit
         progressed = False
-        records = self._records
+        gaps = self._gaps
+        writes = self._writes
         n = self._n
         complete = self._complete
         while self._retire_clock < limit:
@@ -200,22 +200,23 @@ class Core:
             # back to issuing once this cap is hit.
             if idx - self._issue_idx >= self._history_span - 2:
                 break
-            record = records[idx % n]
+            i = idx % n
+            gap = gaps[i]
             completion: Optional[int] = None
-            if not record.is_write:
+            if not writes[i]:
                 completion = complete.get(idx)
                 if completion is None:
                     break  # head read still outstanding (or not yet issued)
             t_start = self._retire_clock
-            t_end = t_start - (-(record.gap + 1) // width)
+            t_end = t_start - (-(gap + 1) // width)
             if completion is not None:
                 t_end = max(t_end, completion + 1)
             if t_end >= self.horizon:
-                self._finish_at_horizon(t_start, record.gap, width)
+                self._finish_at_horizon(t_start, gap, width)
                 return True
             m_prev = self._retired_processed
             m_end = self._m(idx)
-            self._history.append((m_prev, m_end, t_start, t_end, record.gap))
+            self._history.append((m_prev, m_end, t_start, t_end, gap))
             if len(self._history) > self._history_span:
                 self._history.popleft()
             self._retire_idx += 1
@@ -239,14 +240,16 @@ class Core:
     # ------------------------------------------------------------------
     def _issue_requests(self, now: int) -> bool:
         progressed = False
-        records = self._records
+        vlines = self._vlines
+        writes = self._writes
         n = self._n
         mshrs = self._mshrs
         rob_size = self._rob_size
         while True:
             idx = self._issue_idx
-            record = records[idx % n]
-            if not record.is_write and self._outstanding_reads >= mshrs:
+            i = idx % n
+            is_write = writes[i]
+            if not is_write and self._outstanding_reads >= mshrs:
                 break
             threshold = self._m(idx) - rob_size
             cross = self._crossing_time(threshold)
@@ -255,25 +258,23 @@ class Core:
             t_issue = max(cross, self._last_issue + 1, self._issue_floor)
             if t_issue >= self.horizon:
                 break  # nothing past the horizon matters
-            self._dispatch(idx, record, t_issue)
+            self._dispatch(idx, vlines[i], is_write, t_issue)
             self._issue_idx += 1
             self._last_issue = t_issue
             progressed = True
         return progressed
 
-    def _dispatch(self, virt_idx: int, record, t_issue: int) -> None:
-        if record.is_write:
-            self.port.access(
-                self.core_id, record.vline, True, t_issue, None
-            )
+    def _dispatch(
+        self, virt_idx: int, vline: int, is_write: int, t_issue: int
+    ) -> None:
+        if is_write:
+            self.port.access(self.core_id, vline, True, t_issue, None)
             self.stats.writes_issued += 1
             return
         self._outstanding_reads += 1
         self.stats.reads_issued += 1
         callback = lambda cycle, i=virt_idx: self._on_read_complete(i, cycle)
-        sync = self.port.access(
-            self.core_id, record.vline, False, t_issue, callback
-        )
+        sync = self.port.access(self.core_id, vline, False, t_issue, callback)
         if sync is not None:
             # Synchronously known latency (cache hit): complete inline.
             self._outstanding_reads -= 1
@@ -293,8 +294,8 @@ class Core:
             # the record retirement is currently parked on: those
             # instructions retire on a schedule that is already known even
             # though the record's memory instruction is still outstanding.
-            pending = self._record(self._retire_idx)
-            pending_limit = self._retired_processed + pending.gap
+            pending_gap = self._gaps[self._retire_idx % self._n]
+            pending_limit = self._retired_processed + pending_gap
             if threshold <= pending_limit:
                 offset = threshold - self._retired_processed
                 return self._retire_clock - (-offset // self._width)

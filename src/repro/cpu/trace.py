@@ -1,6 +1,6 @@
 """Trace records and trace containers.
 
-A trace is the unit of workload: an ordered list of records, each meaning
+A trace is the unit of workload: an ordered stream of records, each meaning
 "execute ``gap`` non-memory instructions, then one memory instruction that
 touches virtual cache line ``vline``". Traces loop when replayed for longer
 than their length, which is the standard methodology for fixed-horizon
@@ -9,8 +9,11 @@ multiprogrammed runs.
 
 from __future__ import annotations
 
+import copy
 import hashlib
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from array import array
+from itertools import accumulate
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 from ..errors import TraceError
 
@@ -23,40 +26,81 @@ class TraceRecord(NamedTuple):
     is_write: bool
 
 
-class Trace:
-    """An immutable memory trace with precomputed instruction offsets."""
+def _column(typecode: str, values) -> array:
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    return array(typecode, values)
 
-    def __init__(self, name: str, records: Sequence[TraceRecord]) -> None:
-        if not records:
+
+def _domain_error(name: str, *columns) -> TraceError:
+    """The error naming the first record outside the ``.rtrc`` v1 domain."""
+    limits = (("gap", 32), ("address", 64), ("write flag", 1))
+    for (what, bits), column in zip(limits, columns):
+        for index, value in enumerate(column):
+            if not (isinstance(value, int) and 0 <= value < 1 << bits):
+                return TraceError(
+                    f"trace {name!r} record {index}: {what} {value!r} is "
+                    f"outside the format's {bits}-bit limit"
+                )
+    return TraceError(f"trace {name!r}: columns differ in length")
+
+
+class Trace:
+    """An immutable memory trace held as three typed columns.
+
+    ``gaps[i]`` (u32), ``vlines[i]`` (u64) and ``writes[i]`` (0/1) are
+    record ``i``; ``cumulative_insts[i]`` counts instructions through it.
+    :class:`TraceRecord` is only the row type of ``iter(trace)``,
+    :attr:`records` and the importers — rows are never stored.
+    """
+
+    def __init__(self, name: str, records: Iterable[TraceRecord]) -> None:
+        rows = list(records)
+        self._adopt(name, *([row[i] for row in rows] for i in range(3)))
+
+    @classmethod
+    def from_columns(cls, name: str, gaps, vlines, writes) -> "Trace":
+        """Build from parallel columns; typed arrays are adopted uncopied."""
+        trace = cls.__new__(cls)
+        trace._adopt(name, gaps, vlines, writes)
+        return trace
+
+    def _adopt(self, name: str, gaps, vlines, writes) -> None:
+        if not len(gaps):
             raise TraceError(f"trace {name!r} is empty")
+        try:
+            self.gaps = _column("I", gaps)
+            self.vlines = _column("Q", vlines)
+            self.writes = bytes(writes)
+        except (OverflowError, TypeError, ValueError):
+            raise _domain_error(name, gaps, vlines, writes) from None
+        if max(self.writes) > 1 or not len(gaps) == len(vlines) == len(writes):
+            raise _domain_error(name, gaps, vlines, writes)
         self.name = name
-        self.records: List[TraceRecord] = list(records)
-        for index, record in enumerate(self.records):
-            if record.gap < 0:
-                raise TraceError(
-                    f"trace {name!r} record {index}: negative gap {record.gap}"
-                )
-            if record.vline < 0:
-                raise TraceError(
-                    f"trace {name!r} record {index}: negative address"
-                )
         # cumulative_insts[i] = instructions up to and including record i's
         # memory instruction (each record is gap + 1 instructions).
-        self.cumulative_insts: List[int] = []
-        total = 0
-        for record in self.records:
-            total += record.gap + 1
-            self.cumulative_insts.append(total)
-        self.total_insts = total
-        self.total_requests = len(self.records)
+        self.cumulative_insts = array("Q", accumulate(g + 1 for g in gaps))
+        self.total_insts: int = self.cumulative_insts[-1]
+        self.total_requests = len(self.gaps)
         self._footprint_lines: Optional[int] = None
         self._digest: Optional[str] = None
 
-    def __len__(self) -> int:
-        return len(self.records)
+    def renamed(self, name: str) -> "Trace":
+        """The same trace under another name, sharing columns and caches."""
+        clone = copy.copy(self)
+        clone.name = name
+        return clone
 
-    def __iter__(self):
-        return iter(self.records)
+    def __len__(self) -> int:
+        return len(self.gaps)
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(TraceRecord, self.gaps, self.vlines, map(bool, self.writes))
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The rows, materialised on every access (O(n)); for cold callers."""
+        return list(self)
 
     @property
     def mean_gap(self) -> float:
@@ -71,9 +115,7 @@ class Trace:
     def footprint_lines(self) -> int:
         """Number of distinct virtual lines the trace touches (cached)."""
         if self._footprint_lines is None:
-            self._footprint_lines = len(
-                {record.vline for record in self.records}
-            )
+            self._footprint_lines = len(set(self.vlines))
         return self._footprint_lines
 
     @property
@@ -87,11 +129,8 @@ class Trace:
         """
         if self._digest is None:
             hasher = hashlib.sha256()
-            for record in self.records:
-                hasher.update(
-                    b"%d %d %d\n"
-                    % (record.gap, record.vline, int(record.is_write))
-                )
+            for row in zip(self.gaps, self.vlines, self.writes):
+                hasher.update(b"%d %d %d\n" % row)
             self._digest = hasher.hexdigest()
         return self._digest
 
@@ -104,9 +143,8 @@ def save_trace(trace: Trace, path: str) -> None:
     """
     with open(path, "w", encoding="ascii") as handle:
         handle.write(f"#trace {trace.name}\n")
-        for record in trace.records:
-            kind = "W" if record.is_write else "R"
-            handle.write(f"{record.gap} {record.vline} {kind}\n")
+        for gap, vline, write in zip(trace.gaps, trace.vlines, trace.writes):
+            handle.write(f"{gap} {vline} {'W' if write else 'R'}\n")
 
 
 def load_trace(path: str) -> Trace:
@@ -138,7 +176,9 @@ def load_trace(path: str) -> Trace:
 
 def concatenate(name: str, traces: Iterable[Trace]) -> Trace:
     """Join traces back to back (useful for building phased workloads)."""
-    records: List[TraceRecord] = []
+    gaps, vlines, writes = array("I"), array("Q"), bytearray()
     for trace in traces:
-        records.extend(trace.records)
-    return Trace(name, records)
+        gaps.extend(trace.gaps)
+        vlines.extend(trace.vlines)
+        writes += trace.writes
+    return Trace.from_columns(name, gaps, vlines, writes)

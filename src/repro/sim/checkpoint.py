@@ -54,7 +54,7 @@ from ..errors import ReproError
 #: key alone and must read as stale, not fail to unpickle. Distinct from
 #: the store's ``STORE_VERSION``: checkpoints are short-lived scratch
 #: state, not results.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _MAGIC = b"RDBPCKPT\n"
 _HEADER_LEN = struct.Struct(">I")

@@ -29,9 +29,10 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import BinaryIO, Dict, List, Optional, Tuple
+from array import array
+from typing import BinaryIO, Dict, Optional, Tuple
 
-from ..cpu.trace import Trace, TraceRecord
+from ..cpu.trace import Trace
 from ..errors import TraceError
 
 MAGIC = b"RTRC"
@@ -56,7 +57,7 @@ def save_rtrc(
     """Write ``trace`` to ``path`` in .rtrc form; returns its digest."""
     header = {
         "name": trace.name,
-        "records": len(trace.records),
+        "records": len(trace),
         "total_insts": trace.total_insts,
         "digest": trace.digest,
         "provenance": dict(provenance or {}),
@@ -67,20 +68,12 @@ def save_rtrc(
             _PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header_bytes))
         )
         handle.write(header_bytes)
-        for start in range(0, len(trace.records), BLOCK_RECORDS):
-            block = trace.records[start : start + BLOCK_RECORDS]
-            packed = bytearray()
-            for index, record in enumerate(block, start=start):
-                if record.gap > 0xFFFFFFFF:
-                    raise TraceError(
-                        f"{path}: record {index}: gap {record.gap} "
-                        f"exceeds the format's 32-bit limit"
-                    )
-                packed += _RECORD.pack(
-                    record.gap, record.vline, int(record.is_write)
-                )
-            payload = zlib.compress(bytes(packed), 6)
-            handle.write(_BLOCK.pack(len(block), len(payload)))
+        # The columns are already inside the record's domain (Trace checks).
+        for start in range(0, len(trace), BLOCK_RECORDS):
+            rows = slice(start, start + BLOCK_RECORDS)
+            block = trace.gaps[rows], trace.vlines[rows], trace.writes[rows]
+            payload = zlib.compress(b"".join(map(_RECORD.pack, *block)), 6)
+            handle.write(_BLOCK.pack(len(block[0]), len(payload)))
             handle.write(payload)
     return trace.digest
 
@@ -139,15 +132,15 @@ def read_rtrc(
     with open(path, "rb") as handle:
         header = _parse_header(handle, path)
         expected = int(header["records"])
-        records: List[TraceRecord] = []
+        gaps, vlines, writes = array("I"), array("Q"), bytearray()
         block_index = 0
-        while len(records) < expected:
+        while len(gaps) < expected:
             where = f"{path}: block {block_index}"
             raw = handle.read(_BLOCK.size)
             if len(raw) != _BLOCK.size:
                 raise TraceError(
                     f"{where}: truncated block header "
-                    f"({len(records)} of {expected} records read)"
+                    f"({len(gaps)} of {expected} records read)"
                 )
             count, clen = _BLOCK.unpack(raw)
             if not 0 < count <= BLOCK_RECORDS:
@@ -166,21 +159,23 @@ def read_rtrc(
                     f"{where}: payload holds {len(packed)} bytes, "
                     f"expected {count * _RECORD.size}"
                 )
-            for gap, vline, flags in _RECORD.iter_unpack(packed):
-                if flags not in (0, 1):
-                    raise TraceError(
-                        f"{where}: corrupt record flags {flags:#x}"
-                    )
-                records.append(TraceRecord(gap, vline, bool(flags)))
+            block_gaps, block_vlines, flags = zip(*_RECORD.iter_unpack(packed))
+            if max(flags) > 1:
+                raise TraceError(
+                    f"{where}: corrupt record flags {max(flags):#x}"
+                )
+            gaps.extend(block_gaps)
+            vlines.extend(block_vlines)
+            writes.extend(flags)
             block_index += 1
-        if len(records) != expected:
+        if len(gaps) != expected:
             raise TraceError(
                 f"{path}: block {block_index - 1} overran the header's "
-                f"record count ({len(records)} > {expected})"
+                f"record count ({len(gaps)} > {expected})"
             )
         if handle.read(1):
             raise TraceError(f"{path}: trailing data after the last block")
-    trace = Trace(str(header["name"]), records)
+    trace = Trace.from_columns(str(header["name"]), gaps, vlines, writes)
     if verify_digest and trace.digest != header["digest"]:
         raise TraceError(
             f"{path}: content digest mismatch — header says "

@@ -221,6 +221,4 @@ def import_trace(
         "text": load_trace,
     }
     trace = importers[fmt](path)
-    if name is not None and trace.name != name:
-        trace = Trace(name, trace.records)
-    return trace
+    return trace if name is None else trace.renamed(name)

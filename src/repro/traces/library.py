@@ -122,9 +122,7 @@ class TraceLibrary:
                 f"manifest ({trace.digest[:16]}… vs "
                 f"{str(entry['digest'])[:16]}…)"
             )
-        if trace.name != name:
-            trace = Trace(name, trace.records)
-        return trace
+        return trace.renamed(name)
 
     # ------------------------------------------------------------------
     # Ingest.

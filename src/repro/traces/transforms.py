@@ -15,9 +15,10 @@ every other, so an import pipeline is just function application::
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import Optional
 
-from ..cpu.trace import Trace, TraceRecord, concatenate
+from ..cpu.trace import Trace, concatenate
 from ..errors import TraceError
 from ..workloads.synthetic import LINES_PER_PAGE
 
@@ -31,14 +32,19 @@ def slice_records(
     """The records in ``[start, stop)``, as a standalone trace."""
     if start < 0:
         raise TraceError(f"slice start must be >= 0, got {start}")
-    end = len(trace.records) if stop is None else stop
-    records = trace.records[start:end]
-    if not records:
+    end = len(trace) if stop is None else stop
+    gaps = trace.gaps[start:end]
+    if not gaps:
         raise TraceError(
             f"slice [{start}:{end}) of trace {trace.name!r} "
-            f"({len(trace.records)} records) is empty"
+            f"({len(trace)} records) is empty"
         )
-    return Trace(name or f"{trace.name}[{start}:{end}]", records)
+    return Trace.from_columns(
+        name or f"{trace.name}[{start}:{end}]",
+        gaps,
+        trace.vlines[start:end],
+        trace.writes[start:end],
+    )
 
 
 def skip_warmup(
@@ -54,14 +60,14 @@ def skip_warmup(
     # cumulative_insts[i] counts instructions through record i; keep the
     # first record whose cumulative count exceeds the warmup window.
     first = bisect.bisect_left(trace.cumulative_insts, insts + 1)
-    if first >= len(trace.records):
+    if first >= len(trace):
         raise TraceError(
             f"warmup of {insts} instructions consumes all of trace "
             f"{trace.name!r} ({trace.total_insts} instructions)"
         )
     if first == 0:
         return trace
-    return Trace(name or trace.name, trace.records[first:])
+    return slice_records(trace, first, name=name or trace.name)
 
 
 def remap_footprint(
@@ -76,16 +82,12 @@ def remap_footprint(
     """
     if max_pages < 1:
         raise TraceError(f"max_pages must be >= 1, got {max_pages}")
-    records = [
-        TraceRecord(
-            r.gap,
-            (r.vline // LINES_PER_PAGE % max_pages) * LINES_PER_PAGE
-            + r.vline % LINES_PER_PAGE,
-            r.is_write,
-        )
-        for r in trace.records
-    ]
-    return Trace(name or trace.name, records)
+    # page % max_pages with the line offset kept is one modulo on the line.
+    fold = max_pages * LINES_PER_PAGE
+    vlines = array("Q", (vline % fold for vline in trace.vlines))
+    return Trace.from_columns(
+        name or trace.name, trace.gaps, vlines, trace.writes
+    )
 
 
 def splice_phases(name: str, *phases: Trace) -> Trace:

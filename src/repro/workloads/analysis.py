@@ -82,18 +82,17 @@ class TraceAnalysis:
 
 def analyze_trace(trace: Trace) -> TraceAnalysis:
     """Compute a :class:`TraceAnalysis` for one trace."""
-    records = trace.records
-    gaps = sorted(r.gap for r in records)
-    writes = sum(1 for r in records if r.is_write)
+    vlines = trace.vlines
+    gaps = sorted(trace.gaps)
     touched: Dict[int, int] = {}
-    for record in records:
-        touched[record.vline] = touched.get(record.vline, 0) + 1
+    for vline in vlines:
+        touched[vline] = touched.get(vline, 0) + 1
     reused = sum(1 for count in touched.values() if count > 1)
     # Sequential run lengths: chains of vline -> vline + 1.
     run_lengths: List[int] = []
     current = 1
-    for prev, cur in zip(records, records[1:]):
-        if cur.vline == prev.vline + 1:
+    for prev, cur in zip(vlines, vlines[1:]):
+        if cur == prev + 1:
             current += 1
         else:
             run_lengths.append(current)
@@ -102,20 +101,20 @@ def analyze_trace(trace: Trace) -> TraceAnalysis:
     # Burst sizes: consecutive records with tiny compute gaps.
     burst_sizes: List[int] = []
     burst = 1
-    for record in records[1:]:
-        if record.gap <= 2:
+    for gap in trace.gaps[1:]:
+        if gap <= 2:
             burst += 1
         else:
             burst_sizes.append(burst)
             burst = 1
     burst_sizes.append(burst)
-    pages = {r.vline // LINES_PER_PAGE for r in records}
+    pages = {vline // LINES_PER_PAGE for vline in vlines}
     return TraceAnalysis(
         name=trace.name,
-        records=len(records),
+        records=len(trace),
         total_insts=trace.total_insts,
         intrinsic_mpki=trace.intrinsic_mpki,
-        write_fraction=writes / len(records),
+        write_fraction=sum(trace.writes) / len(trace),
         footprint_pages=len(pages),
         footprint_lines=len(touched),
         reuse_fraction=reused / len(touched) if touched else 0.0,

@@ -14,9 +14,10 @@ parallelism, which is precisely the property DBP's demand estimator keys on.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional
 
-from ..cpu.trace import Trace, TraceRecord
+from ..cpu.trace import Trace
 from ..errors import TraceError
 from ..utils import clamp, make_rng
 from .profiles import AppProfile
@@ -85,25 +86,27 @@ def generate_trace(
         stream = _Stream(index * region, region)
         stream.jump(rng)
         streams.append(stream)
-    records: List[TraceRecord] = []
+    # The trace's own columns, filled in place and handed over uncopied.
+    gaps, vlines, writes = array("I"), array("Q"), bytearray()
     cursor = 0
-    while len(records) < num_records:
+    while len(vlines) < num_records:
         # One burst: `b` accesses issued nearly back to back (they land in
         # the same ROB window, creating memory-level parallelism), then a
         # long compute stretch sized to keep the target MPKI.
         b = max(1, min(2 * profile.burst, round(rng.expovariate(1.0 / profile.burst))))
-        b = min(b, num_records - len(records))
+        b = min(b, num_records - len(vlines))
         small_gaps = [rng.randrange(3) for _ in range(b - 1)]
         big_mean = max(0.0, b * insts_per_access - b - sum(small_gaps))
         big_gap = int(rng.expovariate(1.0 / big_mean)) if big_mean > 0 else 0
-        gaps = [big_gap] + small_gaps
+        gaps.append(big_gap)
+        gaps.extend(small_gaps)
         for j in range(b):
             stream = streams[(cursor + j) % len(streams)]
             if rng.random() < profile.row_locality:
                 stream.advance_sequential()
             else:
                 stream.jump(rng)
-            is_write = rng.random() < profile.write_frac
-            records.append(TraceRecord(gaps[j], stream.vline(), is_write))
+            vlines.append(stream.vline())
+            writes.append(rng.random() < profile.write_frac)
         cursor += b
-    return Trace(profile.name, records)
+    return Trace.from_columns(profile.name, gaps, vlines, writes)

@@ -124,9 +124,9 @@ class TestCodec:
             load_checkpoint(damaged)
 
     def test_foreign_version_is_stale_not_corrupt(self):
-        # A future format, and version 1 (whose pickled controllers still
-        # carried a kernel selection).
-        for version in (CHECKPOINT_VERSION + 1, 1):
+        # A future format, version 1 (whose pickled controllers still
+        # carried a kernel selection) and 2 (traces pickled as tuple lists).
+        for version in (CHECKPOINT_VERSION + 1, 1, 2):
             blob = _rewrite_header(dump_checkpoint({"x": 1}), version=version)
             with pytest.raises(CheckpointError) as excinfo:
                 read_checkpoint_header(blob)
@@ -274,6 +274,16 @@ class TestStaleSafepoint:
     def test_runner_reruns_from_scratch_over_a_version_1_safepoint(
         self, small_config, tmp_path, clean_faults, monkeypatch
     ):
+        self._rerun_over_stale(small_config, tmp_path, monkeypatch, version=1)
+
+    def test_runner_reruns_from_scratch_over_a_version_2_safepoint(
+        self, small_config, tmp_path, clean_faults, monkeypatch
+    ):
+        """Version 2 pickled a trace as a list of tuples, 3 as columns."""
+        assert CHECKPOINT_VERSION == 3
+        self._rerun_over_stale(small_config, tmp_path, monkeypatch, version=2)
+
+    def _rerun_over_stale(self, small_config, tmp_path, monkeypatch, version):
         apps, approach = ["mcf", "lbm"], "dbp"
         scope = dict(config=small_config, horizon=30_000, target_insts=200_000)
         safepoints = dict(safepoint_every=10_000, safepoint_dir=tmp_path)
@@ -291,8 +301,8 @@ class TestStaleSafepoint:
         faults_reset()
         (ckpt,) = tmp_path.glob("*.ckpt")
         assert read_checkpoint_file_header(ckpt)["meta"]["cycle"] == 10_000
-        # ...by code that still wrote format version 1.
-        ckpt.write_bytes(_rewrite_header(ckpt.read_bytes(), version=1))
+        # ...by code that still wrote an older format version.
+        ckpt.write_bytes(_rewrite_header(ckpt.read_bytes(), version=version))
 
         def _never(_blob):
             raise AssertionError("a stale checkpoint must not be unpickled")
@@ -300,7 +310,10 @@ class TestStaleSafepoint:
         monkeypatch.setattr("repro.sim.checkpoint.load_checkpoint", _never)
         with pytest.warns(
             RuntimeWarning,
-            match="discarding unusable checkpoint .* format version 1 != ",
+            match=(
+                "discarding unusable checkpoint .* "
+                f"format version {version} != {CHECKPOINT_VERSION}"
+            ),
         ):
             rerun = Runner(**scope, **safepoints).run_apps(apps, approach)
         assert not list(tmp_path.glob("*.ckpt"))

@@ -20,7 +20,7 @@ def simple_trace(name="t"):
 class TestConstruction:
     def test_cumulative_insts(self):
         trace = simple_trace()
-        assert trace.cumulative_insts == [4, 5, 11]
+        assert list(trace.cumulative_insts) == [4, 5, 11]
         assert trace.total_insts == 11
         assert trace.total_requests == 3
 
