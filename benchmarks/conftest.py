@@ -6,8 +6,7 @@ e.g. the F3 fairness view reuses the F2 throughput runs. The Runner is
 backed by the campaign subsystem's persistent result store, so runs also
 persist *across* sessions — a repeated benchmark invocation is served from
 ``benchmarks/results/store/`` and the session summary reports how much
-wall-clock the store saved (tracked over time by the BENCH_*.json
-trajectories).
+wall-clock the store saved.
 
 Environment knobs:
 
@@ -80,8 +79,7 @@ def show(result) -> None:
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Surface campaign-store statistics in the session summary.
 
-    The same numbers land in ``benchmarks/results/store_stats.json`` so the
-    BENCH_*.json trajectories can track the cache-driven speedup.
+    The same numbers land in ``benchmarks/results/store_stats.json``.
     """
     if STORE is None:
         return

@@ -17,6 +17,7 @@ hence MCP's weak fairness in experiment F4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -35,8 +36,8 @@ class MCPConfig:
     epoch_cycles: int = 25_000
 
     def __post_init__(self) -> None:
-        if self.low_mpki_threshold < 0:
-            raise ConfigError("low_mpki_threshold must be >= 0")
+        if not 0 <= self.low_mpki_threshold < math.inf:
+            raise ConfigError("low_mpki_threshold must be finite and >= 0")
         if not 0.0 < self.high_rbh_threshold <= 1.0:
             raise ConfigError("high_rbh_threshold must be in (0, 1]")
         if self.epoch_cycles < 1:

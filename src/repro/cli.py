@@ -6,7 +6,7 @@ implemented — in its module under :mod:`repro.commands`:
 
 * :mod:`~repro.commands.run`      — ``list``, ``config``, ``run``, ``mix``
 * :mod:`~repro.commands.campaign` — ``campaign``
-* :mod:`~repro.commands.results`  — ``results index|query|compare|gates|perf-trend``
+* :mod:`~repro.commands.results`  — ``results index|query|compare|gates``
 * :mod:`~repro.commands.store`    — ``store stats|ls|gc``
 * :mod:`~repro.commands.tune`     — ``tune run|report|frontier``
 * :mod:`~repro.commands.trace`    — ``trace``, ``perf``, ``metrics``

@@ -3,23 +3,28 @@
 from __future__ import annotations
 
 import argparse
+import math
 from typing import Callable, Sequence
 
 
-def at_least(minimum: int) -> Callable[[str], int]:
-    """An argparse ``type=``: an integer no smaller than ``minimum``."""
+def at_least(
+    minimum: float, kind: type = int, *, inclusive: bool = True
+) -> Callable[[str], float]:
+    """An argparse ``type=``: a finite ``kind`` (int or float) no smaller
+    than ``minimum`` — strictly greater when not ``inclusive``."""
+    bound = f"{'>=' if inclusive else '>'} {minimum}"
 
-    def parse(text: str) -> int:
+    def parse(text: str) -> float:
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}"
+                f"invalid {kind.__name__} value: {text!r}"
             ) from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {value}"
-            )
+        if not math.isfinite(value) or value < minimum or (
+            value == minimum and not inclusive
+        ):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     return parse
@@ -36,7 +41,7 @@ def add_supervision(parser: argparse.ArgumentParser, retries_help: str) -> None:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=at_least(0, float, inclusive=False),
         default=None,
         help="per-run timeout in seconds (default: none)",
     )

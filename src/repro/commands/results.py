@@ -3,9 +3,7 @@ the SQLite index from the blobs, ``results query`` filters runs and derived
 views (rollups, pair deltas, intensity breakdowns), ``results compare``
 A/B-diffs two campaigns or store snapshots, ``results gates`` evaluates the
 C1-C3 acceptance gates (or a custom JSON gates file) with a
-machine-readable report, and ``results perf-trend`` ingests
-``benchmarks/BENCH_*.json`` trajectories into the index and flags perf
-regressions (the perf-observatory CI hook)."""
+machine-readable report."""
 
 from __future__ import annotations
 
@@ -14,7 +12,13 @@ import json
 import sys
 from pathlib import Path
 
-from .common import add_format, add_index_source, open_query_index, store_dir
+from .common import (
+    add_format,
+    add_index_source,
+    at_least,
+    open_query_index,
+    store_dir,
+)
 
 
 def add_results(sub) -> None:
@@ -82,7 +86,7 @@ def add_results(sub) -> None:
     )
     compare.add_argument(
         "--tolerance",
-        type=float,
+        type=at_least(0, float),
         default=0.5,
         metavar="PCT",
         help="metric-delta tolerance in percent (default 0.5)",
@@ -93,43 +97,6 @@ def add_results(sub) -> None:
         help="exit non-zero when any run regressed beyond tolerance",
     )
     add_format(compare)
-
-    trend = results.add_parser(
-        "perf-trend",
-        help=(
-            "ingest benchmarks/BENCH_*.json into the index and flag perf "
-            "regressions"
-        ),
-    )
-    trend.set_defaults(handler=cmd_perf_trend)
-    add_index_source(trend)
-    trend.add_argument(
-        "--bench-dir",
-        default="benchmarks",
-        metavar="DIR",
-        help="directory holding BENCH_*.json snapshots (default: benchmarks)",
-    )
-    trend.add_argument(
-        "--benchmark",
-        default=None,
-        help="show only this benchmark's trajectory",
-    )
-    trend.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        metavar="FRACTION",
-        help=(
-            "allowed fractional throughput drop below the best earlier "
-            "trajectory entry (default 0.10)"
-        ),
-    )
-    trend.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero when any regression is flagged (the CI hook)",
-    )
-    add_format(trend)
 
     gates = results.add_parser(
         "gates", help="evaluate paper-claim acceptance gates"
@@ -167,55 +134,6 @@ def add_results(sub) -> None:
         help="also write the machine-readable JSON report to PATH",
     )
     add_format(gates)
-
-
-def cmd_perf_trend(args: argparse.Namespace) -> int:
-    from ..results import (
-        ResultIndex,
-        bench_trend,
-        check_bench_docs,
-        index_path_for,
-        load_bench_docs,
-        render_findings,
-        render_trend,
-        sync_bench_dir,
-    )
-
-    docs = load_bench_docs(args.bench_dir)
-    # Unlike the query verbs, perf-trend may be the first thing to touch
-    # the index (CI runs it without ever building a store), so open the
-    # index file directly — ResultIndex creates it and its parents.
-    db_path = args.db if args.db else index_path_for(store_dir(args))
-    with ResultIndex(db_path) as index:
-        count = sync_bench_dir(index, args.bench_dir)
-        rows = bench_trend(index, benchmark=args.benchmark)
-    findings = check_bench_docs(docs, tolerance=args.tolerance)
-    if args.benchmark is not None:
-        findings = [f for f in findings if f.benchmark == args.benchmark]
-    if args.format == "json":
-        doc = {
-            "synced_samples": count,
-            "trend": rows,
-            "findings": [
-                {
-                    "benchmark": f.benchmark,
-                    "kind": f.kind,
-                    "date": f.date,
-                    "message": f.message,
-                }
-                for f in findings
-            ],
-            "tolerance": args.tolerance,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"synced {count} benchmark sample(s) from {args.bench_dir}")
-        print(render_trend(rows))
-        print()
-        print(render_findings(findings))
-    if args.check and findings:
-        return 1
-    return 0
 
 
 def cmd_index(args: argparse.Namespace) -> int:

@@ -19,6 +19,7 @@ worse than EBP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
@@ -61,8 +62,8 @@ class DBPConfig:
             raise ConfigError("demand_smoothing must be in [0, 1)")
         if self.hysteresis_colors < 0:
             raise ConfigError("hysteresis_colors must be >= 0")
-        if self.hysteresis_fraction < 0:
-            raise ConfigError("hysteresis_fraction must be >= 0")
+        if not 0 <= self.hysteresis_fraction < math.inf:
+            raise ConfigError("hysteresis_fraction must be finite and >= 0")
 
 
 @register_policy

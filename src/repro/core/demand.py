@@ -17,6 +17,7 @@ switch off each ingredient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -43,10 +44,10 @@ class DemandConfig:
     mode: str = "full"
 
     def __post_init__(self) -> None:
-        if self.low_mpki_threshold < 0:
-            raise ConfigError("low_mpki_threshold must be >= 0")
-        if self.blp_scale <= 0:
-            raise ConfigError("blp_scale must be positive")
+        if not 0 <= self.low_mpki_threshold < math.inf:
+            raise ConfigError("low_mpki_threshold must be finite and >= 0")
+        if not 0 < self.blp_scale < math.inf:
+            raise ConfigError("blp_scale must be finite and positive")
         if not 0.0 < self.high_rbh_threshold <= 1.0:
             raise ConfigError("high_rbh_threshold must be in (0, 1]")
         if self.max_banks_per_thread < 1:

@@ -13,11 +13,7 @@ truth — ``STORE_VERSION`` and run keys are untouched):
   snapshots into a ``compare_summary`` with regressions flagged;
 * :mod:`~repro.results.gates`   — declarative acceptance gates encoding
   the paper's C1-C3 shape claims as winner/sign/magnitude-ordering
-  predicates, with machine-readable pass/fail reports;
-* :mod:`~repro.results.observatory` — the perf-regression observatory:
-  ``benchmarks/BENCH_*.json`` trajectories ingested into bench tables in
-  the same index, with ratio/throughput regression flagging
-  (``repro-dbp results perf-trend``).
+  predicates, with machine-readable pass/fail reports.
 
 Entry points: the ``repro-dbp results index|query|compare|gates`` CLI and
 ``repro-dbp campaign --gates``; the store itself keeps the index fresh by
@@ -53,18 +49,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "render_rollup",
         ),
         ".compare": ("CompareSummary", "compare_indexes", "render_compare"),
-        ".observatory": (
-            "BENCH_SCHEMA_VERSION",
-            "BenchSample",
-            "RegressionFinding",
-            "bench_samples_from_doc",
-            "bench_trend",
-            "check_bench_docs",
-            "load_bench_docs",
-            "render_findings",
-            "render_trend",
-            "sync_bench_dir",
-        ),
         ".gates": (
             "PAPER_GATES",
             "DeltaGate",

@@ -242,7 +242,7 @@ class ResultIndex:
             self._enable_wal(timeout)
         self._conn.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._ensure_schema()
+        self.ensure_table("runs", _CREATE, "schema_version", SCHEMA_VERSION)
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -273,26 +273,33 @@ class ResultIndex:
                     raise
                 time.sleep(0.005)
 
-    def _ensure_schema(self) -> None:
+    def ensure_table(
+        self, table: str, create: str, version_key: str, version: int
+    ) -> None:
+        """Run ``create`` and version ``table`` under its own ``meta`` row.
+
+        A stored version other than ``version`` drops and recreates
+        ``table`` alone, so each table's layout changes independently. For
+        ``runs`` (whose script also creates ``meta``) that loses nothing:
+        the blobs are authoritative and the next sync refills it.
+        """
         with self._conn:
-            self._conn.executescript(_CREATE)
+            self._conn.executescript(create)
             # OR IGNORE: two processes initializing a fresh index race to
             # write this row; the loser must not crash on the PK.
             self._conn.execute(
                 "INSERT OR IGNORE INTO meta (name, value) VALUES (?, ?)",
-                ("schema_version", str(SCHEMA_VERSION)),
+                (version_key, str(version)),
             )
             row = self._conn.execute(
-                "SELECT value FROM meta WHERE name='schema_version'"
+                "SELECT value FROM meta WHERE name=?", (version_key,)
             ).fetchone()
-            if row["value"] != str(SCHEMA_VERSION):
-                # The blobs are authoritative; a layout change just means
-                # this cache rebuilds on the next sync.
-                self._conn.execute("DROP TABLE IF EXISTS runs")
-                self._conn.executescript(_CREATE)
+            if row["value"] != str(version):
+                self._conn.execute(f"DROP TABLE IF EXISTS {table}")
+                self._conn.executescript(create)
                 self._conn.execute(
-                    "UPDATE meta SET value=? WHERE name='schema_version'",
-                    (str(SCHEMA_VERSION),),
+                    "UPDATE meta SET value=? WHERE name=?",
+                    (str(version), version_key),
                 )
 
     # -- writes ---------------------------------------------------------

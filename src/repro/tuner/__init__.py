@@ -16,7 +16,7 @@ existing campaign machinery into a tuner for them:
   mix set → the supervised executor + content-addressed store (repeat
   points are cache hits) → scalarized WS/MS/HS score;
 * :mod:`~repro.tuner.trials`    — the ``tuning_trials`` table beside
-  ``bench_samples`` in the results index;
+  ``runs`` in the results index;
 * :mod:`~repro.tuner.report`    — trial tables and the WS-vs-MS Pareto
   frontier against the paper defaults, with an explicit verdict;
 * :mod:`~repro.tuner.api`       — :func:`~repro.tuner.api.run_study`,

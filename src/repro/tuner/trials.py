@@ -1,13 +1,13 @@
 """Tuning-trial persistence: the ``tuning_trials`` table in the index.
 
-Follows the perf observatory's additive-table pattern exactly: the table
-lives inside the result service's SQLite index (``index.sqlite`` beside
-the blob store) under its **own** schema-version meta key, so the ``runs``
-and ``bench_samples`` schemas are untouched and a tuner layout change
-rebuilds only this table. Rows key on (study, trial_id) and every write
-is an idempotent upsert — re-running a seeded study rewrites the same
-rows, which is what makes studies resumable and re-renderable offline
-(``repro-dbp tune report|frontier`` read only this table).
+The table lives inside the result service's SQLite index
+(``index.sqlite`` beside the blob store) under its **own** schema-version
+meta key (:meth:`~repro.results.db.ResultIndex.ensure_table`), so the
+``runs`` schema is untouched and a tuner layout change rebuilds only this
+table. Rows key on (study, trial_id) and every write is an idempotent
+upsert — re-running a seeded study rewrites the same rows, which is what
+makes studies resumable and re-renderable offline (``repro-dbp tune
+report|frontier`` read only this table).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 #: Version of the tuner tables only; bumping rebuilds them without
-#: disturbing the ``runs`` or ``bench_samples`` tables.
+#: disturbing the ``runs`` table.
 TUNER_SCHEMA_VERSION = 1
 
 _TUNER_CREATE = """
@@ -67,23 +67,10 @@ _COLUMNS = (
 
 def ensure_tuner_schema(index: ResultIndex) -> None:
     """Create (or version-rebuild) the tuner tables in an index."""
-    conn = index._conn
-    with conn:
-        conn.executescript(_TUNER_CREATE)
-        conn.execute(
-            "INSERT OR IGNORE INTO meta (name, value) VALUES (?, ?)",
-            ("tuner_schema_version", str(TUNER_SCHEMA_VERSION)),
-        )
-        row = conn.execute(
-            "SELECT value FROM meta WHERE name='tuner_schema_version'"
-        ).fetchone()
-        if row["value"] != str(TUNER_SCHEMA_VERSION):
-            conn.execute("DROP TABLE IF EXISTS tuning_trials")
-            conn.executescript(_TUNER_CREATE)
-            conn.execute(
-                "UPDATE meta SET value=? WHERE name='tuner_schema_version'",
-                (str(TUNER_SCHEMA_VERSION),),
-            )
+    index.ensure_table(
+        "tuning_trials", _TUNER_CREATE, "tuner_schema_version",
+        TUNER_SCHEMA_VERSION,
+    )
 
 
 def record_trial(index: ResultIndex, row: Dict[str, object]) -> None:

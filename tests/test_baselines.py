@@ -176,8 +176,9 @@ class TestMCP:
         assert policy.last_assignment
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            MCPConfig(low_mpki_threshold=-1)
+        for threshold in (-1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                MCPConfig(low_mpki_threshold=threshold)
         with pytest.raises(ConfigError):
             MCPConfig(high_rbh_threshold=0)
         with pytest.raises(ConfigError):

@@ -161,7 +161,8 @@ class TestMetrics:
 
 
 class TestOutOfDomainOptions:
-    """Counts are checked by argparse, not clamped or mis-run later."""
+    """Counts, deadlines and tolerances are checked by argparse, not
+    clamped or mis-run later."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -174,6 +175,15 @@ class TestOutOfDomainOptions:
             ["tune", "run", "--retries", "-1"],
             ["tune", "run", "--budget", "0"],
             ["campaign", "--mixes", "M4", "--jobs", "two"],
+            ["campaign", "--mixes", "M4", "--timeout", "-1"],
+            ["campaign", "--mixes", "M4", "--timeout", "0"],
+            ["campaign", "--mixes", "M4", "--timeout", "nan"],
+            ["campaign", "--mixes", "M4", "--timeout", "inf"],
+            ["tune", "run", "--timeout", "nan"],
+            ["campaign", "--mixes", "M4", "--timeout", "soon"],
+            ["results", "compare", "a", "b", "--tolerance", "-1"],
+            ["results", "compare", "a", "b", "--tolerance", "nan"],
+            ["results", "compare", "a", "b", "--tolerance", "inf"],
         ],
     )
     def test_rejected_at_parse_time(self, argv, capsys):
@@ -182,7 +192,10 @@ class TestOutOfDomainOptions:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {argv[-2]}" in err
-        assert "must be >=" in err or "invalid int value" in err
+        assert any(
+            text in err
+            for text in ("must be >", "invalid int value", "invalid float value")
+        )
 
     def test_boundary_values_are_accepted(self, tmp_path, capsys):
         argv = [
@@ -229,6 +242,20 @@ class TestOneKernel:
             System(small_config, [], horizon=1_000, kernel="fast")
 
 
+class TestOneBenchmarkSystem:
+    """Performance is recorded by the e2e benchmark alone; the result
+    service keeps no benchmark-trajectory verb or API."""
+
+    def test_perf_trend_is_gone(self, capsys):
+        import repro.results
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["results", "perf-trend"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not hasattr(repro.results, "sync_bench_dir")
+
+
 #: Every registered command line that must parse: the 13 top-level
 #: commands and each results/tune/store/traces verb.
 HELP_TARGETS = [
@@ -240,7 +267,7 @@ HELP_TARGETS = [
 ] + [
     [command, verb]
     for command, verbs in (
-        ("results", ("index", "query", "compare", "gates", "perf-trend")),
+        ("results", ("index", "query", "compare", "gates")),
         ("tune", ("run", "report", "frontier")),
         ("store", ("stats", "ls", "gc")),
         ("traces", ("import", "list", "info", "export")),
@@ -266,7 +293,7 @@ class TestRegistryCompleteness:
             ["list"], ["config"], ["run", "T3"], ["campaign"],
             ["results", "index"], ["results", "query"],
             ["results", "compare", "a", "b"], ["results", "gates"],
-            ["results", "perf-trend"], ["store", "stats"], ["store", "ls"],
+            ["store", "stats"], ["store", "ls"],
             ["store", "gc"], ["tune", "run"], ["tune", "report"],
             ["tune", "frontier"], ["trace"], ["perf"], ["metrics", "M4"],
             ["mix", "M4"], ["traces", "list"], ["gen-traces", "mcf"],

@@ -1,14 +1,19 @@
 """Tunable-parameter spaces and parameterized approach names."""
 
+import math
+
 import pytest
 
-from repro.config import SystemConfig
+from repro.baselines.base import make_policy, policy_registry
+from repro.config import OSConfig, SystemConfig
 from repro.core.integration import APPROACHES, get_approach
 from repro.errors import ConfigError
+from repro.memctrl.schedulers import make_scheduler
 from repro.tuner.space import (
     ParameterSpace,
     Tunable,
     approach_space,
+    derive_approach,
     format_params,
     parameterized_name,
     parse_params,
@@ -196,3 +201,53 @@ class TestDeriveApproach:
             resolve_mix("M4"), "dbp@epoch_cycles=10000"
         ).metrics
         assert metrics.weighted_speedup > 0
+
+
+#: Every (approach, tunable) pair the registered approaches expose.
+TUNABLE_CASES = [
+    pytest.param(name, tunable, id=f"{name}:{tunable.name}")
+    for name in APPROACHES
+    for tunable in approach_space(name).tunables
+]
+
+
+def _construct_unchecked(base, tunable, value):
+    """Build what ``tunable`` configures at ``value`` the way
+    :func:`derive_approach` routes it, minus the tunable's own bounds check,
+    so the constructor alone has to reject an out-of-domain value."""
+    if tunable.target == "osmm":
+        return OSConfig(**{tunable.name: value})
+    if tunable.target == "scheduler":
+        return make_scheduler(base.scheduler, 4, **{tunable.name: value})
+    cls = policy_registry()[base.policy]
+    return make_policy(base.policy, **cls.from_tunables({tunable.name: value}))
+
+
+class TestTunableDomains:
+    """Declared bounds and constructor checks agree: every value a search
+    may propose constructs, and no non-finite float is ever accepted."""
+
+    @pytest.mark.parametrize("name,tunable", TUNABLE_CASES)
+    def test_declared_values_construct(self, name, tunable):
+        if tunable.kind == "choice":
+            values = list(tunable.choices)
+        else:
+            values = [tunable.low, tunable.high, tunable.default]
+        for value in values:
+            if tunable.target == "osmm":
+                OSConfig(**{tunable.name: value})
+                continue
+            approach = derive_approach(
+                APPROACHES[name], format_params({tunable.name: value})
+            )
+            approach.make_policy()
+            make_scheduler(approach.scheduler, 4, **approach.scheduler_params)
+
+    @pytest.mark.parametrize(
+        "name,tunable",
+        [case for case in TUNABLE_CASES if case.values[1].kind == "float"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_are_config_errors(self, name, tunable, value):
+        with pytest.raises(ConfigError):
+            _construct_unchecked(APPROACHES[name], tunable, value)

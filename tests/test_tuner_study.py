@@ -7,7 +7,7 @@ import pytest
 from repro.campaign.store import ResultStore
 from repro.cli import main
 from repro.errors import ConfigError
-from repro.results.db import ResultIndex, index_path_for
+from repro.results.db import SCHEMA_VERSION, ResultIndex, index_path_for
 from repro.tuner import (
     CampaignObjective,
     TrialPoint,
@@ -150,8 +150,27 @@ class TestTrialsTable:
             assert summary["trials"] == 2
             assert summary["best_score"] == 1.0  # the fid-1.0 trial's score
 
+    def test_runs_schema_untouched(self):
+        # Creating the tuner side table adds its own version row and
+        # nothing else: `schema_version` keeps its value and no row lands
+        # in `runs`.
+        with ResultIndex(":memory:") as index:
+            record_trial(index, _row(1, ws=2.0, ms=2.0))
+            meta = {
+                r["name"]: r["value"]
+                for r in index._conn.execute("SELECT * FROM meta")
+            }
+            assert meta["schema_version"] == str(SCHEMA_VERSION)
+            assert meta["tuner_schema_version"] == str(TUNER_SCHEMA_VERSION)
+            assert index.count() == 0
+
     def test_version_bump_rebuilds_only_tuner_table(self, tmp_path):
-        with ResultIndex(tmp_path / "index.sqlite") as index:
+        path = tmp_path / "index.sqlite"
+        with ResultIndex(path) as index:
+            with index._conn:
+                index._conn.execute(
+                    "INSERT INTO runs (key, version) VALUES ('k', 1)"
+                )
             record_trial(index, _row(1, ws=2.0, ms=2.0))
             index._conn.execute(
                 "UPDATE meta SET value='0' WHERE name='tuner_schema_version'"
@@ -159,10 +178,19 @@ class TestTrialsTable:
             record_trial(index, _row(2, ws=3.0, ms=1.5))
             rows = trial_rows(index)
             assert [r["trial_id"] for r in rows] == [2]  # old row dropped
-            version = index._conn.execute(
-                "SELECT value FROM meta WHERE name='tuner_schema_version'"
-            ).fetchone()
-            assert version["value"] == str(TUNER_SCHEMA_VERSION)
+        # The runs table and its version row ride through the tuner
+        # rebuild, so reopening the file rebuilds nothing either.
+        with ResultIndex(path) as index:
+            meta = {
+                r["name"]: r["value"]
+                for r in index._conn.execute("SELECT * FROM meta")
+            }
+            assert meta == {
+                "schema_version": str(SCHEMA_VERSION),
+                "tuner_schema_version": str(TUNER_SCHEMA_VERSION),
+            }
+            assert index.count() == 1
+            assert [r["trial_id"] for r in trial_rows(index)] == [2]
 
 
 class TestRunStudy:
