@@ -15,11 +15,27 @@ channels of one rank with eight banks (8 bank colors, 16 banks total), and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
+from typing import Any, ClassVar, Dict
 
 from .dram.timing import DRAMTimings, preset, scaled_timings
 from .errors import ConfigError
 from .utils import ilog2, is_power_of_two
+
+
+def _check_ints(config: Any) -> None:
+    """Reject an int field holding a non-int (``bool`` and floats included)
+    or a value below its minimum, as declared in ``config.INT_FIELDS``.
+
+    Runs first in every ``__post_init__``, so the arithmetic checks after it
+    only ever see ints, and a ``2.5``-wide core or a ``1.5``-deep queue
+    fails here instead of producing float-cycle results.
+    """
+    for name, minimum in config.INT_FIELDS.items():
+        value = getattr(config, name)
+        if type(value) is not int:
+            raise ConfigError(f"{name} must be an int, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -39,15 +55,15 @@ class DRAMOrganization:
     row_size_bytes: int = 8192
     line_size: int = 64
 
+    #: Every int field and its minimum (see :func:`_check_ints`).
+    INT_FIELDS: ClassVar[Dict[str, int]] = dict(
+        channels=1, ranks_per_channel=1, banks_per_rank=1,
+        rows_per_bank=1, row_size_bytes=1, line_size=1,
+    )
+
     def __post_init__(self) -> None:
-        for name in (
-            "channels",
-            "ranks_per_channel",
-            "banks_per_rank",
-            "rows_per_bank",
-            "row_size_bytes",
-            "line_size",
-        ):
+        _check_ints(self)
+        for name in self.INT_FIELDS:
             value = getattr(self, name)
             if not is_power_of_two(value):
                 raise ConfigError(f"{name} must be a power of two, got {value}")
@@ -89,13 +105,12 @@ class CoreConfig:
     rob_size: int = 128
     mshrs: int = 32
 
+    INT_FIELDS: ClassVar[Dict[str, int]] = dict(width=1, rob_size=1, mshrs=1)
+
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ConfigError("core width must be >= 1")
+        _check_ints(self)
         if self.rob_size < self.width:
             raise ConfigError("rob_size must be >= width")
-        if self.mshrs < 1:
-            raise ConfigError("mshrs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -108,7 +123,12 @@ class CacheConfig:
     hit_latency: int = 12  # CPU cycles
     writeback: bool = True
 
+    INT_FIELDS: ClassVar[Dict[str, int]] = dict(
+        size_bytes=1, associativity=1, line_size=1, hit_latency=1
+    )
+
     def __post_init__(self) -> None:
+        _check_ints(self)
         if not is_power_of_two(self.line_size):
             raise ConfigError("cache line_size must be a power of two")
         if self.size_bytes % (self.associativity * self.line_size) != 0:
@@ -118,8 +138,6 @@ class CacheConfig:
         num_sets = self.size_bytes // (self.associativity * self.line_size)
         if not is_power_of_two(num_sets):
             raise ConfigError("number of cache sets must be a power of two")
-        if self.hit_latency < 1:
-            raise ConfigError("hit_latency must be >= 1")
 
     @property
     def num_sets(self) -> int:
@@ -148,9 +166,13 @@ class ControllerConfig:
     #: request targets its open row (banking on conflicts).
     page_policy: str = "open"
 
+    INT_FIELDS: ClassVar[Dict[str, int]] = dict(
+        read_queue_depth=1, write_queue_depth=1,
+        write_high_watermark=1, write_low_watermark=1,
+    )
+
     def __post_init__(self) -> None:
-        if self.read_queue_depth < 1 or self.write_queue_depth < 1:
-            raise ConfigError("queue depths must be >= 1")
+        _check_ints(self)
         if self.page_policy not in ("open", "closed"):
             raise ConfigError("page_policy must be 'open' or 'closed'")
         if not (
@@ -177,15 +199,16 @@ class OSConfig:
     migration_budget_pages: int = 16  # pages whose copy traffic is modelled
     migration_lines_per_page: int = 8  # modelled DRAM traffic per moved page
 
+    INT_FIELDS: ClassVar[Dict[str, int]] = dict(
+        page_size=1, migration_budget_pages=0, migration_lines_per_page=0
+    )
+
     def __post_init__(self) -> None:
+        _check_ints(self)
         if not is_power_of_two(self.page_size):
             raise ConfigError("page_size must be a power of two")
         if self.migration_mode not in ("remap", "budget"):
             raise ConfigError("migration_mode must be 'remap' or 'budget'")
-        if self.migration_budget_pages < 0:
-            raise ConfigError("migration_budget_pages must be >= 0")
-        if self.migration_lines_per_page < 0:
-            raise ConfigError("migration_lines_per_page must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -201,13 +224,12 @@ class PrefetcherConfig:
     distance: int = 4  # how far ahead (in strides) the first prefetch lands
     table_entries: int = 16  # tracked regions (LRU replacement)
 
+    INT_FIELDS: ClassVar[Dict[str, int]] = dict(
+        degree=1, distance=1, table_entries=1
+    )
+
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ConfigError("prefetcher degree must be >= 1")
-        if self.distance < 1:
-            raise ConfigError("prefetcher distance must be >= 1")
-        if self.table_entries < 1:
-            raise ConfigError("prefetcher table_entries must be >= 1")
+        _check_ints(self)
 
 
 @dataclass(frozen=True)
@@ -229,16 +251,22 @@ class SystemConfig:
     bank_xor_interleave: bool = False
     seed: int = 1
 
+    INT_FIELDS: ClassVar[Dict[str, int]] = dict(
+        num_cores=1, clock_ratio=1, seed=0
+    )
+
     def __post_init__(self) -> None:
-        if self.num_cores < 1:
-            raise ConfigError("num_cores must be >= 1")
-        if self.clock_ratio < 1:
-            raise ConfigError("clock_ratio must be >= 1")
+        _check_ints(self)
         preset(self.dram_preset)  # raises on unknown names
         if self.cache.line_size != self.organization.line_size:
             raise ConfigError(
                 "cache line size must match DRAM line size "
                 f"({self.cache.line_size} != {self.organization.line_size})"
+            )
+        if self.osmm.page_size < self.organization.line_size:
+            raise ConfigError(
+                "page must hold at least one line "
+                f"({self.osmm.page_size} < {self.organization.line_size})"
             )
         if self.organization.row_size_bytes < self.osmm.page_size:
             raise ConfigError(

@@ -31,6 +31,7 @@ The core talks to the rest of the system through a ``MemoryPort``: a single
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, Optional, Protocol, Tuple
 
 from ..config import CoreConfig
@@ -40,6 +41,11 @@ from .trace import Trace
 
 class MemoryPort(Protocol):
     """What a core needs from the memory system."""
+
+    #: Cycles the core adds to every asynchronous read completion: the
+    #: fill from the line's arrival (or the request's issue, if the line
+    #: was already arriving) to its data reaching the pipeline.
+    fill_latency: int
 
     def access(
         self,
@@ -52,7 +58,11 @@ class MemoryPort(Protocol):
         """Perform one access at cycle ``at``.
 
         Returns the completion cycle if it is synchronously known (a cache
-        hit), otherwise ``None`` and ``on_complete(cycle)`` fires later.
+        hit, fill included), otherwise ``None`` and ``on_complete(cycle)``
+        fires later with the cycle the line arrived; the core adds
+        :attr:`fill_latency` itself. ``on_complete`` is a
+        ``functools.partial`` of a bound method, which the port may put on
+        the engine agenda or into a request as is: both get checkpointed.
         """
 
 
@@ -118,6 +128,7 @@ class Core:
         self._width = config.width
         self._mshrs = config.mshrs
         self._rob_size = config.rob_size
+        self._fill = port.fill_latency
         # Retirement state.
         self._retire_idx = 0
         self._retire_clock = 0
@@ -173,7 +184,12 @@ class Core:
         self._wake_scheduled = False
         self.process(now)
 
-    def _on_read_complete(self, virt_idx: int, now: int) -> None:
+    def _on_read_complete(
+        self, virt_idx: int, t_issue: int, cycle: int
+    ) -> None:
+        # A read that piggybacked on an in-flight fill may see the line
+        # arrive before it issued; its data still cannot return earlier.
+        now = max(cycle, t_issue) + self._fill
         if self._outstanding_reads >= self.config.mshrs:
             # This completion frees the MSHR that was gating issue.
             self._issue_floor = max(self._issue_floor, now)
@@ -273,7 +289,7 @@ class Core:
             return
         self._outstanding_reads += 1
         self.stats.reads_issued += 1
-        callback = lambda cycle, i=virt_idx: self._on_read_complete(i, cycle)
+        callback = partial(self._on_read_complete, virt_idx, t_issue)
         sync = self.port.access(self.core_id, vline, False, t_issue, callback)
         if sync is not None:
             # Synchronously known latency (cache hit): complete inline.

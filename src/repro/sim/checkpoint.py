@@ -7,54 +7,37 @@ event is executing. The format is::
 
     MAGIC | u32 header length | header JSON | payload (pickle bytes)
 
-The header carries the checkpoint format version, the interpreter tag, the
-SHA-256 of the payload, and caller metadata (the run key, the cycle). The
-digest is verified before a single payload byte is unpickled, so a torn or
+The header carries the checkpoint format version, the SHA-256 of the
+payload, and caller metadata (the run key, the cycle). The digest is
+verified before a single payload byte is unpickled, so a torn or
 bit-flipped file surfaces as :class:`CheckpointCorruptError` — never as a
 silently wrong simulation.
 
-Stock pickle refuses the agenda's callbacks: completion relays are lambdas
-and nested closures (see ``System.access``), which have no importable name.
-:class:`_SimPickler` extends pickle with a reducer for exactly those:
-the code object travels by ``marshal``, globals re-bind to the defining
-module on load, and defaults/closure-cell contents are restored through a
-deferred state setter so cyclic graphs (a lambda whose closure reaches the
-System that holds the agenda that holds the lambda) terminate via the
-pickle memo. Closure *cells* are recreated per function rather than
-shared; every closure in the simulator captures frame locals that are
-never rebound after creation, so identity of the cells (as opposed to
-their contents, which stay shared through the memo) is not observable.
-
-``marshal`` code bytes are interpreter-specific, so the header pins the
-CPython x.y tag; a checkpoint from another interpreter is *stale*
-(:class:`CheckpointError`), not corrupt, and callers fall back to a
-from-scratch run.
+The payload is stock pickle. That works because every callback on the
+engine agenda or in a request is a bound method or a ``functools.partial``
+of one, which pickle stores by name; a lambda or closure there fails
+:func:`dump_checkpoint` with :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
-import io
 import json
-import marshal
 import os
 import pickle
 import struct
-import sys
-import types
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ReproError
 
-#: Bump whenever the serialized layout (header, reducer contract, or the
-#: attributes of a pickled simulator class) changes incompatibly — a
-#: safepoint file left by a killed run of the older code is found by store
-#: key alone and must read as stale, not fail to unpickle. Distinct from
+#: Bump whenever the serialized layout (header, or the attributes of a
+#: pickled simulator class) changes incompatibly — a safepoint file left
+#: by a killed run of the older code is found by store key alone and must
+#: read as stale, not fail to unpickle. Distinct from
 #: the store's ``STORE_VERSION``: checkpoints are short-lived scratch
 #: state, not results.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _MAGIC = b"RDBPCKPT\n"
 _HEADER_LEN = struct.Struct(">I")
@@ -68,124 +51,17 @@ class CheckpointCorruptError(CheckpointError):
     """A checkpoint file is damaged: torn write, truncation, bad digest."""
 
 
-def _interp_tag() -> str:
-    return "%s-%d.%d" % (
-        sys.implementation.name,
-        sys.version_info[0],
-        sys.version_info[1],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Function/closure reduction.
-# ---------------------------------------------------------------------------
-class _EmptyCell:
-    """Sentinel for an unset closure cell (picklable singleton)."""
-
-    _instance: Optional["_EmptyCell"] = None
-
-    def __new__(cls) -> "_EmptyCell":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __reduce__(self):
-        return (_EmptyCell, ())
-
-
-_EMPTY = _EmptyCell()
-
-
-def _make_skeleton_function(
-    code_bytes: bytes, module: str, qualname: str, n_cells: int
-):
-    """Rebuild a function shell: code + module globals + empty closure.
-
-    Defaults and cell contents arrive later via :func:`_apply_function_state`
-    — the two-phase construction is what lets pickle memoize the function
-    before any (possibly self-referential) captured state is deserialized.
-    """
-    code = marshal.loads(code_bytes)
-    try:
-        globals_ = importlib.import_module(module).__dict__
-    except Exception as error:  # pragma: no cover - module vanished
-        raise CheckpointCorruptError(
-            f"checkpointed function {qualname!r} needs module {module!r}: "
-            f"{error}"
-        ) from error
-    closure = tuple(types.CellType() for _ in range(n_cells))
-    func = types.FunctionType(
-        code, globals_, code.co_name, None, closure or None
-    )
-    func.__qualname__ = qualname
-    return func
-
-
-def _apply_function_state(func, state) -> None:
-    defaults, kwdefaults, cell_values = state
-    func.__defaults__ = defaults
-    if kwdefaults:
-        func.__kwdefaults__ = dict(kwdefaults)
-    for cell, value in zip(func.__closure__ or (), cell_values):
-        if not isinstance(value, _EmptyCell):
-            cell.cell_contents = value
-
-
-def _cell_value(cell):
-    try:
-        return cell.cell_contents
-    except ValueError:  # unset cell (still-building closure)
-        return _EMPTY
-
-
-class _SimPickler(pickle.Pickler):
-    """Pickle extended with lambda/closure support (see module docstring)."""
-
-    def reducer_override(self, obj):  # noqa: D102 - pickle API
-        if isinstance(obj, types.FunctionType):
-            qualname = obj.__qualname__ or ""
-            if "<lambda>" in qualname or "<locals>" in qualname:
-                return self._reduce_function(obj, qualname)
-        return NotImplemented
-
-    @staticmethod
-    def _reduce_function(obj, qualname: str):
-        closure = obj.__closure__ or ()
-        state = (
-            obj.__defaults__,
-            obj.__kwdefaults__,
-            tuple(_cell_value(cell) for cell in closure),
-        )
-        return (
-            _make_skeleton_function,
-            (
-                marshal.dumps(obj.__code__),
-                obj.__module__ or "builtins",
-                qualname,
-                len(closure),
-            ),
-            state,
-            None,
-            None,
-            _apply_function_state,
-        )
-
-
 # ---------------------------------------------------------------------------
 # Blob encode/decode.
 # ---------------------------------------------------------------------------
 def dump_checkpoint(root: Any, meta: Optional[Dict[str, Any]] = None) -> bytes:
     """Serialize ``root`` into a self-verifying checkpoint blob."""
-    buffer = io.BytesIO()
-    pickler = _SimPickler(buffer, protocol=5)
     try:
-        pickler.dump(root)
+        payload = pickle.dumps(root, protocol=5)
     except (pickle.PicklingError, TypeError, AttributeError, ValueError) as e:
         raise CheckpointError(f"state is not checkpointable: {e}") from e
-    payload = buffer.getvalue()
     header = {
         "version": CHECKPOINT_VERSION,
-        "interp": _interp_tag(),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "payload_len": len(payload),
         "meta": dict(meta or {}),
@@ -199,11 +75,11 @@ def dump_checkpoint(root: Any, meta: Optional[Dict[str, Any]] = None) -> bytes:
 def read_checkpoint_header(blob: bytes) -> Dict[str, Any]:
     """Parse and validate the header without touching the payload digest.
 
-    Cheap pre-check for "is this checkpoint even for my run / my
-    interpreter" before paying for unpickling. Raises
+    Cheap pre-check for "is this checkpoint even for my run, in this
+    format" before paying for unpickling. Raises
     :class:`CheckpointCorruptError` for structural damage and
     :class:`CheckpointError` for a readable-but-unusable checkpoint
-    (foreign format version or interpreter).
+    (foreign format version).
     """
     if not blob.startswith(_MAGIC):
         raise CheckpointCorruptError("not a checkpoint (bad magic)")
@@ -227,11 +103,6 @@ def read_checkpoint_header(blob: bytes) -> Dict[str, Any]:
         raise CheckpointError(
             f"checkpoint format version {header.get('version')!r} != "
             f"{CHECKPOINT_VERSION}"
-        )
-    if header.get("interp") != _interp_tag():
-        raise CheckpointError(
-            f"checkpoint written by {header.get('interp')!r}, "
-            f"this interpreter is {_interp_tag()!r}"
         )
     header["_payload_offset"] = offset + header_len
     return header

@@ -26,8 +26,10 @@ class SimProfiler:
     Attached to the :class:`Engine` on demand (``System(profile=True)``);
     the unprofiled run loop is untouched. Each event's elapsed wall time is
     charged to the class that owns its callback — bound methods report
-    their ``__self__`` class, plain functions/lambdas the class their
-    qualified name is nested in (System's relay lambdas land on "System").
+    their ``__self__`` class, partials the owner of the function they wrap
+    (a read completion, ``partial(core._on_read_complete, ...)``, lands on
+    "Core"), and plain functions the class their qualified name is nested
+    in.
     """
 
     def __init__(self) -> None:
@@ -138,14 +140,16 @@ class Engine:
             else:
                 # Duplicated loop so the common unprofiled path pays no
                 # per-event clock reads or attribution lookups. Attribution
-                # is memoized: bound methods key on their owner's class and
-                # functions/lambdas on their (shared) code object, so the
-                # name resolution in component_of runs once per call site,
-                # not once per event. The clock is read once per event: an
-                # event is charged from the previous stamp to its own, so
-                # the (small, uniform) dispatch overhead lands on the
-                # component that ran rather than disappearing untracked.
+                # is memoized: bound methods key on their owner's class,
+                # partials on the callable they wrap and functions on their
+                # (shared) code object, so the name resolution in
+                # component_of runs once per call site, not once per event.
+                # The clock is read once per event: an event is charged
+                # from the previous stamp to its own, so the (small,
+                # uniform) dispatch overhead lands on the component that
+                # ran rather than disappearing untracked.
                 perf_counter = time.perf_counter
+                partial = functools.partial
                 component_of = profiler.component_of
                 seconds = profiler.seconds
                 counts = profiler.events
@@ -164,7 +168,9 @@ class Engine:
                     elapsed = stamp - last_stamp
                     last_stamp = stamp
                     owner = getattr(callback, "__self__", None)
-                    if owner is not None:
+                    if type(callback) is partial:
+                        key = callback.func
+                    elif owner is not None:
                         key = owner.__class__
                     else:
                         key = getattr(callback, "__code__", None)

@@ -396,7 +396,7 @@ class Runner:
         """A System resumed from ``path``, or None for scratch.
 
         A checkpoint that is corrupt (torn write, flipped bytes) or stale
-        (foreign interpreter/format, different run) never aborts the run:
+        (foreign format version, different run) never aborts the run:
         it is discarded with a warning and the run starts from scratch.
         """
         from .checkpoint import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import time
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..baselines.base import PartitionContext, PartitionPolicy
@@ -137,9 +138,11 @@ class System:
         # Physical lines a prefetch is currently fetching, each with the
         # demand completions waiting on the fill.
         self._prefetch_inflight: Dict[int, list] = {}
+        #: MemoryPort: cycles from a line's arrival to its data reaching the
+        #: core, added by the core to every asynchronous read completion.
+        self.fill_latency = config.cache.hit_latency
         # Hoisted config constants and per-thread bound methods for the
         # per-access hot path (thread ids are dense 0..n-1).
-        self._hit_latency = self.config.cache.hit_latency
         self._prefetch_enabled = self.config.prefetcher.enabled
         self._translate = [
             self.page_tables[t].translate_line
@@ -163,7 +166,7 @@ class System:
         self.profiler = ThreadProfiler(
             num_threads=config.num_cores,
             burst_cycles=timings.tBURST,
-            retired_insts_of=lambda t: self.cores[t].retired_insts_processed,
+            retired_insts_of=self._retired_insts_of,
         )
         for controller in self.controllers:
             controller.add_listener(self.profiler)
@@ -198,6 +201,9 @@ class System:
             telemetry.attach(self.controllers, self.policy, self.scheduler)
         self._ran = False
         self._finished = False
+
+    def _retired_insts_of(self, thread_id: int) -> int:
+        return self.cores[thread_id].retired_insts_processed
 
     # ------------------------------------------------------------------
     # Epoch plumbing. The profiler is snapshot once per boundary *cycle*
@@ -280,21 +286,16 @@ class System:
         if self._prefetch_enabled:
             self._maybe_prefetch(thread_id, vline, pline, at)
         result = self._cache_access[thread_id](pline, is_write)
-        hit_latency = self._hit_latency
         if result.hit:
             if is_write:
                 return None
-            return at + hit_latency
+            return at + self.fill_latency
         in_flight = self._prefetch_inflight.get(pline)
         if in_flight is not None:
             # A prefetch already fetched this line: piggyback on its fill
             # instead of issuing a duplicate DRAM request.
             if not is_write and on_complete is not None:
-                in_flight.append(
-                    lambda cycle, cb=on_complete, t0=at: cb(
-                        max(cycle, t0) + hit_latency
-                    )
-                )
+                in_flight.append(on_complete)
             return None
         if result.writeback_line is not None:
             self._send_request(
@@ -305,11 +306,7 @@ class System:
             # read); the dirty data drains later as a writeback.
             self._send_request(thread_id, pline, False, at, None, False)
             return None
-        wrapped = None
-        if on_complete is not None:
-            fill = hit_latency
-            wrapped = lambda cycle, cb=on_complete: cb(cycle + fill)
-        self._send_request(thread_id, pline, False, at, wrapped, False)
+        self._send_request(thread_id, pline, False, at, on_complete, False)
         return None
 
     def _maybe_prefetch(
@@ -335,9 +332,7 @@ class System:
             if target_pline in self._prefetch_inflight:
                 continue
             self._prefetch_inflight[target_pline] = []
-            callback = lambda cycle, line=target_pline, t=thread_id: (
-                self._finish_prefetch(t, line, cycle)
-            )
+            callback = partial(self._finish_prefetch, thread_id, target_pline)
             self._send_request(thread_id, target_pline, False, at, callback, False)
 
     def _finish_prefetch(self, thread_id: int, pline: int, cycle: int) -> None:
@@ -365,9 +360,7 @@ class System:
         if at <= now:
             controller.enqueue(request, now)
         else:
-            self.engine.schedule(
-                at, lambda cycle, r=request, c=controller: c.enqueue(r, cycle)
-            )
+            self.engine.schedule(at, partial(controller.enqueue, request))
 
     # ------------------------------------------------------------------
     # Migration traffic.
@@ -544,7 +537,7 @@ class System:
 
         Raises :class:`~repro.sim.checkpoint.CheckpointCorruptError` on a
         torn/corrupted blob and :class:`CheckpointError` on a stale one
-        (foreign format version or interpreter); callers are expected to
+        (foreign format version); callers are expected to
         fall back to a from-scratch run on either.
         """
         system, _header = load_checkpoint(blob)

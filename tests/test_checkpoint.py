@@ -3,8 +3,9 @@
 Two layers:
 
 * codec/file units — header validation, digest verification, torn-write
-  detection, lambda/closure round-trips, the ``System.checkpoint`` guards,
-  and the fault-harness hooks on ``write_checkpoint_file``;
+  detection, the ``System.checkpoint`` guards (a lambda on the agenda is
+  refused, not written), and the fault-harness hooks on
+  ``write_checkpoint_file``;
 * the differential grid — every kernel-golden spec run *through* a
   mid-flight checkpoint round trip (serialize at a safepoint, rebuild a
   System from the bytes, resume) must produce the exact committed golden
@@ -18,6 +19,8 @@ from __future__ import annotations
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.faults import FaultPlan, FaultSpec, TransientFaultError
 from repro.faults import install_plan, reset as faults_reset
 from repro.kernelgrid import (
     GRID,
+    HORIZON,
     build_grid_system,
     run_grid_spec_checkpointed,
 )
@@ -45,6 +49,7 @@ from repro.sim.system import System
 _GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "kernel_golden.json"
 )
+_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 _MAGIC = b"RDBPCKPT\n"
 _LEN = struct.Struct(">I")
@@ -125,37 +130,18 @@ class TestCodec:
 
     def test_foreign_version_is_stale_not_corrupt(self):
         # A future format, version 1 (whose pickled controllers still
-        # carried a kernel selection) and 2 (traces pickled as tuple lists).
-        for version in (CHECKPOINT_VERSION + 1, 1, 2):
+        # carried a kernel selection), 2 (traces pickled as tuple lists)
+        # and 3 (System-owned completion relays and the interpreter pin).
+        for version in (CHECKPOINT_VERSION + 1, 1, 2, 3):
             blob = _rewrite_header(dump_checkpoint({"x": 1}), version=version)
             with pytest.raises(CheckpointError) as excinfo:
                 read_checkpoint_header(blob)
             assert not isinstance(excinfo.value, CheckpointCorruptError)
 
-    def test_foreign_interpreter_is_stale_not_corrupt(self):
-        blob = _rewrite_header(
-            dump_checkpoint({"x": 1}), interp="cpython-2.7"
-        )
-        with pytest.raises(CheckpointError) as excinfo:
-            read_checkpoint_header(blob)
-        assert not isinstance(excinfo.value, CheckpointCorruptError)
-
     def test_garbage_header_is_corrupt(self):
         blob = _MAGIC + _LEN.pack(4) + b"\xff\xfe\x00\x01"
         with pytest.raises(CheckpointCorruptError):
             read_checkpoint_header(blob)
-
-    def test_cyclic_closure_roundtrip(self):
-        # The exact shape stock pickle refuses: a nested lambda whose
-        # closure reaches the container that holds the lambda.
-        def make():
-            box = {}
-            box["fn"] = lambda: box
-            return box
-
-        blob = dump_checkpoint(make())
-        loaded, _header = load_checkpoint(blob)
-        assert loaded["fn"]() is loaded
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +244,15 @@ class TestSystemGuards:
         system.run()
         assert seen and "inside the event loop" in seen[0]
 
+    def test_lambda_on_the_agenda_is_refused_not_corrupt(self):
+        # Stock pickle stores callbacks by name; an anonymous one must stop
+        # the checkpoint loudly instead of writing an unloadable blob.
+        system = build_grid_system(GRID[1], horizon=2_000)
+        system.engine.schedule(1_000, lambda cycle: None)
+        with pytest.raises(CheckpointError) as excinfo:
+            system.checkpoint()
+        assert not isinstance(excinfo.value, CheckpointCorruptError)
+
     def test_restore_rejects_non_system_blob(self):
         blob = dump_checkpoint({"not": "a system"})
         with pytest.raises(CheckpointError):
@@ -280,8 +275,15 @@ class TestStaleSafepoint:
         self, small_config, tmp_path, clean_faults, monkeypatch
     ):
         """Version 2 pickled a trace as a list of tuples, 3 as columns."""
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
         self._rerun_over_stale(small_config, tmp_path, monkeypatch, version=2)
+
+    def test_runner_reruns_from_scratch_over_a_version_3_safepoint(
+        self, small_config, tmp_path, clean_faults, monkeypatch
+    ):
+        """Version 3 carried System's completion relays; 4 pickles only
+        bound methods and partials, with no interpreter pin."""
+        self._rerun_over_stale(small_config, tmp_path, monkeypatch, version=3)
 
     def _rerun_over_stale(self, small_config, tmp_path, monkeypatch, version):
         apps, approach = ["mcf", "lbm"], "dbp"
@@ -372,3 +374,65 @@ def test_interrupt_point_does_not_change_results(golden):
             json.dumps(run_grid_spec_checkpointed(spec, interrupt_at=interrupt_at))
         )
         assert actual == golden["runs"][name], f"interrupt_at={interrupt_at}"
+
+
+# ---------------------------------------------------------------------------
+# Portability: a checkpoint written by one process resumes in another.
+# ---------------------------------------------------------------------------
+_WRITE_FIRST_SAFEPOINT = """
+import sys
+from pathlib import Path
+from repro.kernelgrid import GRID, HORIZON, build_grid_system
+
+spec = next(s for s in GRID if s[0] == sys.argv[1])
+
+class Stop(Exception):
+    pass
+
+def snap(system, _cycle):
+    Path(sys.argv[2]).write_bytes(system.checkpoint())
+    raise Stop
+
+try:
+    build_grid_system(spec).run(safepoint_every=HORIZON // 3, on_safepoint=snap)
+except Stop:
+    pass
+"""
+
+_RESUME_AND_REPORT = """
+import json, sys
+from pathlib import Path
+from repro.kernelgrid import grid_doc
+from repro.sim.system import System
+
+system = System.restore(Path(sys.argv[1]).read_bytes())
+print(json.dumps(grid_doc(system, system.resume())))
+"""
+
+
+def _python(code, hash_seed, *argv):
+    env = dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED=str(hash_seed))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+
+
+@pytest.mark.parametrize(
+    "name", ["tcm/open", "dbp-tcm/closed", "shared-frfcfs/closed+validate"]
+)
+def test_checkpoint_resumes_across_processes_and_hash_seeds(
+    name, golden, tmp_path
+):
+    # Set iteration order and str hashes differ between the two processes;
+    # the pickled state must not depend on either.
+    blob = tmp_path / "safepoint.ckpt"
+    _python(_WRITE_FIRST_SAFEPOINT, 1, name, str(blob))
+    assert read_checkpoint_file_header(blob)["meta"]["cycle"] == HORIZON // 3
+    resumed = json.loads(_python(_RESUME_AND_REPORT, 987, str(blob)))
+    if resumed != golden["runs"][name]:
+        diffs = _diff_paths(golden["runs"][name], resumed, prefix=name)
+        pytest.fail(
+            f"cross-process resume diverged from golden on {name}:\n"
+            + "\n".join(diffs[:20])
+        )

@@ -1,6 +1,9 @@
 """Configuration validation and derived-property tests."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     CacheConfig,
@@ -10,7 +13,23 @@ from repro import (
     OSConfig,
     SystemConfig,
 )
+from repro.config import PrefetcherConfig
 from repro.errors import ConfigError
+
+CONFIG_CLASSES = [
+    DRAMOrganization,
+    CoreConfig,
+    CacheConfig,
+    ControllerConfig,
+    OSConfig,
+    PrefetcherConfig,
+    SystemConfig,
+]
+INT_FIELD_CASES = [
+    pytest.param(cls, name, id=f"{cls.__name__}.{name}")
+    for cls in CONFIG_CLASSES
+    for name in cls.INT_FIELDS
+]
 
 
 class TestDRAMOrganization:
@@ -144,6 +163,11 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemConfig(organization=org)
 
+    def test_page_smaller_than_line_rejected(self):
+        # Passes OSConfig alone; the address map cannot place it.
+        with pytest.raises(ConfigError):
+            SystemConfig(osmm=OSConfig(page_size=32))
+
     def test_more_cores_than_colors_rejected(self):
         org = DRAMOrganization(ranks_per_channel=1, banks_per_rank=8)
         with pytest.raises(ConfigError):
@@ -164,3 +188,35 @@ class TestSystemConfig:
 
     def test_page_offset_bits(self):
         assert SystemConfig().page_offset_bits == 12
+
+
+class TestIntFieldDomains:
+    """Every int field rejects a float, a bool and a below-minimum value
+    with ConfigError at construction, never another exception and never a
+    config that simulates in float cycles."""
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+    def test_every_int_field_is_declared_and_defaults_construct(self, cls):
+        declared = {f.name for f in dataclasses.fields(cls) if f.type == "int"}
+        assert set(cls.INT_FIELDS) == declared
+        cls()
+
+    @pytest.mark.parametrize("cls,name", INT_FIELD_CASES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_out_of_domain_values_are_config_errors(self, cls, name, data):
+        minimum = cls.INT_FIELDS[name]
+        value = data.draw(
+            st.floats(allow_nan=True, allow_infinity=True)
+            | st.booleans()
+            | st.integers(max_value=minimum - 1),
+            label=name,
+        )
+        with pytest.raises(ConfigError):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("cls,name", INT_FIELD_CASES)
+    def test_integral_float_of_the_default_is_rejected(self, cls, name):
+        with pytest.raises(ConfigError):
+            cls(**{name: float(getattr(cls(), name))})
+

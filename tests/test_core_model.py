@@ -11,6 +11,8 @@ from repro.sim.engine import Engine
 class RecordingPort:
     """Memory port with a fixed latency; records every access."""
 
+    fill_latency = 0
+
     def __init__(self, engine, latency=20, synchronous=False):
         self.engine = engine
         self.latency = latency

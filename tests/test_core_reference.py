@@ -86,6 +86,8 @@ def event_model_retired(trace, width, rob, mshrs, latency, horizon):
     engine = Engine(horizon)
 
     class Port:
+        fill_latency = 0
+
         def access(self, tid, vline, is_write, at, cb):
             if is_write:
                 return None

@@ -66,6 +66,8 @@ class TestCoreAheadLimit:
         engine = Engine(50_000)
 
         class NullPort:
+            fill_latency = 0
+
             def access(self, tid, vline, w, at, cb):
                 return at + 1  # everything hits instantly
 
@@ -87,6 +89,8 @@ class TestCoreAheadLimit:
         engine = Engine(10_000)
 
         class FixedPort:
+            fill_latency = 0
+
             def access(self, tid, vline, w, at, cb):
                 return at + 50
 

@@ -254,3 +254,60 @@ class TestSimProfilerAttribution:
                 pass
 
         assert component_of(Relay()) == "Relay"
+
+
+class TestSimProfileOfARun:
+    """End to end on M4/dbp-tcm: the wall-clock profile accounts for the
+    whole event loop and charges each event to the component that did the
+    work. Read completions are core retire work and must land on Core, not
+    on System, which only owns the epoch boundaries."""
+
+    @pytest.fixture(scope="class")
+    def profiled(self):
+        from repro.config import SystemConfig
+        from repro.core.integration import get_approach
+        from repro.sim.system import System
+        from repro.traces.source import DefaultTraceSource
+        from repro.workloads import resolve_mix
+
+        approach = get_approach("dbp-tcm")
+        config = SystemConfig().with_scheduler(
+            approach.scheduler, **approach.scheduler_params
+        )
+        source = DefaultTraceSource()
+        traces = [
+            source.trace_for(app, 1, 4_000_000)
+            for app in resolve_mix("M4").apps
+        ]
+        system = System(
+            config,
+            traces,
+            horizon=60_000,
+            policy=approach.make_policy(),
+            profile=True,
+        )
+        system.run()
+        return system.profile_report(), system.engine.stat_events
+
+    def _shares(self, report):
+        return {c["component"]: c["share"] for c in report["components"]}
+
+    def test_components_sum_to_the_loop_time(self, profiled):
+        report, _events = profiled
+        charged = sum(c["seconds"] for c in report["components"])
+        # The wall window also holds policy start-up and the cores' cycle-0
+        # kick, which run outside the event loop.
+        assert 0.9 * report["wall_seconds"] <= charged
+        assert charged <= report["wall_seconds"]
+
+    def test_core_is_charged_for_its_retire_work(self, profiled):
+        report, _events = profiled
+        assert self._shares(report).get("Core", 0.0) > 0.1
+
+    def test_system_keeps_only_its_own_events(self, profiled):
+        report, _events = profiled
+        assert self._shares(report).get("System", 0.0) < 0.05
+
+    def test_every_event_is_charged_once(self, profiled):
+        report, events = profiled
+        assert sum(c["events"] for c in report["components"]) == events
