@@ -958,7 +958,7 @@ def execute(
             if name.endswith(".json")
         )
         # Missing parts are expected: a killed worker never flushes its
-        # tracer (at most it leaves a ``.tmp``). The supervisor's own spans
+        # tracer (at most it leaves a temp file). The supervisor's own spans
         # still record the failed attempt, so the timeline stays complete.
         merged = merge_trace_files(parts, extra=[tracer.to_chrome()])
         write_trace_file(str(spans), merged)

@@ -36,7 +36,7 @@ lost — persisted next to the results it failed to produce (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Dict, List
 
@@ -101,29 +101,7 @@ class FailureAttempt:
     at: float = 0.0
 
     def to_doc(self) -> Dict[str, object]:
-        return {
-            "attempt": self.attempt,
-            "submission": self.submission,
-            "error_class": self.error_class,
-            "error_type": self.error_type,
-            "message": self.message,
-            "traceback": self.traceback,
-            "wall_clock": round(self.wall_clock, 3),
-            "at": self.at,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, object]) -> "FailureAttempt":
-        return cls(
-            attempt=int(doc.get("attempt", 0)),
-            submission=int(doc.get("submission", 0)),
-            error_class=str(doc.get("error_class", "")),
-            error_type=str(doc.get("error_type", "")),
-            message=str(doc.get("message", "")),
-            traceback=str(doc.get("traceback", "")),
-            wall_clock=float(doc.get("wall_clock", 0.0)),
-            at=float(doc.get("at", 0.0)),
-        )
+        return dict(asdict(self), wall_clock=round(self.wall_clock, 3))
 
 
 #: Bump on incompatible changes to the persisted failure-record layout.
@@ -156,26 +134,7 @@ class FailureRecord:
     def to_doc(self) -> Dict[str, object]:
         return {
             "record_version": RECORD_VERSION,
-            "key": self.key,
-            "label": self.label,
-            "resolution": self.resolution,
-            "final_class": self.final_class,
-            "reason": self.reason,
+            **asdict(self),
             "time_lost": round(self.time_lost, 3),
             "attempts": [attempt.to_doc() for attempt in self.attempts],
         }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, object]) -> "FailureRecord":
-        return cls(
-            key=str(doc.get("key", "")),
-            label=str(doc.get("label", "")),
-            resolution=str(doc.get("resolution", "")),
-            final_class=str(doc.get("final_class", "")),
-            reason=str(doc.get("reason", "")),
-            time_lost=float(doc.get("time_lost", 0.0)),
-            attempts=[
-                FailureAttempt.from_doc(item)
-                for item in doc.get("attempts", [])
-            ],
-        )

@@ -11,14 +11,15 @@ worker — gets the finished :class:`~repro.records.RunResult` for free.
 
 Properties the executor and the benches rely on:
 
-* **Atomic writes** — entries are written to a temp file in the same
-  directory and ``os.replace``d into place, so a killed worker can never
-  leave a half-written entry behind.
-* **Corruption quarantine** — an entry that fails to decode is renamed to
-  ``<entry>.corrupt`` (kept for post-mortem) and treated as a miss. An
-  entry that decodes but carries a *different* ``STORE_VERSION`` is merely
-  stale, not malformed: it is skipped (and counted separately) but left in
-  place, since a recompute overwrites the same path anyway.
+* **Atomic writes** — every file goes through :mod:`repro.artefact`, so
+  a killed worker can never leave a half-written entry behind.
+* **Corruption quarantine** — the store's policy on that module's two
+  outcomes. A :class:`~repro.artefact.Corrupt` entry (or one whose result
+  document fails to decode) is renamed to ``<entry>.corrupt`` (kept for
+  post-mortem) and treated as a miss. A :class:`~repro.artefact.Stale`
+  one, written under another ``STORE_VERSION``, is skipped (and counted
+  separately) but left in place, since a recompute overwrites the same
+  path anyway.
 * **Accounting** — hits, misses, writes, stale skips, quarantined
   entries, and the simulated wall-clock a hit avoided re-paying are all
   counted on the store instance, for campaign reports and bench session
@@ -47,6 +48,7 @@ from typing import (
     TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
+from ..artefact import Corrupt, Stale, read_json, tmp_glob, write_json
 from ..core.integration import get_approach
 from ..metrics import MetricSummary
 from ..records import (
@@ -55,6 +57,7 @@ from ..records import (
     ThreadResult,
     WorkloadRunMetrics,
 )
+from .failures import RECORD_VERSION
 
 if TYPE_CHECKING:  # keys take a config; reading a store needs none
     from ..config import SystemConfig
@@ -312,15 +315,14 @@ class StoreStats:
     wall_saved: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "corrupt": self.corrupt,
-            "stale": self.stale,
-            "index_errors": self.index_errors,
-            "wall_saved": round(self.wall_saved, 3),
-        }
+        wall_saved = round(self.wall_saved, 3)
+        return dict(dataclasses.asdict(self), wall_saved=wall_saved)
+
+
+#: Where each kind of store file lives (see the sections below).
+_ENTRY_GLOB = "*/*.json"
+_ALONE_GLOB = "alone/*/*.json"
+_FAILURE_GLOB = "failures/*/*.json"
 
 
 class ResultStore:
@@ -347,9 +349,6 @@ class ResultStore:
 
         return index_path_for(self.root)
 
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file()
-
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[Tuple[RunResult, float]]:
         """The stored (result, original wall-clock) for ``key``, or None.
@@ -362,27 +361,19 @@ class ResultStore:
         """
         path = self.path_for(key)
         try:
-            raw = path.read_bytes()
-        except OSError:
-            self.stats.misses += 1
-            return None
-        try:
-            # Decode inside the guard: a bit-flipped blob can be invalid
-            # UTF-8 just as easily as invalid JSON, and both must
-            # quarantine rather than crash the campaign's cache scan.
-            doc = json.loads(raw.decode("utf-8"))
+            doc = read_json(path, STORE_VERSION, kind="store entry")
             if doc.get("key") != key:
-                raise ValueError("entry key does not match its path")
-            version = doc.get("version")
-            if version != STORE_VERSION:
-                self.stats.stale += 1
-                self.stats.misses += 1
-                return None
+                raise Corrupt("entry key does not match its path")
             result = decode_run_result(doc["result"])
             wall_clock = float(doc.get("wall_clock", 0.0))
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            self.stats.corrupt += 1
+        except Stale:
+            self.stats.stale += 1
+            self.stats.misses += 1
+            return None
+        except (ValueError, KeyError, TypeError):  # Corrupt is a ValueError
+            # A missing entry is Corrupt too, but has nothing to quarantine.
+            if self._quarantine(path):
+                self.stats.corrupt += 1
             self.stats.misses += 1
             return None
         self.stats.hits += 1
@@ -404,7 +395,7 @@ class ResultStore:
             "wall_clock": wall_clock,
             "result": encode_run_result(result),
         }
-        path = _write_json_atomic(self.path_for(key), doc)
+        path = write_json(self.path_for(key), doc)
         self.stats.writes += 1
         self._index_put(doc, path)
         return path
@@ -442,14 +433,10 @@ class ResultStore:
         another key or not a positive number is a miss, never an error:
         the caller simulates and its write replaces the same path.
         """
-        doc = _read_json(self.alone_path_for(key)) or {}
+        path = self.alone_path_for(key)
+        doc = _read_or_none(path, STORE_VERSION, kind="alone record") or {}
         ipc = doc.get("ipc")
-        if (
-            doc.get("key") == key
-            and doc.get("version") == STORE_VERSION
-            and isinstance(ipc, float)
-            and ipc > 0
-        ):
+        if doc.get("key") == key and isinstance(ipc, float) and ipc > 0:
             return ipc
         return None
 
@@ -463,11 +450,11 @@ class ResultStore:
             "describe": describe,
             "ipc": ipc,
         }
-        return _write_json_atomic(self.alone_path_for(key), doc)
+        return write_json(self.alone_path_for(key), doc)
 
     def alone_paths(self) -> List[Path]:
         """Every alone-baseline record on disk."""
-        return sorted(self.root.glob("alone/*/*.json"))
+        return sorted(self.root.glob(_ALONE_GLOB))
 
     # ------------------------------------------------------------------
     # Failure records (the supervisor's forensics; see campaign.failures).
@@ -479,15 +466,16 @@ class ResultStore:
 
     def put_failure(self, key: str, doc: Dict[str, object]) -> Path:
         """Persist one failure record atomically (same contract as put)."""
-        return _write_json_atomic(self.failure_path_for(key), doc)
+        return write_json(self.failure_path_for(key), doc)
 
     def get_failure(self, key: str) -> Optional[Dict[str, object]]:
         """The persisted failure record for ``key``, or None.
 
-        An unreadable record returns None rather than raising: failure
-        records are forensics, never inputs to a simulation.
+        A corrupt record, or one of another ``RECORD_VERSION``, returns
+        None rather than raising: failure records are forensics, never
+        inputs to a simulation.
         """
-        return _read_json(self.failure_path_for(key))
+        return _read_failure(self.failure_path_for(key))
 
     def clear_failure(self, key: str) -> None:
         """Drop the failure record for ``key`` (the spec now has a result)."""
@@ -496,10 +484,14 @@ class ResultStore:
         except OSError:
             pass
 
+    def failure_paths(self) -> List[Path]:
+        """Every failure record on disk, readable or not."""
+        return sorted(self.root.glob(_FAILURE_GLOB))
+
     def iter_failures(self) -> Iterator[Tuple[str, Dict[str, object]]]:
-        """Every readable failure record on disk as (key, document)."""
-        for path in sorted(self.root.glob("failures/*/*.json")):
-            doc = _read_json(path)
+        """Every readable current-version failure record as (key, doc)."""
+        for path in self.failure_paths():
+            doc = _read_failure(path)
             if doc is not None:
                 yield path.stem, doc
 
@@ -508,46 +500,52 @@ class ResultStore:
     # ------------------------------------------------------------------
     def iter_blobs(self) -> Iterator[Tuple[str, Path]]:
         """Every entry on disk as (key, path), without decoding."""
-        for path in sorted(self.root.glob("*/*.json")):
+        for path in sorted(self.root.glob(_ENTRY_GLOB)):
             yield path.stem, path
 
     def load_doc(self, path) -> Dict[str, object]:
-        """The full JSON document of one entry.
-
-        Raises ``OSError`` on unreadable files and ``ValueError`` on
-        undecodable JSON; never quarantines (reading is not serving).
+        """One entry's document, whatever its version; raises ``Corrupt``
+        (a ``ValueError``) and never quarantines (reading is not serving).
         """
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc, dict):
-            raise ValueError(f"store entry {path} is not a JSON object")
-        return doc
+        return read_json(path, None, kind="store entry")
 
     def quarantined_paths(self) -> List[Path]:
         """Every ``.corrupt``-quarantined entry on disk."""
         return sorted(self.root.glob("*/*.corrupt"))
 
     def orphaned_tmp_paths(self) -> List[Path]:
-        """Leftover ``.tmp.<pid>`` files from writers that died mid-put."""
-        return sorted(self.root.glob("*/*.json.tmp.*")) + sorted(
-            self.root.glob("alone/*/*.json.tmp.*")
+        """Temp files left by writers killed mid-write, at every level."""
+        return sorted(
+            path
+            for pattern in (_ENTRY_GLOB, _ALONE_GLOB, _FAILURE_GLOB)
+            for path in self.root.glob(tmp_glob(pattern))
         )
 
     def stale_paths(self) -> List[Path]:
-        """Entries and alone records whose document version differs from
-        STORE_VERSION.
+        """Entries, alone records and failure records of another version.
 
-        Reads every blob — O(store); meant for ``store gc --stale``, not
-        hot paths. Malformed entries are not reported here (they are
+        Reads every file — O(store); meant for ``store gc --stale``, not
+        hot paths. Corrupt files are not reported here (entries are
         ``gc``'s quarantine listing's business once ``get`` renames them;
-        a malformed alone record is overwritten by its next recompute).
+        a corrupt record is overwritten by its next write).
         """
-        paths = [path for _key, path in self.iter_blobs()] + self.alone_paths()
-        docs = ((path, _read_json(path)) for path in paths)
-        return [
-            path
-            for path, doc in docs
-            if doc is not None and doc.get("version") != STORE_VERSION
+        entries = [path for _key, path in self.iter_blobs()]
+        checks = [
+            (path, STORE_VERSION, "version")
+            for path in entries + self.alone_paths()
+        ] + [
+            (path, RECORD_VERSION, "record_version")
+            for path in self.failure_paths()
         ]
+        stale = []
+        for path, version, field_name in checks:
+            try:
+                read_json(path, version, field_name)
+            except Stale:
+                stale.append(path)
+            except Corrupt:
+                pass
+        return stale
 
     def disk_stats(self) -> Dict[str, object]:
         """Disk-level accounting: entry/alone-record/quarantine/tmp counts
@@ -569,48 +567,34 @@ class ResultStore:
             "index_bytes": _size_of(index_path),
         }
 
-    def purge_quarantined(self) -> Tuple[int, int]:
-        """Delete every quarantined entry; returns (files, bytes freed)."""
-        return _unlink_all(self.quarantined_paths())
-
-    def purge_orphaned_tmp(self) -> Tuple[int, int]:
-        """Delete leftover temp files; returns (files, bytes freed)."""
-        return _unlink_all(self.orphaned_tmp_paths())
-
-    def purge_stale(self) -> Tuple[int, int]:
-        """Delete other-version entries; returns (files, bytes freed)."""
-        return _unlink_all(self.stale_paths())
-
     # ------------------------------------------------------------------
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: Path) -> bool:
+        """Move a corrupt entry aside; False when there was none."""
         try:
             os.replace(path, path.with_name(path.name + ".corrupt"))
+        except FileNotFoundError:
+            return False
         except OSError:  # pragma: no cover - raced or read-only store
             pass
+        return True
 
     def entry_count(self) -> int:
         """Number of valid-looking entries on disk (no decode attempted)."""
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return sum(1 for _ in self.root.glob(_ENTRY_GLOB))
 
 
-def _write_json_atomic(path: Path, doc: Dict[str, object]) -> Path:
-    """Write ``doc`` to a temp file beside ``path`` and rename it into
-    place, so readers see the old file or the new one, never a torn one."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    os.replace(tmp, path)
-    return path
-
-
-def _read_json(path: Path) -> Optional[Dict[str, object]]:
-    """The JSON object at ``path``; None when missing, undecodable (torn,
-    bit-flipped, not UTF-8) or not an object."""
+def _read_or_none(path: Path, *args, **kwargs) -> Optional[Dict[str, object]]:
+    """:func:`read_json`, with None for a stale or corrupt file."""
     try:
-        doc = json.loads(path.read_bytes())
-    except (OSError, ValueError):
+        return read_json(path, *args, **kwargs)
+    except (Stale, Corrupt):
         return None
-    return doc if isinstance(doc, dict) else None
+
+
+def _read_failure(path: Path) -> Optional[Dict[str, object]]:
+    return _read_or_none(
+        path, RECORD_VERSION, "record_version", kind="failure record"
+    )
 
 
 def _total_size(paths: Sequence[Path]) -> int:
@@ -624,7 +608,8 @@ def _size_of(path: Path) -> int:
         return 0
 
 
-def _unlink_all(paths: Sequence[Path]) -> Tuple[int, int]:
+def unlink_all(paths: Sequence[Path]) -> Tuple[int, int]:
+    """Delete ``paths`` (a store listing); returns (files, bytes freed)."""
     count = freed = 0
     for path in paths:
         size = _size_of(path)

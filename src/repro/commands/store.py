@@ -43,8 +43,8 @@ def add_store(sub) -> None:
     gc.add_argument(
         "--stale",
         action="store_true",
-        help="also delete entries and alone records written by another "
-        "STORE_VERSION",
+        help="also delete entries, alone records and failure records "
+        "written under another version",
     )
     gc.add_argument(
         "--dry-run",
@@ -138,7 +138,7 @@ def cmd_ls(args: argparse.Namespace) -> int:
                     spec.get("horizon", "-"),
                 ]
             )
-        except (OSError, ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):  # Corrupt is a ValueError
             rows.append([key[:12] + "…", "?", "<malformed>", "-", "-", "-"])
     print(
         render_table(
@@ -151,31 +151,25 @@ def cmd_ls(args: argparse.Namespace) -> int:
 
 
 def cmd_gc(args: argparse.Namespace) -> int:
+    from ..campaign.store import unlink_all
+
     store = _open(args)
-    removed = []
+    groups = [
+        ("quarantined", store.quarantined_paths()),
+        ("tmp", store.orphaned_tmp_paths()),
+    ]
+    if args.stale:
+        groups.append(("stale", store.stale_paths()))
     if args.dry_run:
-        quarantined = store.quarantined_paths()
-        tmp = store.orphaned_tmp_paths()
-        stale = store.stale_paths() if args.stale else []
-        for label, paths in (
-            ("quarantined", quarantined),
-            ("tmp", tmp),
-            ("stale", stale),
-        ):
+        for label, paths in groups:
             for path in paths:
                 print(f"would delete [{label}] {path}")
-        print(
-            f"dry run: {len(quarantined)} quarantined, {len(tmp)} tmp"
-            + (f", {len(stale)} stale" if args.stale else "")
-            + " file(s) would be deleted"
-        )
+        counts = ", ".join(f"{len(paths)} {label}" for label, paths in groups)
+        print(f"dry run: {counts} file(s) would be deleted")
         return 0
-    count, freed = store.purge_quarantined()
-    removed.append(f"{count} quarantined ({freed} bytes)")
-    count, freed = store.purge_orphaned_tmp()
-    removed.append(f"{count} tmp ({freed} bytes)")
-    if args.stale:
-        count, freed = store.purge_stale()
-        removed.append(f"{count} stale ({freed} bytes)")
+    removed = []
+    for label, paths in groups:
+        count, freed = unlink_all(paths)
+        removed.append(f"{count} {label} ({freed} bytes)")
     print(f"gc {store.root}: removed " + ", ".join(removed))
     return 0

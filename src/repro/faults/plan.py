@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from ..artefact import Corrupt, atomic_write, read_json
 from ..errors import ReproError
 
 #: Everything an injector knows how to do (see ``faults.injectors``).
@@ -122,21 +123,13 @@ class FaultPlan:
         return cls(seed=int(doc.get("seed", 0)), faults=tuple(faults))
 
     def save(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_doc(), indent=1) + "\n")
-        return path
+        with atomic_write(path, "w") as handle:
+            handle.write(json.dumps(self.to_doc(), indent=1) + "\n")
+        return Path(path)
 
     @classmethod
     def load(cls, path) -> "FaultPlan":
         try:
-            doc = json.loads(Path(path).read_text())
-        except OSError as error:
-            raise FaultPlanError(
-                f"cannot read fault plan {path}: {error}"
-            ) from error
-        except ValueError as error:
-            raise FaultPlanError(
-                f"fault plan {path} is not valid JSON: {error}"
-            ) from error
-        return cls.from_doc(doc)
+            return cls.from_doc(read_json(path, None, kind="fault plan"))
+        except Corrupt as error:
+            raise FaultPlanError(str(error)) from None

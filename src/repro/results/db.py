@@ -29,10 +29,11 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
+from ..artefact import Stale, read_json
 from ..campaign.store import STORE_VERSION, ResultStore
 from ..core.integration import get_approach
 from ..errors import ConfigError, ReproError
@@ -112,16 +113,7 @@ class SyncReport:
         return self.added + self.updated + self.removed
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "scanned": self.scanned,
-            "added": self.added,
-            "updated": self.updated,
-            "unchanged": self.unchanged,
-            "removed": self.removed,
-            "stale": self.stale,
-            "malformed": self.malformed,
-            "malformed_paths": list(self.malformed_paths),
-        }
+        return asdict(self)
 
     def render(self) -> str:
         line = (
@@ -339,9 +331,12 @@ class ResultIndex:
         """Bring the index up to date with a blob store directory.
 
         ``store`` is a :class:`~repro.campaign.store.ResultStore` (or any
-        object with ``iter_blobs()`` and ``load_doc()``). Entries already
-        indexed at the blob's current mtime are skipped without reading
-        the JSON, which is what makes a no-change re-sync O(stat). With
+        object with ``iter_blobs()``). Entries already indexed at the
+        blob's current mtime are skipped without reading the JSON, which
+        is what makes a no-change re-sync O(stat). A
+        :class:`~repro.artefact.Stale` entry is indexed anyway (queries
+        filter on version) and counted; a
+        :class:`~repro.artefact.Corrupt` one is counted malformed. With
         ``prune``, rows whose blob disappeared (e.g. a gc) are removed.
         """
         report = SyncReport()
@@ -361,16 +356,19 @@ class ResultIndex:
                 report.unchanged += 1
                 continue
             try:
-                doc = store.load_doc(path)
+                try:
+                    doc = read_json(path, STORE_VERSION, kind="store entry")
+                    stale = False
+                except Stale as error:
+                    doc, stale = error.doc, True
                 row = row_from_doc(doc, mtime=mtime, source="sync")
                 if doc.get("key") != key:
                     raise ValueError("entry key does not match its path")
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):  # Corrupt included
                 report.malformed += 1
                 report.malformed_paths.append(str(path))
                 continue
-            if row["version"] != STORE_VERSION:
-                report.stale += 1
+            report.stale += stale
             self.upsert(row)
             if key in known:
                 report.updated += 1

@@ -11,7 +11,9 @@ The header carries the checkpoint format version, the SHA-256 of the
 payload, and caller metadata (the run key, the cycle). The digest is
 verified before a single payload byte is unpickled, so a torn or
 bit-flipped file surfaces as :class:`CheckpointCorruptError` — never as a
-silently wrong simulation.
+silently wrong simulation. It and :class:`CheckpointError` are the
+:mod:`repro.artefact` pair (``Corrupt``/``Stale``) every persisted file
+reads back as.
 
 The payload is stock pickle. That works because every callback on the
 engine agenda or in a request is a bound method or a ``functools.partial``
@@ -23,13 +25,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import struct
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from ..errors import ReproError
+from ..artefact import Corrupt, Stale, atomic_write, decode_json
 
 #: Bump whenever the serialized layout (header, or the attributes of a
 #: pickled simulator class) changes incompatibly — a safepoint file left
@@ -43,11 +44,12 @@ _MAGIC = b"RDBPCKPT\n"
 _HEADER_LEN = struct.Struct(">I")
 
 
-class CheckpointError(ReproError):
-    """A checkpoint could not be produced or is unusable (e.g. stale)."""
+class CheckpointError(Stale):
+    """A checkpoint could not be produced, or reads but is unusable here
+    (another format version, another run)."""
 
 
-class CheckpointCorruptError(CheckpointError):
+class CheckpointCorruptError(Corrupt):
     """A checkpoint file is damaged: torn write, truncation, bad digest."""
 
 
@@ -92,18 +94,16 @@ def read_checkpoint_header(blob: bytes) -> Dict[str, Any]:
     if len(header_bytes) < header_len:
         raise CheckpointCorruptError("checkpoint truncated inside header")
     try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
-        raise CheckpointCorruptError(
-            f"checkpoint header is not valid JSON: {error}"
-        ) from error
-    if not isinstance(header, dict):
-        raise CheckpointCorruptError("checkpoint header is not an object")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format version {header.get('version')!r} != "
-            f"{CHECKPOINT_VERSION}"
+        header = decode_json(
+            header_bytes, CHECKPOINT_VERSION, kind="checkpoint header"
         )
+    except Corrupt as error:
+        raise CheckpointCorruptError(str(error)) from None
+    except Stale as error:
+        raise CheckpointError(
+            f"checkpoint format version {error.doc.get('version')!r} != "
+            f"{CHECKPOINT_VERSION}"
+        ) from None
     header["_payload_offset"] = offset + header_len
     return header
 
@@ -124,8 +124,6 @@ def load_checkpoint(blob: bytes) -> Tuple[Any, Dict[str, Any]]:
         )
     try:
         root = pickle.loads(payload)
-    except CheckpointError:
-        raise
     except Exception as error:
         raise CheckpointCorruptError(
             f"checkpoint payload does not unpickle: {error}"
@@ -134,18 +132,18 @@ def load_checkpoint(blob: bytes) -> Tuple[Any, Dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------------
-# File helpers (safepoints on disk).
+# Safepoint files.
 # ---------------------------------------------------------------------------
 def write_checkpoint_file(
     path, blob: bytes, fault_key: str = "", fault_attempt: int = 1
 ) -> Path:
-    """Atomically persist a checkpoint blob (tmp file + rename).
+    """Atomically persist a checkpoint blob (see :mod:`repro.artefact`).
 
     The deterministic fault harness can intercept this write (site
     ``checkpoint.write``, addressed by the run's ``fault_key`` on the
     caller's ``fault_attempt``):
 
-    * kind ``torn_checkpoint`` leaves a half-written file at the *final*
+    * kind ``torn_checkpoint`` leaves a half-length file at the final
       path — exactly what a crash between ``write`` and ``fsync`` on a
       non-atomic writer produces — and raises, so resume paths must
       survive it via the digest check;
@@ -153,47 +151,18 @@ def write_checkpoint_file(
       dying right after the flush — so retries must resume from the
       checkpoint just written.
     """
-    from ..faults import check_fault  # local import: faults is optional
+    # Local import: faults is optional.
+    from ..faults import TransientFaultError, check_fault, truncate_file
 
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     spec = check_fault("checkpoint.write", key=fault_key, attempt=fault_attempt)
+    with atomic_write(path) as handle:
+        handle.write(blob)
     if spec is not None and spec.kind == "torn_checkpoint":
-        from ..faults import TransientFaultError
-
-        path.write_bytes(blob[: max(len(_MAGIC) + 2, len(blob) // 2)])
-        raise TransientFaultError(
-            f"injected torn checkpoint write at {path}"
-        )
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+        truncate_file(path)
+        raise TransientFaultError(f"injected torn checkpoint write at {path}")
     if spec is not None and spec.kind == "transient":
-        from ..faults import TransientFaultError
-
         raise TransientFaultError(
             f"injected worker death right after checkpoint flush to {path}"
         )
     return path
-
-
-def read_checkpoint_file(path) -> Tuple[Any, Dict[str, Any]]:
-    """Load a checkpoint file; OSError maps to :class:`CheckpointError`."""
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as error:
-        raise CheckpointError(
-            f"cannot read checkpoint {path}: {error}"
-        ) from error
-    return load_checkpoint(blob)
-
-
-def read_checkpoint_file_header(path) -> Dict[str, Any]:
-    """Header of a checkpoint file without deserializing the payload."""
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as error:
-        raise CheckpointError(
-            f"cannot read checkpoint {path}: {error}"
-        ) from error
-    return read_checkpoint_header(blob)

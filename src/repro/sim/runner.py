@@ -399,17 +399,16 @@ class Runner:
         (foreign format version, different run) never aborts the run:
         it is discarded with a warning and the run starts from scratch.
         """
+        from ..artefact import Corrupt, Stale
         from .checkpoint import (
             CheckpointError,
             load_checkpoint,
             read_checkpoint_header,
         )
 
-        if not path.is_file():
-            return None
         try:
             blob = path.read_bytes()
-        except OSError:
+        except OSError:  # no safepoint: start from scratch
             return None
         try:
             header = read_checkpoint_header(blob)
@@ -418,7 +417,7 @@ class Runner:
             system, _header = load_checkpoint(blob)
             if not isinstance(system, System):
                 raise CheckpointError("checkpoint does not hold a System")
-        except CheckpointError as error:
+        except (Stale, Corrupt) as error:
             warnings.warn(
                 f"discarding unusable checkpoint {path.name}: {error}; "
                 f"restarting from scratch",

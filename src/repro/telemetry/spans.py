@@ -36,6 +36,8 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..artefact import Corrupt, atomic_write, read_json
+
 __all__ = [
     "SpanTracer",
     "current_tracer",
@@ -207,18 +209,17 @@ def uninstall_tracer() -> None:
 
 
 def write_trace_file(path: str, document: Dict[str, Any]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
+    with atomic_write(path, "w") as handle:
         json.dump(document, handle)
         handle.write("\n")
-    os.replace(tmp, path)
 
 
 def load_trace_file(path: str) -> Dict[str, Any]:
-    with open(path) as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict) or "traceEvents" not in document:
-        raise ValueError(f"{path}: not a Chrome trace event document")
+    """A span file's document; ``ValueError`` (:class:`Corrupt`) when it is
+    missing, damaged or not a Chrome trace event document."""
+    document = read_json(path, None, kind="span file")
+    if "traceEvents" not in document:
+        raise Corrupt(f"{path}: not a Chrome trace event document")
     return document
 
 

@@ -32,6 +32,7 @@ import zlib
 from array import array
 from typing import BinaryIO, Dict, Optional, Tuple
 
+from ..artefact import Corrupt, atomic_write, decode_json
 from ..cpu.trace import Trace
 from ..errors import TraceError
 
@@ -54,7 +55,7 @@ _MAX_BLOCK_BYTES = 256 * 1024 * 1024
 def save_rtrc(
     trace: Trace, path: str, provenance: Optional[Dict[str, object]] = None
 ) -> str:
-    """Write ``trace`` to ``path`` in .rtrc form; returns its digest."""
+    """Atomically write ``trace`` to ``path`` as .rtrc; returns its digest."""
     header = {
         "name": trace.name,
         "records": len(trace),
@@ -63,7 +64,7 @@ def save_rtrc(
         "provenance": dict(provenance or {}),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
+    with atomic_write(path) as handle:
         handle.write(
             _PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header_bytes))
         )
@@ -102,14 +103,10 @@ def _parse_header(handle: BinaryIO, path: str) -> Dict[str, object]:
         raise TraceError(f"{path}: corrupt header length {hlen}")
     header_bytes = _read_exact(handle, hlen, path, "header")
     try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
-        raise TraceError(f"{path}: corrupt header JSON ({error})") from None
-    for field, kind in (
-        ("name", str),
-        ("records", int),
-        ("digest", str),
-    ):
+        header = decode_json(header_bytes, None, kind="header JSON")
+    except Corrupt as error:
+        raise TraceError(f"{path}: {error}") from None
+    for field, kind in (("name", str), ("records", int), ("digest", str)):
         if not isinstance(header.get(field), kind):
             raise TraceError(
                 f"{path}: header missing or mistyped field {field!r}"

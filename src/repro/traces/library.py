@@ -28,11 +28,10 @@ what the campaign store folds into ``run_key`` for non-synthetic apps.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..artefact import Corrupt, Stale, read_json, write_json
 from ..cpu.trace import Trace, save_trace
 from ..errors import ConfigError, TraceError
 from .characterize import TraceCharacterization, characterize_trace
@@ -65,33 +64,24 @@ class TraceLibrary:
         return self._manifest
 
     def _load_manifest(self) -> Dict[str, Dict[str, object]]:
+        """The catalogue; empty when there is no manifest yet. A stale or
+        corrupt one is a ``ConfigError`` that says which."""
         path = self.manifest_path
         try:
-            text = path.read_text()
-        except OSError:
-            return {}
-        try:
-            doc = json.loads(text)
-            if not isinstance(doc, dict) or not isinstance(
-                doc.get("traces"), dict
-            ):
-                raise ValueError("manifest is not an object with 'traces'")
-            if doc.get("version") != MANIFEST_VERSION:
-                raise ValueError(
-                    f"unsupported manifest version {doc.get('version')!r}"
-                )
-        except ValueError as error:
-            raise ConfigError(f"{path}: corrupt library manifest ({error})")
+            doc = read_json(path, MANIFEST_VERSION, kind="library manifest")
+        except (Stale, Corrupt) as error:
+            if not path.exists():
+                return {}
+            raise ConfigError(str(error)) from None
+        if not isinstance(doc.get("traces"), dict):
+            raise ConfigError(
+                f"corrupt library manifest {path}: no 'traces' object"
+            )
         return dict(doc["traces"])
 
     def _write_manifest(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
         doc = {"version": MANIFEST_VERSION, "traces": self.entries()}
-        tmp = self.manifest_path.with_name(
-            f"{MANIFEST_NAME}.tmp.{os.getpid()}"
-        )
-        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, self.manifest_path)
+        write_json(self.manifest_path, doc)
 
     # ------------------------------------------------------------------
     # Lookup.

@@ -38,8 +38,6 @@ from repro.sim.checkpoint import (
     CheckpointError,
     dump_checkpoint,
     load_checkpoint,
-    read_checkpoint_file,
-    read_checkpoint_file_header,
     read_checkpoint_header,
     write_checkpoint_file,
 )
@@ -152,14 +150,12 @@ class TestCheckpointFiles:
         path = tmp_path / "run.ckpt"
         blob = dump_checkpoint({"x": 1}, meta={"run_key": "k"})
         write_checkpoint_file(path, blob)
-        loaded, header = read_checkpoint_file(path)
+        loaded, header = load_checkpoint(path.read_bytes())
         assert loaded == {"x": 1}
-        assert read_checkpoint_file_header(path)["meta"] == header["meta"]
+        assert read_checkpoint_header(path.read_bytes())["meta"] == (
+            header["meta"]
+        )
         assert not list(tmp_path.glob("*.tmp.*"))
-
-    def test_missing_file_is_checkpoint_error(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            read_checkpoint_file(tmp_path / "absent.ckpt")
 
     def test_torn_write_leaves_detectably_corrupt_file(
         self, tmp_path, clean_faults
@@ -179,7 +175,7 @@ class TestCheckpointFiles:
         assert path.is_file()
         assert path.stat().st_size < len(blob)
         with pytest.raises(CheckpointCorruptError):
-            read_checkpoint_file(path)
+            load_checkpoint(path.read_bytes())
 
     def test_death_after_flush_leaves_valid_checkpoint(
         self, tmp_path, clean_faults
@@ -194,7 +190,7 @@ class TestCheckpointFiles:
         blob = dump_checkpoint({"x": 1})
         with pytest.raises(TransientFaultError):
             write_checkpoint_file(path, blob, fault_key="run")
-        loaded, _header = read_checkpoint_file(path)
+        loaded, _header = load_checkpoint(path.read_bytes())
         assert loaded == {"x": 1}
 
     def test_write_faults_converge_on_later_attempts(
@@ -216,7 +212,7 @@ class TestCheckpointFiles:
         blob = dump_checkpoint({"x": 1})
         # Attempt 2 is past times=1: the write must succeed untouched.
         write_checkpoint_file(path, blob, fault_key="run", fault_attempt=2)
-        loaded, _header = read_checkpoint_file(path)
+        loaded, _header = load_checkpoint(path.read_bytes())
         assert loaded == {"x": 1}
 
 
@@ -302,7 +298,7 @@ class TestStaleSafepoint:
             Runner(**scope, **safepoints).run_apps(apps, approach)
         faults_reset()
         (ckpt,) = tmp_path.glob("*.ckpt")
-        assert read_checkpoint_file_header(ckpt)["meta"]["cycle"] == 10_000
+        assert read_checkpoint_header(ckpt.read_bytes())["meta"]["cycle"] == 10_000
         # ...by code that still wrote an older format version.
         ckpt.write_bytes(_rewrite_header(ckpt.read_bytes(), version=version))
 
@@ -428,7 +424,7 @@ def test_checkpoint_resumes_across_processes_and_hash_seeds(
     # the pickled state must not depend on either.
     blob = tmp_path / "safepoint.ckpt"
     _python(_WRITE_FIRST_SAFEPOINT, 1, name, str(blob))
-    assert read_checkpoint_file_header(blob)["meta"]["cycle"] == HORIZON // 3
+    assert read_checkpoint_header(blob.read_bytes())["meta"]["cycle"] == HORIZON // 3
     resumed = json.loads(_python(_RESUME_AND_REPORT, 987, str(blob)))
     if resumed != golden["runs"][name]:
         diffs = _diff_paths(golden["runs"][name], resumed, prefix=name)
