@@ -172,7 +172,12 @@ class ControllerConfig:
     )
 
     def __post_init__(self) -> None:
+        # Local import: readers import `repro.config` without ever
+        # building a config, and the registry loads every scheduler.
+        from .memctrl.schedulers import check_scheduler_params
+
         _check_ints(self)
+        check_scheduler_params(self.scheduler, self.scheduler_params)
         if self.page_policy not in ("open", "closed"):
             raise ConfigError("page_policy must be 'open' or 'closed'")
         if not (

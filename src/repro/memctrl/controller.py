@@ -306,6 +306,23 @@ class ChannelController:
     # ------------------------------------------------------------------
     # External surface.
     # ------------------------------------------------------------------
+    def release(self) -> None:
+        """Drop the run-time wiring once the run is over.
+
+        The listeners, the self-bound decision callback, the memos (which
+        may still hold served requests) and the completions of requests
+        left queued at the horizon all lead back into the System; stats,
+        queues and kernel counters stay readable.
+        """
+        self._listeners = []
+        self._decision_cb = None
+        self._best_read = [None] * len(self._best_read)
+        self._best_write = [None] * len(self._best_write)
+        self._wake_memo = None
+        for bucket in self._read_by_bank + self._write_by_bank:
+            for request in bucket:
+                request.on_complete = None
+
     def add_listener(self, listener: object) -> None:
         """Register a profiling listener (on_arrival / on_cas hooks)."""
         self._listeners.append(listener)

@@ -5,6 +5,9 @@ can select them with a string. All five policies the paper's evaluation
 context uses are provided.
 """
 
+from functools import lru_cache
+from typing import Dict, get_type_hints
+
 from ...errors import ConfigError
 from .base import Scheduler, ProfileSnapshot, ThreadProfile
 from .fcfs import FCFSScheduler
@@ -24,16 +27,54 @@ _REGISTRY = {
 }
 
 
-def make_scheduler(name: str, num_threads: int, **params: object) -> Scheduler:
-    """Instantiate a scheduler by registry name."""
+def _scheduler_class(name: str) -> type:
     try:
-        cls = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ConfigError(
             f"unknown scheduler {name!r}; known: {known}"
         ) from None
-    return cls(num_threads=num_threads, **params)
+
+
+def make_scheduler(name: str, num_threads: int, **params: object) -> Scheduler:
+    """Instantiate a scheduler by registry name."""
+    return _scheduler_class(name)(num_threads=num_threads, **params)
+
+
+#: Constructor annotation -> the value types it admits (bool is not an int).
+_ADMITS = {int: (int,), float: (float, int)}
+
+
+@lru_cache(maxsize=None)
+def _admitted_types(cls: type) -> Dict[str, tuple]:
+    hints = get_type_hints(cls.__init__)
+    return {
+        name: _ADMITS[hint] for name, hint in hints.items() if hint in _ADMITS
+    }
+
+
+def check_scheduler_params(name: str, params: Dict[str, object]) -> None:
+    """Validate a scheduler name and its parameters without keeping anything.
+
+    Raises :class:`ConfigError` for an unknown name or keyword, a value
+    whose type its constructor annotation does not admit, or one the
+    constructor's own domain checks reject — so a bad ``ControllerConfig``
+    fails when it is built, not when a System is.
+    """
+    cls = _scheduler_class(name)
+    admitted = _admitted_types(cls)
+    for key, value in params.items():
+        admits = admitted.get(key)
+        if admits is not None and type(value) not in admits:
+            raise ConfigError(
+                f"scheduler {name!r}: {key} must be "
+                f"{admits[0].__name__}, got {value!r}"
+            )
+    try:
+        cls(num_threads=1, **params)
+    except TypeError as error:
+        raise ConfigError(f"scheduler {name!r}: {error}") from None
 
 
 def scheduler_names() -> list:
@@ -46,6 +87,7 @@ __all__ = [
     "ProfileSnapshot",
     "ThreadProfile",
     "make_scheduler",
+    "check_scheduler_params",
     "scheduler_names",
     "FCFSScheduler",
     "FRFCFSScheduler",

@@ -49,6 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 _MIGRATION_SPACING = 16
 
 
+def _retired_insts(cores: List[Core], thread_id: int) -> int:
+    # The profiler's view of retirement: it holds the core list, not the
+    # System, so a finished System has no cycle through its profiler.
+    return cores[thread_id].retired_insts_processed
+
+
 class System:
     """One fully-wired simulation instance (single use)."""
 
@@ -166,7 +172,7 @@ class System:
         self.profiler = ThreadProfiler(
             num_threads=config.num_cores,
             burst_cycles=timings.tBURST,
-            retired_insts_of=self._retired_insts_of,
+            retired_insts_of=partial(_retired_insts, self.cores),
         )
         for controller in self.controllers:
             controller.add_listener(self.profiler)
@@ -201,9 +207,6 @@ class System:
             telemetry.attach(self.controllers, self.policy, self.scheduler)
         self._ran = False
         self._finished = False
-
-    def _retired_insts_of(self, thread_id: int) -> int:
-        return self.cores[thread_id].retired_insts_processed
 
     # ------------------------------------------------------------------
     # Epoch plumbing. The profiler is snapshot once per boundary *cycle*
@@ -408,6 +411,11 @@ class System:
     ) -> SystemResult:
         """Execute the simulation to the horizon; single use.
 
+        On return the System has released its run-time wiring (see
+        :meth:`_release`): the result, stats, caches, page tables, the
+        profiler, :meth:`metrics_registry` and :meth:`profile_report` stay
+        readable, and dropping the System frees it by reference counting.
+
         With ``safepoint_every`` the engine is driven in bounded steps of
         that many cycles and ``on_safepoint(system, cycle)`` runs between
         steps — the window where :meth:`checkpoint` is legal. The stepped
@@ -490,12 +498,36 @@ class System:
                 gc.enable()
 
     def _finish(self) -> SystemResult:
+        """Close the run (telemetry, validation, the result), then
+        :meth:`_release` the wiring; nothing simulated runs after this."""
         self._finished = True
         if self.telemetry is not None:
             self.telemetry.close()
         if self.validate:
             self._validate_command_streams()
-        return self._collect()
+        result = self._collect()
+        self._release()
+        return result
+
+    def _release(self) -> None:
+        """Drop the wiring only a running simulation needs.
+
+        A running System is a web of reference cycles (cores and the
+        policy context call back into it, controllers and the scheduler
+        name each other, the agenda holds bound methods). Cutting them
+        here lets reference counting free a finished System as soon as
+        its caller drops it, instead of leaving it to a cyclic collection
+        that a run-heavy process may not reach for many runs. Everything
+        post-run readers use — stats, caches, page tables, the profiler,
+        ``metrics_registry()`` and ``profile_report()`` — stays.
+        """
+        self.engine._agenda.clear()
+        for core in self.cores:
+            core.port = None
+        for controller in self.controllers:
+            controller.release()
+        self.scheduler._controllers = []
+        self.context.inject_copy_traffic = None
 
     # ------------------------------------------------------------------
     # Checkpoint / restore.

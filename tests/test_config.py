@@ -120,6 +120,47 @@ class TestControllerConfig:
             ControllerConfig(read_queue_depth=0)
 
 
+class TestSchedulerParams:
+    """The scheduler and its parameters are checked when the config is
+    built, not first when a System builds the scheduler."""
+
+    def test_unknown_scheduler_rejected(self):
+        with pytest.raises(ConfigError, match="unknown scheduler 'nosuch'"):
+            ControllerConfig(scheduler="nosuch")
+
+    def test_tcm_zero_quantum_rejected(self):
+        with pytest.raises(ConfigError, match="quantum_cycles"):
+            ControllerConfig(
+                scheduler="tcm", scheduler_params={"quantum_cycles": 0}
+            )
+
+    def test_bliss_negative_threshold_rejected(self):
+        with pytest.raises(ConfigError, match="blacklist_threshold"):
+            ControllerConfig(
+                scheduler="bliss", scheduler_params={"blacklist_threshold": -3}
+            )
+
+    def test_unknown_keyword_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            ControllerConfig(scheduler="tcm", scheduler_params={"bogus": 1})
+
+    def test_float_for_an_int_parameter_rejected(self):
+        with pytest.raises(ConfigError, match="shuffle_interval must be int"):
+            ControllerConfig(
+                scheduler="tcm", scheduler_params={"shuffle_interval": 2.5}
+            )
+
+    def test_with_scheduler_checks_too(self):
+        with pytest.raises(ConfigError, match="marking_cap"):
+            SystemConfig().with_scheduler("parbs", marking_cap=0)
+
+    def test_valid_params_accepted(self):
+        config = ControllerConfig(
+            scheduler="atlas", scheduler_params={"alpha": 0, "quantum_cycles": 9}
+        )
+        assert config.scheduler_params == {"alpha": 0, "quantum_cycles": 9}
+
+
 class TestOSConfig:
     def test_defaults_valid(self):
         OSConfig()

@@ -159,7 +159,7 @@ def test_counters_survive_checkpoint_round_trip():
 #: successor of the old fast/reference wall-clock ratio gate. Columns:
 #: decisions, scans, scanned requests, wake-memo hits, wake-memo misses,
 #: invalidations (all causes), DRAM commands. A change that moves these on
-#: purpose (fewer wakeups per command is the point of ROADMAP item 2(c))
+#: purpose (fewer wakeups per command is the point of ROADMAP item 2)
 #: pastes the fresh table from the failure message, so ``git log`` on this
 #: dict is the trajectory.
 _PINNED = {
