@@ -1,13 +1,13 @@
 """F10 (extension): open-page vs closed-page row management."""
 
-from repro.experiments import f10_page_policy
+from repro.experiments import run_experiment
 
 from conftest import BENCH_FAST_MIXES, run_once, show
 
 
 def bench_f10_page_policy(runner, benchmark):
     result = run_once(
-        benchmark, lambda: f10_page_policy(runner, mixes=BENCH_FAST_MIXES)
+        benchmark, lambda: run_experiment("F10", runner, mixes=BENCH_FAST_MIXES)
     )
     show(result)
     assert result.column("page policy") == ["open", "closed"]

@@ -1,6 +1,6 @@
 """F13 (robustness): claim C1 across workload-generation seeds."""
 
-from repro.experiments import f13_seed_robustness
+from repro.experiments import run_experiment
 
 from conftest import BENCH_FAST_MIXES, QUICK, run_once, shape_checks_enabled, show
 
@@ -10,7 +10,7 @@ SEEDS = (1, 2) if QUICK else (1, 2, 3)
 def bench_f13_seed_robustness(runner, benchmark):
     result = run_once(
         benchmark,
-        lambda: f13_seed_robustness(runner, mixes=BENCH_FAST_MIXES, seeds=SEEDS),
+        lambda: run_experiment("F13", runner, mixes=BENCH_FAST_MIXES, seeds=SEEDS),
     )
     show(result)
     assert len(result.rows) == len(SEEDS)

@@ -5,13 +5,13 @@ when confined to few banks than streaming applications (libquantum) — the
 bank-level-parallelism loss equal partitioning inflicts.
 """
 
-from repro.experiments import f1_bank_sensitivity
+from repro.experiments import run_experiment
 
 from conftest import run_once, shape_checks_enabled, show
 
 
 def bench_f1_bank_sensitivity(runner, benchmark):
-    result = run_once(benchmark, lambda: f1_bank_sensitivity(runner))
+    result = run_once(benchmark, lambda: run_experiment("F1", runner))
     show(result)
     rows = {row[0]: row for row in result.rows}
     for row in result.rows:

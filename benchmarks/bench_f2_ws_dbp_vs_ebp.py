@@ -4,14 +4,14 @@ Paper: DBP improves system throughput over equal bank partitioning by
 ~4.3%. Reproduced shape: DBP's gmean WS exceeds EBP's.
 """
 
-from repro.experiments import f2_ws_dbp_vs_ebp
+from repro.experiments import run_experiment
 
 from conftest import BENCH_MIXES, run_once, shape_checks_enabled, show
 
 
 def bench_f2_weighted_speedup(runner, benchmark):
     result = run_once(
-        benchmark, lambda: f2_ws_dbp_vs_ebp(runner, mixes=BENCH_MIXES)
+        benchmark, lambda: run_experiment("F2", runner, mixes=BENCH_MIXES)
     )
     show(result)
     assert result.rows[-1][0] == "gmean"

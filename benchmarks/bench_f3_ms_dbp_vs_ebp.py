@@ -5,14 +5,14 @@ Paper: DBP improves fairness over equal bank partitioning by ~16%
 EBP's. Runs are shared with F2 through the session runner's result cache.
 """
 
-from repro.experiments import f3_ms_dbp_vs_ebp
+from repro.experiments import run_experiment
 
 from conftest import BENCH_MIXES, run_once, shape_checks_enabled, show
 
 
 def bench_f3_maximum_slowdown(runner, benchmark):
     result = run_once(
-        benchmark, lambda: f3_ms_dbp_vs_ebp(runner, mixes=BENCH_MIXES)
+        benchmark, lambda: run_experiment("F3", runner, mixes=BENCH_MIXES)
     )
     show(result)
     if not shape_checks_enabled():

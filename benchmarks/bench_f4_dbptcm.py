@@ -6,13 +6,16 @@ beats MCP clearly on both metrics, beats TCM on fairness, and the MCP
 fairness gap is the largest gap in the figure.
 """
 
-from repro.experiments import f4_dbp_tcm
+from repro.experiments import run_experiment
 
 from conftest import BENCH_MIXES, run_once, shape_checks_enabled, show
 
 
 def bench_f4_dbp_tcm(runner, benchmark):
-    result = run_once(benchmark, lambda: f4_dbp_tcm(runner, mixes=BENCH_MIXES))
+    result = run_once(
+        benchmark,
+        lambda: run_experiment("F4", runner, mixes=BENCH_MIXES),
+    )
     show(result)
     if not shape_checks_enabled():
         return

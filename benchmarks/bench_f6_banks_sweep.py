@@ -5,14 +5,14 @@ shrinks as banks become plentiful — with many banks per thread, equal
 partitioning no longer starves anyone of bank-level parallelism.
 """
 
-from repro.experiments import f6_banks_sweep
+from repro.experiments import run_experiment
 
 from conftest import BENCH_FAST_MIXES, run_once, shape_checks_enabled, show
 
 
 def bench_f6_banks_sweep(runner, benchmark):
     result = run_once(
-        benchmark, lambda: f6_banks_sweep(runner, mixes=BENCH_FAST_MIXES)
+        benchmark, lambda: run_experiment("F6", runner, mixes=BENCH_FAST_MIXES)
     )
     show(result)
     assert result.column("colors") == ["8", "16", "32"]

@@ -1,12 +1,12 @@
 """F7 (sensitivity): core count (2 / 4 / 8) with the matching mixes."""
 
-from repro.experiments import f7_cores_sweep
+from repro.experiments import run_experiment
 
 from conftest import run_once, shape_checks_enabled, show
 
 
 def bench_f7_cores_sweep(runner, benchmark):
-    result = run_once(benchmark, lambda: f7_cores_sweep(runner))
+    result = run_once(benchmark, lambda: run_experiment("F7", runner))
     show(result)
     assert result.column("cores") == ["2", "4", "8"]
     ws = result.column("dbp ws")

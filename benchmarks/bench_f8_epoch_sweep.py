@@ -5,14 +5,14 @@ setting should collapse, and extremely short epochs pay a visible
 migration-churn cost relative to the best setting.
 """
 
-from repro.experiments import f8_epoch_sweep
+from repro.experiments import run_experiment
 
 from conftest import BENCH_FAST_MIXES, run_once, show
 
 
 def bench_f8_epoch_sweep(runner, benchmark):
     result = run_once(
-        benchmark, lambda: f8_epoch_sweep(runner, mixes=BENCH_FAST_MIXES)
+        benchmark, lambda: run_experiment("F8", runner, mixes=BENCH_FAST_MIXES)
     )
     show(result)
     ws = result.column("ws")

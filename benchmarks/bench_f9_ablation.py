@@ -5,14 +5,14 @@ the MPKI-proportional strawman (which over-serves streaming threads) does
 not beat the BLP-based estimators on fairness.
 """
 
-from repro.experiments import f9_ablation
+from repro.experiments import run_experiment
 
 from conftest import BENCH_FAST_MIXES, run_once, shape_checks_enabled, show
 
 
 def bench_f9_ablation(runner, benchmark):
     result = run_once(
-        benchmark, lambda: f9_ablation(runner, mixes=BENCH_FAST_MIXES)
+        benchmark, lambda: run_experiment("F9", runner, mixes=BENCH_FAST_MIXES)
     )
     show(result)
     rows = {row[0]: row for row in result.rows}

@@ -1,6 +1,6 @@
 """T2: measured alone-run benchmark characteristics."""
 
-from repro.experiments import t2_characteristics
+from repro.experiments import run_experiment
 
 from conftest import QUICK, run_once, shape_checks_enabled, show
 
@@ -12,7 +12,7 @@ APPS = (
 
 
 def bench_t2_characteristics(runner, benchmark):
-    result = run_once(benchmark, lambda: t2_characteristics(runner, apps=APPS))
+    result = run_once(benchmark, lambda: run_experiment("T2", runner, apps=APPS))
     show(result)
     rows = {row[0]: row for row in result.rows}
     if not shape_checks_enabled():

@@ -1,13 +1,13 @@
 """T3: workload mix table."""
 
-from repro.experiments import t3_mixes
+from repro.experiments import run_experiment
 from repro.workloads.mixes import MAIN_MIXES
 
 from conftest import run_once, show
 
 
 def bench_t3_mixes(runner, benchmark):
-    result = run_once(benchmark, t3_mixes)
+    result = run_once(benchmark, lambda: run_experiment("T3", runner))
     show(result)
     names = result.column("mix")
     assert all(m in names for m in MAIN_MIXES)

@@ -2,11 +2,11 @@
 
 * :func:`run_campaign` — plan-and-execute for CLI/script use, with the
   persistent store on by default.
-* :func:`sweep_metrics` — the drop-in engine behind
-  ``repro.experiments.catalog._metric_sweep``: executes a (mix x approach)
-  grid through a Runner's scope, fanning out over ``runner.jobs`` worker
-  processes and adopting every result into the Runner's in-memory cache so
-  later figures that share runs (e.g. F3 after F2) stay free.
+* :func:`sweep_metrics` — the engine behind every grid entry of the
+  experiment catalog: executes a (mix x approach) grid through a Runner's
+  scope, fanning out over ``runner.jobs`` worker processes and adopting
+  every result into the Runner's in-memory cache so later figures that
+  share runs (e.g. F3 after F2) stay free.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ def sweep_metrics(
 ) -> Dict[str, Dict[str, List[float]]]:
     """Run mixes x approaches through ``runner``; per-approach WS/MS/HS lists.
 
-    Exactly the contract of the old serial ``_metric_sweep``: when
-    ``runner.jobs <= 1`` it *is* the serial path (same Runner, same order),
-    so metrics are bit-identical; with more jobs the missing cells fan out
-    through the campaign executor and the Runner adopts the results.
+    When ``runner.jobs <= 1`` it *is* the serial path (same Runner, same
+    order), so metrics are bit-identical; with more jobs the missing cells
+    fan out through the campaign executor and the Runner adopts the
+    results.
     """
     out: Dict[str, Dict[str, List[float]]] = {
         approach: {"ws": [], "ms": [], "hs": []} for approach in approaches

@@ -35,7 +35,7 @@ def add_config(sub) -> None:
 
 def add_run(sub) -> None:
     parser = sub.add_parser("run", help="run one experiment by id")
-    parser.set_defaults(handler=cmd_run)
+    parser.set_defaults(handler=cmd_run, usage_error=parser.error)
     parser.add_argument("experiment", help="experiment id, e.g. F2")
     parser.add_argument(
         "--mixes",
@@ -85,8 +85,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
     print("experiments:")
     for exp_id in sorted(EXPERIMENTS):
-        doc = (EXPERIMENTS[exp_id].__doc__ or "").strip().splitlines()[0]
-        print(f"  {exp_id:<3} {doc}")
+        print(f"  {exp_id:<3} {EXPERIMENTS[exp_id].doc}")
     print("\napproaches:")
     for name in sorted(APPROACHES):
         print(f"  {name:<14} {APPROACHES[name].description}")
@@ -128,8 +127,14 @@ def cmd_config(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from ..experiments.catalog import run_experiment
+    from ..experiments.catalog import EXPERIMENTS, run_experiment
 
+    kwargs = {}
+    if args.mixes:
+        experiment = EXPERIMENTS.get(args.experiment.upper())
+        if experiment is not None and experiment.mixes is None:
+            args.usage_error(f"experiment {experiment.exp_id} takes no --mixes")
+        kwargs["mixes"] = args.mixes
     store = None
     if args.store is not None:
         from ..campaign.store import ResultStore, default_store_dir
@@ -139,12 +144,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     runner = make_runner(args, store=store, jobs=args.jobs)
     started = time.time()
-    kwargs = {}
-    exp = args.experiment.upper()
-    if args.mixes and exp in (
-        "F2", "F3", "F4", "F5", "F6", "F8", "F9", "F10", "F11", "F12", "F13",
-    ):
-        kwargs["mixes"] = args.mixes
     result = run_experiment(args.experiment, runner, **kwargs)
     if args.format == "csv":
         print(result.to_csv(), end="")

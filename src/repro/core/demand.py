@@ -33,8 +33,10 @@ class DemandConfig:
     ``mode`` selects the estimator variant:
 
     * ``"full"``  — BLP-proportional with the high-RBH deduction (DBP).
-    * ``"blp"``   — BLP-proportional only (no RBH correction).
     * ``"mpki"``  — MPKI-proportional (a strawman the ablation disproves).
+
+    BLP-proportional without the RBH correction is ``"full"`` with
+    ``high_rbh_threshold=1.0``: a row-buffer hit rate never exceeds 1.
     """
 
     low_mpki_threshold: float = 1.0
@@ -52,8 +54,8 @@ class DemandConfig:
             raise ConfigError("high_rbh_threshold must be in (0, 1]")
         if self.max_banks_per_thread < 1:
             raise ConfigError("max_banks_per_thread must be >= 1")
-        if self.mode not in ("full", "blp", "mpki"):
-            raise ConfigError("mode must be 'full', 'blp', or 'mpki'")
+        if self.mode not in ("full", "mpki"):
+            raise ConfigError("mode must be 'full' or 'mpki'")
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class BankDemandEstimator:
             raw = ceil_div(int(profile.mpki), 10) + 1
         else:
             raw = max(1, int(profile.blp * config.blp_scale + 0.999))
-            if config.mode == "full" and profile.rbh > config.high_rbh_threshold:
+            if profile.rbh > config.high_rbh_threshold:
                 # Streaming: rows stay open, so the headroom factor is
                 # wasted — but measured BLP itself is a real floor (the
                 # thread does keep that many banks busy).

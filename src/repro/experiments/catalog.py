@@ -1,18 +1,23 @@
-"""The reconstructed evaluation: one function per table/figure.
+"""The reconstructed evaluation as one table: an entry per table/figure.
 
-Scope arguments (``mixes``, ``horizon`` via the Runner) let the benches and
-the CLI trade coverage for time without changing what each experiment
-means. See DESIGN.md's per-experiment index for the mapping to the paper's
-claims.
+Most figures are grids — rows of (config variant, seed, mixes, approaches)
+cells reduced to gmeans over mixes — and are data in :data:`EXPERIMENTS`,
+run by one function through the campaign sweep path. The few experiments
+that are not grids (T1–T3, F1, F9) are small functions named by their
+entry. Scope arguments (``mixes``, ``horizon`` via the Runner) let the
+benches and the CLI trade coverage for time without changing what each
+experiment means. See DESIGN.md's per-experiment index for the mapping to
+the paper's claims.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..baselines.fixed import FixedAllocationPolicy
-from ..config import PrefetcherConfig, SystemConfig
+from ..campaign.store import scope_of
+from ..config import PrefetcherConfig
 from ..core.dbp import DBPConfig, DynamicBankPartitioning
 from ..core.demand import DemandConfig
 from ..errors import ExperimentError
@@ -31,59 +36,15 @@ FAST_MIXES: List[str] = ["M1", "M4", "M6", "M7", "M10"]
 F1_APPS: List[str] = ["mcf", "lbm", "libquantum", "milc"]
 
 
-def _default_runner(runner: Optional[Runner]) -> Runner:
-    return runner if runner is not None else Runner()
-
-
 def _gmean_or_nan(values: Sequence[float]) -> float:
     return geometric_mean(values) if values else float("nan")
 
 
-def _metric_sweep(
-    runner: Runner, mixes: Sequence[str], approaches: Sequence[str]
-) -> Dict[str, Dict[str, object]]:
-    """Run mixes x approaches; returns per-approach WS/MS lists.
-
-    Delegates to the campaign subsystem: with ``runner.jobs > 1`` the grid
-    fans out over worker processes, and with a ``runner.store`` attached
-    results persist across invocations. At ``jobs=1`` with no store this
-    is exactly the historical serial loop.
-    """
-    from ..campaign.api import sweep_metrics
-
-    return sweep_metrics(runner, mixes, approaches)
-
-
-def _sweep_result(
-    exp_id: str,
-    title: str,
-    metric: str,
-    runner: Runner,
-    mixes: Sequence[str],
-    approaches: Sequence[str],
-) -> ExperimentResult:
-    data = _metric_sweep(runner, mixes, approaches)
-    result = ExperimentResult(
-        exp_id=exp_id,
-        title=title,
-        columns=["mix"] + list(approaches),
-    )
-    for index, mix_name in enumerate(mixes):
-        result.rows.append(
-            [mix_name] + [data[a][metric][index] for a in approaches]
-        )
-    result.rows.append(
-        ["gmean"] + [_gmean_or_nan(data[a][metric]) for a in approaches]
-    )
-    return result
-
-
 # ---------------------------------------------------------------------------
-# Tables.
+# Experiments that are not grids: the tables, F1 and F9.
 # ---------------------------------------------------------------------------
-def t1_configuration(runner: Optional[Runner] = None) -> ExperimentResult:
+def t1_configuration(runner: Runner) -> ExperimentResult:
     """T1: the simulated system configuration."""
-    runner = _default_runner(runner)
     result = ExperimentResult(
         exp_id="T1",
         title="System configuration",
@@ -96,10 +57,9 @@ def t1_configuration(runner: Optional[Runner] = None) -> ExperimentResult:
 
 
 def t2_characteristics(
-    runner: Optional[Runner] = None, apps: Optional[Sequence[str]] = None
+    runner: Runner, apps: Optional[Sequence[str]] = None
 ) -> ExperimentResult:
     """T2: measured alone-run characteristics of every application."""
-    runner = _default_runner(runner)
     if apps is None:
         from ..workloads.profiles import APP_PROFILES
 
@@ -119,7 +79,7 @@ def t2_characteristics(
     return result
 
 
-def t3_mixes(runner: Optional[Runner] = None) -> ExperimentResult:
+def t3_mixes(runner: Runner) -> ExperimentResult:
     """T3: the multiprogrammed workload mixes."""
     result = ExperimentResult(
         exp_id="T3",
@@ -139,11 +99,8 @@ def t3_mixes(runner: Optional[Runner] = None) -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# Figures.
-# ---------------------------------------------------------------------------
 def f1_bank_sensitivity(
-    runner: Optional[Runner] = None,
+    runner: Runner,
     apps: Optional[Sequence[str]] = None,
     bank_counts: Sequence[int] = (1, 2, 4, 8),
 ) -> ExperimentResult:
@@ -154,7 +111,6 @@ def f1_bank_sensitivity(
     This is the bank-level-parallelism loss equal partitioning inflicts and
     DBP exists to avoid.
     """
-    runner = _default_runner(runner)
     apps = list(apps) if apps is not None else list(F1_APPS)
     max_colors = runner.config.bank_colors
     counts = [c for c in bank_counts if c <= max_colors]
@@ -185,216 +141,18 @@ def f1_bank_sensitivity(
     return result
 
 
-def f2_ws_dbp_vs_ebp(
-    runner: Optional[Runner] = None, mixes: Optional[Sequence[str]] = None
-) -> ExperimentResult:
-    """F2: weighted speedup — Shared(FR-FCFS) vs EBP vs DBP (claim C1)."""
-    runner = _default_runner(runner)
-    mixes = list(mixes) if mixes is not None else list(MAIN_MIXES)
-    approaches = ["shared-frfcfs", "ebp", "dbp"]
-    result = _sweep_result(
-        "F2", "Weighted speedup per mix", "ws", runner, mixes, approaches
-    )
-    gmeans = result.rows[-1]
-    result.summary["dbp_vs_ebp_ws_pct"] = percent_delta(gmeans[3], gmeans[2])
-    result.summary["dbp_vs_shared_ws_pct"] = percent_delta(gmeans[3], gmeans[1])
-    result.notes = "paper claim C1: DBP improves WS over EBP by ~4.3%"
-    return result
-
-
-def f3_ms_dbp_vs_ebp(
-    runner: Optional[Runner] = None, mixes: Optional[Sequence[str]] = None
-) -> ExperimentResult:
-    """F3: maximum slowdown — Shared(FR-FCFS) vs EBP vs DBP (claim C1)."""
-    runner = _default_runner(runner)
-    mixes = list(mixes) if mixes is not None else list(MAIN_MIXES)
-    approaches = ["shared-frfcfs", "ebp", "dbp"]
-    result = _sweep_result(
-        "F3",
-        "Maximum slowdown per mix (lower is fairer)",
-        "ms",
-        runner,
-        mixes,
-        approaches,
-    )
-    gmeans = result.rows[-1]
-    result.summary["dbp_vs_ebp_ms_pct"] = percent_delta(gmeans[3], gmeans[2])
-    result.summary["dbp_vs_shared_ms_pct"] = percent_delta(gmeans[3], gmeans[1])
-    result.notes = "paper claim C1: DBP improves fairness over EBP by ~16%"
-    return result
-
-
-def f4_dbp_tcm(
-    runner: Optional[Runner] = None, mixes: Optional[Sequence[str]] = None
-) -> ExperimentResult:
-    """F4: TCM vs MCP vs EBP-TCM vs DBP-TCM (claims C2 and C3)."""
-    runner = _default_runner(runner)
-    mixes = list(mixes) if mixes is not None else list(MAIN_MIXES)
-    approaches = ["tcm", "mcp", "ebp-tcm", "dbp-tcm"]
-    data = _metric_sweep(runner, mixes, approaches)
-    result = ExperimentResult(
-        exp_id="F4",
-        title="Scheduling x partitioning: WS and MS (gmean over mixes)",
-        columns=["approach", "ws", "ms", "hs"],
-    )
-    for approach in approaches:
-        result.rows.append(
-            [
-                approach,
-                _gmean_or_nan(data[approach]["ws"]),
-                _gmean_or_nan(data[approach]["ms"]),
-                _gmean_or_nan(data[approach]["hs"]),
-            ]
-        )
-    ws = {row[0]: row[1] for row in result.rows}
-    ms = {row[0]: row[2] for row in result.rows}
-    result.summary["dbptcm_vs_tcm_ws_pct"] = percent_delta(ws["dbp-tcm"], ws["tcm"])
-    result.summary["dbptcm_vs_tcm_ms_pct"] = percent_delta(ms["dbp-tcm"], ms["tcm"])
-    result.summary["dbptcm_vs_mcp_ws_pct"] = percent_delta(ws["dbp-tcm"], ws["mcp"])
-    result.summary["dbptcm_vs_mcp_ms_pct"] = percent_delta(ms["dbp-tcm"], ms["mcp"])
-    result.notes = (
-        "paper claims C2/C3: DBP-TCM over TCM +6.2% WS / +16.7% fairness; "
-        "over MCP +5.3% WS / +37% fairness"
-    )
-    return result
-
-
-def f5_schedulers(
-    runner: Optional[Runner] = None, mixes: Optional[Sequence[str]] = None
-) -> ExperimentResult:
-    """F5 (context): the six memory schedulers, unpartitioned."""
-    runner = _default_runner(runner)
-    mixes = list(mixes) if mixes is not None else list(FAST_MIXES)
-    approaches = ["shared-fcfs", "shared-frfcfs", "parbs", "atlas", "bliss", "tcm"]
-    data = _metric_sweep(runner, mixes, approaches)
-    result = ExperimentResult(
-        exp_id="F5",
-        title="Memory schedulers without partitioning (gmean over mixes)",
-        columns=["scheduler", "ws", "ms", "hs"],
-    )
-    for approach in approaches:
-        result.rows.append(
-            [
-                approach,
-                _gmean_or_nan(data[approach]["ws"]),
-                _gmean_or_nan(data[approach]["ms"]),
-                _gmean_or_nan(data[approach]["hs"]),
-            ]
-        )
-    ws = {row[0]: row[1] for row in result.rows}
-    result.summary["frfcfs_vs_fcfs_ws_pct"] = percent_delta(
-        ws["shared-frfcfs"], ws["shared-fcfs"]
-    )
-    return result
-
-
-def f6_banks_sweep(
-    runner: Optional[Runner] = None, mixes: Optional[Sequence[str]] = None
-) -> ExperimentResult:
-    """F6 (sensitivity): bank colors per channel (8 / 16 / 32)."""
-    base = _default_runner(runner)
-    mixes = list(mixes) if mixes is not None else list(FAST_MIXES)
-    organizations = [
-        ("8", replace(base.config.organization, ranks_per_channel=1, banks_per_rank=8)),
-        ("16", replace(base.config.organization, ranks_per_channel=2, banks_per_rank=8)),
-        ("32", replace(base.config.organization, ranks_per_channel=2, banks_per_rank=16)),
-    ]
-    result = ExperimentResult(
-        exp_id="F6",
-        title="DBP vs EBP across bank-color counts (gmean over mixes)",
-        columns=["colors", "ebp ws", "dbp ws", "ebp ms", "dbp ms"],
-    )
-    for label, organization in organizations:
-        sub = _sub_runner(base, replace(base.config, organization=organization))
-        data = _metric_sweep(sub, mixes, ["ebp", "dbp"])
-        result.rows.append(
-            [
-                label,
-                _gmean_or_nan(data["ebp"]["ws"]),
-                _gmean_or_nan(data["dbp"]["ws"]),
-                _gmean_or_nan(data["ebp"]["ms"]),
-                _gmean_or_nan(data["dbp"]["ms"]),
-            ]
-        )
-    first = result.rows[0]
-    result.summary["dbp_vs_ebp_ws_pct_at_8"] = percent_delta(first[2], first[1])
-    result.notes = (
-        "DBP's edge over EBP should shrink as banks become plentiful"
-    )
-    return result
-
-
-def f7_cores_sweep(runner: Optional[Runner] = None) -> ExperimentResult:
-    """F7 (sensitivity): core count (2 / 4 / 8)."""
-    base = _default_runner(runner)
-    result = ExperimentResult(
-        exp_id="F7",
-        title="DBP vs EBP across core counts (gmean over that size's mixes)",
-        columns=["cores", "ebp ws", "dbp ws", "ebp ms", "dbp ms"],
-    )
-    for cores in (2, 4, 8):
-        mixes = [m.name for m in mixes_for_cores(cores)]
-        if cores == 4:
-            mixes = list(FAST_MIXES)
-        if not mixes:
-            raise ExperimentError(f"no mixes defined for {cores} cores")
-        data = _metric_sweep(base, mixes, ["ebp", "dbp"])
-        result.rows.append(
-            [
-                str(cores),
-                _gmean_or_nan(data["ebp"]["ws"]),
-                _gmean_or_nan(data["dbp"]["ws"]),
-                _gmean_or_nan(data["ebp"]["ms"]),
-                _gmean_or_nan(data["dbp"]["ms"]),
-            ]
-        )
-    return result
-
-
-def f8_epoch_sweep(
-    runner: Optional[Runner] = None,
-    mixes: Optional[Sequence[str]] = None,
-    epochs: Sequence[int] = (10_000, 25_000, 50_000, 100_000),
-) -> ExperimentResult:
-    """F8 (sensitivity): DBP repartitioning epoch length."""
-    base = _default_runner(runner)
-    mixes = list(mixes) if mixes is not None else list(FAST_MIXES)
-    result = ExperimentResult(
-        exp_id="F8",
-        title="DBP sensitivity to epoch length (gmean over mixes)",
-        columns=["epoch", "ws", "ms"],
-    )
-    for epoch in epochs:
-        ws, ms = [], []
-        for mix_name in mixes:
-            mix = get_mix(mix_name)
-            policy = DynamicBankPartitioning(DBPConfig(epoch_cycles=epoch))
-            metrics = base.run_custom(
-                list(mix.apps),
-                policy,
-                label=f"dbp@{epoch}",
-                mix_name=mix.name,
-            ).metrics
-            ws.append(metrics.weighted_speedup)
-            ms.append(metrics.max_slowdown)
-        result.rows.append([str(epoch), _gmean_or_nan(ws), _gmean_or_nan(ms)])
-    return result
-
-
-def f9_ablation(
-    runner: Optional[Runner] = None, mixes: Optional[Sequence[str]] = None
-) -> ExperimentResult:
+def f9_ablation(runner: Runner, mixes: Sequence[str]) -> ExperimentResult:
     """F9 (ablation): demand-estimator ingredients.
 
-    Variants: the full estimator; BLP-only (no streaming deduction);
-    MPKI-proportional (strawman); full but without pooling non-intensive
-    threads.
+    Variants: the full estimator; BLP-only (no streaming deduction — a
+    high-RBH threshold of 1.0 never fires, as row-buffer hit rates are at
+    most 1); MPKI-proportional (strawman); full but without pooling
+    non-intensive threads. The MPKI and no-pool variants have no approach
+    name, so F9 runs explicit policy instances rather than a grid.
     """
-    base = _default_runner(runner)
-    mixes = list(mixes) if mixes is not None else list(FAST_MIXES)
     variants = [
         ("full", DBPConfig()),
-        ("blp-only", DBPConfig(demand=DemandConfig(mode="blp"))),
+        ("blp-only", DBPConfig(demand=DemandConfig(high_rbh_threshold=1.0))),
         ("mpki", DBPConfig(demand=DemandConfig(mode="mpki"))),
         ("no-pool", DBPConfig(pool_non_intensive=False)),
     ]
@@ -408,7 +166,7 @@ def f9_ablation(
         for mix_name in mixes:
             mix = get_mix(mix_name)
             policy = DynamicBankPartitioning(dbp_config)
-            metrics = base.run_custom(
+            metrics = runner.run_custom(
                 list(mix.apps),
                 policy,
                 label=f"dbp-{label}",
@@ -420,227 +178,397 @@ def f9_ablation(
     return result
 
 
-def _sub_runner(
-    base: Runner, config: SystemConfig, seed: Optional[int] = None
-) -> Runner:
-    """A Runner sharing the base's scope but a different config or seed.
-
-    Jobs and the persistent store carry over, so sensitivity sweeps built
-    from sub-runners parallelize and resume exactly like the main grid.
-    """
-    return Runner(
-        config=config,
-        horizon=base.horizon,
-        seed=base.seed if seed is None else seed,
-        target_insts=base.target_insts,
-        validate=base.validate,
-        ahead_limit=base.ahead_limit,
-        store=base.store,
-        jobs=base.jobs,
-    )
-
-
-def f10_page_policy(
-    runner: Optional[Runner] = None, mixes: Optional[Sequence[str]] = None
-) -> ExperimentResult:
-    """F10 (extension): open-page vs closed-page row management.
-
-    Bank partitioning's benefit comes from protecting row-buffer locality;
-    a closed-page controller gives that locality up voluntarily, so the
-    open/closed comparison bounds how much of the policy story depends on
-    the row-management assumption.
-    """
-    base = _default_runner(runner)
-    mixes = list(mixes) if mixes is not None else list(FAST_MIXES)
-    result = ExperimentResult(
-        exp_id="F10",
-        title="Page policy: open vs closed rows (gmean over mixes)",
-        columns=["page policy", "shared ws", "dbp ws", "shared ms", "dbp ms"],
-    )
-    for policy_name in ("open", "closed"):
-        controller = replace(
-            base.config.controller, page_policy=policy_name
-        )
-        sub = _sub_runner(base, replace(base.config, controller=controller))
-        data = _metric_sweep(sub, mixes, ["shared-frfcfs", "dbp"])
-        result.rows.append(
-            [
-                policy_name,
-                _gmean_or_nan(data["shared-frfcfs"]["ws"]),
-                _gmean_or_nan(data["dbp"]["ws"]),
-                _gmean_or_nan(data["shared-frfcfs"]["ms"]),
-                _gmean_or_nan(data["dbp"]["ms"]),
-            ]
-        )
-    return result
-
-
-def f11_prefetching(
-    runner: Optional[Runner] = None, mixes: Optional[Sequence[str]] = None
-) -> ExperimentResult:
-    """F11 (extension): how stride prefetching changes the picture.
-
-    The paper family evaluates without prefetchers. Turning one on
-    multiplies streaming threads' outstanding requests — and therefore
-    their bank footprint and bus share — which stresses both the
-    interference the partitioners remove and the BLP they must preserve.
-    """
-    base = _default_runner(runner)
-    mixes = list(mixes) if mixes is not None else list(FAST_MIXES)
-    result = ExperimentResult(
-        exp_id="F11",
-        title="Stride prefetching off/on (gmean over mixes)",
-        columns=[
-            "prefetch",
-            "shared ws",
-            "ebp ws",
-            "dbp ws",
-            "shared ms",
-            "ebp ms",
-            "dbp ms",
-        ],
-    )
-    for enabled in (False, True):
-        prefetcher = PrefetcherConfig(enabled=enabled, degree=2, distance=4)
-        sub = _sub_runner(base, replace(base.config, prefetcher=prefetcher))
-        data = _metric_sweep(sub, mixes, ["shared-frfcfs", "ebp", "dbp"])
-        result.rows.append(
-            [
-                "on" if enabled else "off",
-                _gmean_or_nan(data["shared-frfcfs"]["ws"]),
-                _gmean_or_nan(data["ebp"]["ws"]),
-                _gmean_or_nan(data["dbp"]["ws"]),
-                _gmean_or_nan(data["shared-frfcfs"]["ms"]),
-                _gmean_or_nan(data["ebp"]["ms"]),
-                _gmean_or_nan(data["dbp"]["ms"]),
-            ]
-        )
-    off, on = result.rows
-    result.summary["prefetch_shared_ws_pct"] = percent_delta(on[1], off[1])
-    return result
-
-
-def f12_xor_interleaving(
-    runner: Optional[Runner] = None, mixes: Optional[Sequence[str]] = None
-) -> ExperimentResult:
-    """F12 (extension): XOR bank permutation vs software partitioning.
-
-    Permutation-based interleaving spreads row-conflict hotspots over all
-    banks in hardware; DBP removes inter-thread conflicts in software. The
-    comparison shows where each helps: XOR mainly recovers throughput lost
-    to pathological bank collisions, partitioning mainly recovers fairness
-    lost to inter-thread interference.
-    """
-    base = _default_runner(runner)
-    mixes = list(mixes) if mixes is not None else list(FAST_MIXES)
-    result = ExperimentResult(
-        exp_id="F12",
-        title="XOR bank interleaving vs partitioning (gmean over mixes)",
-        columns=["approach", "ws", "ms"],
-    )
-    # Plain shared and DBP on the normal mapping...
-    data = _metric_sweep(base, mixes, ["shared-frfcfs", "dbp"])
-    result.rows.append(
-        [
-            "shared",
-            _gmean_or_nan(data["shared-frfcfs"]["ws"]),
-            _gmean_or_nan(data["shared-frfcfs"]["ms"]),
-        ]
-    )
-    result.rows.append(
-        ["dbp", _gmean_or_nan(data["dbp"]["ws"]), _gmean_or_nan(data["dbp"]["ms"])]
-    )
-    # ...versus shared on the XOR-permuted mapping.
-    xor_runner = _sub_runner(
-        base, replace(base.config, bank_xor_interleave=True)
-    )
-    xor_data = _metric_sweep(xor_runner, mixes, ["shared-frfcfs"])
-    result.rows.append(
-        [
-            "shared+xor",
-            _gmean_or_nan(xor_data["shared-frfcfs"]["ws"]),
-            _gmean_or_nan(xor_data["shared-frfcfs"]["ms"]),
-        ]
-    )
-    result.notes = (
-        "XOR interleaving defeats page coloring, so partitioned approaches "
-        "are not defined on that mapping"
-    )
-    return result
-
-
-def f13_seed_robustness(
-    runner: Optional[Runner] = None,
-    mixes: Optional[Sequence[str]] = None,
-    seeds: Sequence[int] = (1, 2, 3),
-) -> ExperimentResult:
-    """F13 (robustness): claim C1 across workload-generation seeds.
-
-    The synthetic traces are stochastic; a claim that only holds for one
-    seed would be an artifact. Each row regenerates every trace and every
-    alone-run baseline from scratch.
-    """
-    base = _default_runner(runner)
-    mixes = list(mixes) if mixes is not None else list(FAST_MIXES)
-    result = ExperimentResult(
-        exp_id="F13",
-        title="DBP vs EBP across trace seeds (gmean over mixes)",
-        columns=["seed", "ebp ws", "dbp ws", "ebp ms", "dbp ms", "C1 ws %", "C1 ms %"],
-    )
-    for seed in seeds:
-        sub = _sub_runner(base, base.config, seed=seed)
-        data = _metric_sweep(sub, mixes, ["ebp", "dbp"])
-        ebp_ws = _gmean_or_nan(data["ebp"]["ws"])
-        dbp_ws = _gmean_or_nan(data["dbp"]["ws"])
-        ebp_ms = _gmean_or_nan(data["ebp"]["ms"])
-        dbp_ms = _gmean_or_nan(data["dbp"]["ms"])
-        result.rows.append(
-            [
-                str(seed),
-                ebp_ws,
-                dbp_ws,
-                ebp_ms,
-                dbp_ms,
-                percent_delta(dbp_ws, ebp_ws),
-                percent_delta(dbp_ms, ebp_ms),
-            ]
-        )
-    ws_deltas = [row[5] for row in result.rows]
-    ms_deltas = [row[6] for row in result.rows]
-    result.summary["min_ws_delta_pct"] = min(ws_deltas)
-    result.summary["max_ms_delta_pct"] = max(ms_deltas)
-    return result
-
-
 # ---------------------------------------------------------------------------
-# Registry.
+# The table.
 # ---------------------------------------------------------------------------
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "T1": t1_configuration,
-    "T2": t2_characteristics,
-    "T3": t3_mixes,
-    "F1": f1_bank_sensitivity,
-    "F2": f2_ws_dbp_vs_ebp,
-    "F3": f3_ms_dbp_vs_ebp,
-    "F4": f4_dbp_tcm,
-    "F5": f5_schedulers,
-    "F6": f6_banks_sweep,
-    "F7": f7_cores_sweep,
-    "F8": f8_epoch_sweep,
-    "F9": f9_ablation,
-    "F10": f10_page_policy,
-    "F11": f11_prefetching,
-    "F12": f12_xor_interleaving,
-    "F13": f13_seed_robustness,
+@dataclass(frozen=True)
+class Row:
+    """One table row: its label and the grid cell it reduces.
+
+    ``config`` overrides fields of the Runner's configuration (a dict value
+    overrides fields of that sub-config); ``seed`` regenerates every trace
+    and every alone-run baseline; ``mixes`` replaces the experiment's mix
+    scope. A row that sets none of them runs on the caller's Runner.
+    """
+
+    label: str
+    approaches: Tuple[str, ...]
+    config: Mapping[str, object] = field(default_factory=dict)
+    seed: Optional[int] = None
+    mixes: Optional[Sequence[str]] = None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One catalog entry.
+
+    ``mixes`` is the default mix scope; None means the experiment takes
+    none. A grid entry's cells are the gmean over mixes of each metric
+    under each of the row's approaches, metric-major (``ebp ws, dbp ws,
+    ebp ms, dbp ms``); ``row_deltas`` append the percent change of one
+    column over another. With ``per_mix`` the row's approaches are the
+    columns instead: one table row per mix, then the row's own gmeans.
+    ``rows`` may be a function of the entry's extra scope arguments.
+    Experiments that are not grids name their own ``run``.
+    """
+
+    exp_id: str
+    doc: str
+    title: str = ""
+    columns: Tuple[str, ...] = ()
+    mixes: Optional[Sequence[str]] = None
+    rows: Union[Tuple[Row, ...], Callable[..., Tuple[Row, ...]]] = ()
+    metrics: Tuple[str, ...] = ("ws", "ms")
+    per_mix: bool = False
+    row_deltas: Tuple[Tuple[str, str], ...] = ()
+    #: Named scalars of the finished table: the percent change of cell
+    #: (row label, column) over cell (base row label, base column), or a
+    #: function of the whole table.
+    summary: Mapping[str, object] = field(default_factory=dict)
+    notes: str = ""
+    run: Optional[Callable[..., ExperimentResult]] = None
+
+
+def _hand_written(
+    exp_id: str, run: Callable[..., ExperimentResult], mixes=None
+) -> Experiment:
+    doc = (run.__doc__ or "").strip().splitlines()[0]
+    return Experiment(exp_id, doc, mixes=mixes, run=run)
+
+
+def _epoch_rows(
+    epochs: Sequence[int] = (10_000, 25_000, 50_000, 100_000),
+) -> Tuple[Row, ...]:
+    return tuple(Row(str(e), (f"dbp@epoch_cycles={e}",)) for e in epochs)
+
+
+def _seed_rows(seeds: Sequence[int] = (1, 2, 3)) -> Tuple[Row, ...]:
+    return tuple(Row(str(s), ("ebp", "dbp"), seed=s) for s in seeds)
+
+
+_C1 = ("shared-frfcfs", "ebp", "dbp")
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    e.exp_id: e
+    for e in (
+        _hand_written("T1", t1_configuration),
+        _hand_written("T2", t2_characteristics),
+        _hand_written("T3", t3_mixes),
+        _hand_written("F1", f1_bank_sensitivity),
+        Experiment(
+            "F2",
+            "F2: weighted speedup — Shared(FR-FCFS) vs EBP vs DBP (claim C1).",
+            title="Weighted speedup per mix",
+            columns=("mix",) + _C1,
+            mixes=MAIN_MIXES,
+            rows=(Row("gmean", _C1),),
+            metrics=("ws",),
+            per_mix=True,
+            summary={
+                "dbp_vs_ebp_ws_pct": ("gmean", "dbp", "gmean", "ebp"),
+                "dbp_vs_shared_ws_pct": ("gmean", "dbp", "gmean", "shared-frfcfs"),
+            },
+            notes="paper claim C1: DBP improves WS over EBP by ~4.3%",
+        ),
+        Experiment(
+            "F3",
+            "F3: maximum slowdown — Shared(FR-FCFS) vs EBP vs DBP (claim C1).",
+            title="Maximum slowdown per mix (lower is fairer)",
+            columns=("mix",) + _C1,
+            mixes=MAIN_MIXES,
+            rows=(Row("gmean", _C1),),
+            metrics=("ms",),
+            per_mix=True,
+            summary={
+                "dbp_vs_ebp_ms_pct": ("gmean", "dbp", "gmean", "ebp"),
+                "dbp_vs_shared_ms_pct": ("gmean", "dbp", "gmean", "shared-frfcfs"),
+            },
+            notes="paper claim C1: DBP improves fairness over EBP by ~16%",
+        ),
+        Experiment(
+            "F4",
+            "F4: TCM vs MCP vs EBP-TCM vs DBP-TCM (claims C2 and C3).",
+            title="Scheduling x partitioning: WS and MS (gmean over mixes)",
+            columns=("approach", "ws", "ms", "hs"),
+            mixes=MAIN_MIXES,
+            rows=tuple(Row(a, (a,)) for a in ("tcm", "mcp", "ebp-tcm", "dbp-tcm")),
+            metrics=("ws", "ms", "hs"),
+            summary={
+                "dbptcm_vs_tcm_ws_pct": ("dbp-tcm", "ws", "tcm", "ws"),
+                "dbptcm_vs_tcm_ms_pct": ("dbp-tcm", "ms", "tcm", "ms"),
+                "dbptcm_vs_mcp_ws_pct": ("dbp-tcm", "ws", "mcp", "ws"),
+                "dbptcm_vs_mcp_ms_pct": ("dbp-tcm", "ms", "mcp", "ms"),
+            },
+            notes=(
+                "paper claims C2/C3: DBP-TCM over TCM +6.2% WS / +16.7% "
+                "fairness; over MCP +5.3% WS / +37% fairness"
+            ),
+        ),
+        Experiment(
+            "F5",
+            "F5 (context): the six memory schedulers, unpartitioned.",
+            title="Memory schedulers without partitioning (gmean over mixes)",
+            columns=("scheduler", "ws", "ms", "hs"),
+            mixes=FAST_MIXES,
+            rows=tuple(
+                Row(a, (a,))
+                for a in (
+                    "shared-fcfs", "shared-frfcfs", "parbs", "atlas", "bliss", "tcm",
+                )
+            ),
+            metrics=("ws", "ms", "hs"),
+            summary={
+                "frfcfs_vs_fcfs_ws_pct": ("shared-frfcfs", "ws", "shared-fcfs", "ws"),
+            },
+        ),
+        Experiment(
+            "F6",
+            "F6 (sensitivity): bank colors per channel (8 / 16 / 32).",
+            title="DBP vs EBP across bank-color counts (gmean over mixes)",
+            columns=("colors", "ebp ws", "dbp ws", "ebp ms", "dbp ms"),
+            mixes=FAST_MIXES,
+            rows=tuple(
+                Row(
+                    label,
+                    ("ebp", "dbp"),
+                    config={
+                        "organization": {
+                            "ranks_per_channel": ranks,
+                            "banks_per_rank": banks,
+                        }
+                    },
+                )
+                for label, ranks, banks in (("8", 1, 8), ("16", 2, 8), ("32", 2, 16))
+            ),
+            summary={"dbp_vs_ebp_ws_pct_at_8": ("8", "dbp ws", "8", "ebp ws")},
+            notes="DBP's edge over EBP should shrink as banks become plentiful",
+        ),
+        Experiment(
+            "F7",
+            "F7 (sensitivity): core count (2 / 4 / 8).",
+            title="DBP vs EBP across core counts (gmean over that size's mixes)",
+            columns=("cores", "ebp ws", "dbp ws", "ebp ms", "dbp ms"),
+            rows=(
+                Row("2", ("ebp", "dbp"), mixes=[m.name for m in mixes_for_cores(2)]),
+                Row("4", ("ebp", "dbp"), mixes=FAST_MIXES),
+                Row("8", ("ebp", "dbp"), mixes=[m.name for m in mixes_for_cores(8)]),
+            ),
+        ),
+        Experiment(
+            "F8",
+            "F8 (sensitivity): DBP repartitioning epoch length.",
+            title="DBP sensitivity to epoch length (gmean over mixes)",
+            columns=("epoch", "ws", "ms"),
+            mixes=FAST_MIXES,
+            rows=_epoch_rows,
+        ),
+        _hand_written("F9", f9_ablation, mixes=FAST_MIXES),
+        # Bank partitioning's benefit comes from protecting row-buffer
+        # locality; a closed-page controller gives that locality up
+        # voluntarily, so the open/closed comparison bounds how much of the
+        # policy story depends on the row-management assumption.
+        Experiment(
+            "F10",
+            "F10 (extension): open-page vs closed-page row management.",
+            title="Page policy: open vs closed rows (gmean over mixes)",
+            columns=("page policy", "shared ws", "dbp ws", "shared ms", "dbp ms"),
+            mixes=FAST_MIXES,
+            rows=tuple(
+                Row(
+                    policy,
+                    ("shared-frfcfs", "dbp"),
+                    config={"controller": {"page_policy": policy}},
+                )
+                for policy in ("open", "closed")
+            ),
+        ),
+        # The paper family evaluates without prefetchers. Turning one on
+        # multiplies streaming threads' outstanding requests — and therefore
+        # their bank footprint and bus share — which stresses both the
+        # interference the partitioners remove and the BLP they must keep.
+        Experiment(
+            "F11",
+            "F11 (extension): how stride prefetching changes the picture.",
+            title="Stride prefetching off/on (gmean over mixes)",
+            columns=(
+                "prefetch",
+                "shared ws", "ebp ws", "dbp ws",
+                "shared ms", "ebp ms", "dbp ms",
+            ),
+            mixes=FAST_MIXES,
+            rows=tuple(
+                Row(
+                    label,
+                    _C1,
+                    config={
+                        "prefetcher": PrefetcherConfig(
+                            enabled=enabled, degree=2, distance=4
+                        )
+                    },
+                )
+                for label, enabled in (("off", False), ("on", True))
+            ),
+            summary={
+                "prefetch_shared_ws_pct": ("on", "shared ws", "off", "shared ws"),
+            },
+        ),
+        # Permutation-based interleaving spreads row-conflict hotspots over
+        # all banks in hardware; DBP removes inter-thread conflicts in
+        # software. XOR mainly recovers throughput lost to pathological bank
+        # collisions, partitioning mainly recovers fairness lost to
+        # inter-thread interference.
+        Experiment(
+            "F12",
+            "F12 (extension): XOR bank permutation vs software partitioning.",
+            title="XOR bank interleaving vs partitioning (gmean over mixes)",
+            columns=("approach", "ws", "ms"),
+            mixes=FAST_MIXES,
+            rows=(
+                Row("shared", ("shared-frfcfs",)),
+                Row("dbp", ("dbp",)),
+                Row(
+                    "shared+xor",
+                    ("shared-frfcfs",),
+                    config={"bank_xor_interleave": True},
+                ),
+            ),
+            notes=(
+                "XOR interleaving defeats page coloring, so partitioned "
+                "approaches are not defined on that mapping"
+            ),
+        ),
+        # The synthetic traces are stochastic; a claim that only holds for
+        # one seed would be an artifact. Each row regenerates every trace
+        # and every alone-run baseline from scratch.
+        Experiment(
+            "F13",
+            "F13 (robustness): claim C1 across workload-generation seeds.",
+            title="DBP vs EBP across trace seeds (gmean over mixes)",
+            columns=(
+                "seed", "ebp ws", "dbp ws", "ebp ms", "dbp ms", "C1 ws %", "C1 ms %",
+            ),
+            mixes=FAST_MIXES,
+            rows=_seed_rows,
+            row_deltas=(("dbp ws", "ebp ws"), ("dbp ms", "ebp ms")),
+            summary={
+                "min_ws_delta_pct": lambda result: min(result.column("C1 ws %")),
+                "max_ms_delta_pct": lambda result: max(result.column("C1 ms %")),
+            },
+        ),
+    )
 }
 
 
-def run_experiment(
-    exp_id: str, runner: Optional[Runner] = None, **kwargs
+# ---------------------------------------------------------------------------
+# Running an entry.
+# ---------------------------------------------------------------------------
+def _scoped_runner(base: Runner, row: Row) -> Runner:
+    """The base Runner, or one sharing its scope but the row's config/seed.
+
+    Jobs and the persistent store carry over, so sensitivity rows
+    parallelize and resume exactly like the main grid.
+    """
+    if not row.config and row.seed is None:
+        return base
+    fields = {
+        name: replace(getattr(base.config, name), **value)
+        if isinstance(value, dict)
+        else value
+        for name, value in row.config.items()
+    }
+    scope = scope_of(base)
+    if row.seed is not None:
+        scope["seed"] = row.seed
+    return Runner(
+        config=replace(base.config, **fields),
+        store=base.store,
+        jobs=base.jobs,
+        **scope,
+    )
+
+
+def _run_grid(
+    experiment: Experiment,
+    runner: Runner,
+    mixes: Optional[Sequence[str]] = None,
+    **axis,
 ) -> ExperimentResult:
-    """Run one experiment by id (see :data:`EXPERIMENTS`)."""
-    key = exp_id.upper()
-    if key not in EXPERIMENTS:
+    """Run a grid entry through the campaign sweep path.
+
+    Rows on one Runner and mix scope share one sweep, so with
+    ``runner.jobs > 1`` all of its cells fan out at once and with a
+    ``runner.store`` attached they persist across invocations.
+    """
+    from ..campaign.api import sweep_metrics
+
+    if callable(experiment.rows):
+        rows = experiment.rows(**axis)
+    elif axis:
+        raise ExperimentError(
+            f"experiment {experiment.exp_id} takes no {', '.join(axis)} scope"
+        )
+    else:
+        rows = experiment.rows
+    cells = [(_scoped_runner(runner, row), tuple(row.mixes or mixes)) for row in rows]
+    grids: Dict[tuple, List[str]] = {}
+    for cell, row in zip(cells, rows):
+        approaches = grids.setdefault(cell, [])
+        approaches.extend(a for a in row.approaches if a not in approaches)
+    sweeps = {
+        cell: sweep_metrics(*cell, approaches) for cell, approaches in grids.items()
+    }
+    columns = list(experiment.columns)
+    result = ExperimentResult(
+        experiment.exp_id, experiment.title, columns, notes=experiment.notes
+    )
+    for cell, row in zip(cells, rows):
+        data = sweeps[cell]
+        if experiment.per_mix:
+            series = [data[a][experiment.metrics[0]] for a in row.approaches]
+            for index, mix_name in enumerate(mixes):
+                result.rows.append([mix_name] + [s[index] for s in series])
+        values = [row.label] + [
+            _gmean_or_nan(data[a][metric])
+            for metric in experiment.metrics
+            for a in row.approaches
+        ]
+        for new, base in experiment.row_deltas:
+            values.append(
+                percent_delta(values[columns.index(new)], values[columns.index(base)])
+            )
+        result.rows.append(values)
+    labels = [values[0] for values in result.rows]
+    for name, summary in experiment.summary.items():
+        if callable(summary):
+            result.summary[name] = summary(result)
+            continue
+        row, column, base_row, base_column = summary
+        result.summary[name] = percent_delta(
+            result.rows[labels.index(row)][columns.index(column)],
+            result.rows[labels.index(base_row)][columns.index(base_column)],
+        )
+    return result
+
+
+def run_experiment(
+    exp_id: str, runner: Optional[Runner] = None, **scope
+) -> ExperimentResult:
+    """Run one experiment by id (see :data:`EXPERIMENTS`).
+
+    ``scope`` narrows what runs without changing what it means: ``mixes``
+    for every entry with a mix scope, ``epochs`` for F8, ``seeds`` for F13,
+    ``apps`` and ``bank_counts`` for F1 and ``apps`` for T2.
+    """
+    experiment = EXPERIMENTS.get(exp_id.upper())
+    if experiment is None:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ExperimentError(f"unknown experiment {exp_id!r}; known: {known}")
-    return EXPERIMENTS[key](runner, **kwargs)
+    mixes = scope.pop("mixes", None)
+    if experiment.mixes is not None:
+        scope["mixes"] = list(mixes) if mixes is not None else list(experiment.mixes)
+    elif mixes is not None:
+        raise ExperimentError(f"experiment {experiment.exp_id} takes no mix scope")
+    runner = runner if runner is not None else Runner()
+    if experiment.run is not None:
+        return experiment.run(runner, **scope)
+    return _run_grid(experiment, runner, **scope)

@@ -58,6 +58,16 @@ class TestRun:
         assert main(["run", "F77"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exp_id", ["F7", "f1", "T1", "T2", "T3"])
+    def test_mixes_rejected_where_the_experiment_takes_none(
+        self, exp_id, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", exp_id, "--mixes", "M1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"experiment {exp_id.upper()} takes no --mixes" in err
+
 
 class TestTrace:
     def test_trace_renders_timeline_and_decisions(self, capsys):

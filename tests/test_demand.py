@@ -65,7 +65,9 @@ class TestFullMode:
 
 class TestVariantModes:
     def test_blp_mode_ignores_rbh(self):
-        est = BankDemandEstimator(DemandConfig(mode="blp", blp_scale=2.0))
+        est = BankDemandEstimator(
+            DemandConfig(high_rbh_threshold=1.0, blp_scale=2.0)
+        )
         a = est.estimate(snap(prof(0, blp=4.0, rbh=0.99)), 1)[0].banks
         b = est.estimate(snap(prof(0, blp=4.0, rbh=0.10)), 1)[0].banks
         assert a == b
@@ -97,3 +99,8 @@ class TestValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             DemandConfig(mode="oracle")
+
+    def test_blp_mode_is_gone(self):
+        # Use high_rbh_threshold=1.0 for BLP-only demand.
+        with pytest.raises(ConfigError):
+            DemandConfig(mode="blp")

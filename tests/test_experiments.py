@@ -6,18 +6,7 @@ import math
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import (
-    EXPERIMENTS,
-    run_experiment,
-    t1_configuration,
-    t2_characteristics,
-    t3_mixes,
-    f1_bank_sensitivity,
-    f2_ws_dbp_vs_ebp,
-    f3_ms_dbp_vs_ebp,
-    f8_epoch_sweep,
-    f9_ablation,
-)
+from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.report import ExperimentResult, percent_delta, render_table
 
 
@@ -69,27 +58,27 @@ class TestReport:
 
 class TestTables:
     def test_t1_lists_config(self, fast_runner):
-        result = t1_configuration(fast_runner)
+        result = run_experiment("T1", fast_runner)
         params = result.column("parameter")
         assert any("DRAM" in p for p in params)
 
     def test_t2_measures_characteristics(self, fast_runner):
-        result = t2_characteristics(fast_runner, apps=["lbm", "gcc"])
+        result = run_experiment("T2", fast_runner, apps=["lbm", "gcc"])
         rows = {row[0]: row for row in result.rows}
         assert rows["lbm"][2] > rows["gcc"][2]  # mpki ordering
         assert rows["lbm"][5] == "intensive"
         assert rows["gcc"][5] == "light"
 
-    def test_t3_lists_all_mixes(self):
-        result = t3_mixes()
+    def test_t3_lists_all_mixes(self, fast_runner):
+        result = run_experiment("T3", fast_runner)
         assert len(result.rows) >= 16
         assert result.rows[0][0].startswith(("D", "M", "O"))
 
 
 class TestFigures:
     def test_f1_shape(self, fast_runner):
-        result = f1_bank_sensitivity(
-            fast_runner, apps=["lbm"], bank_counts=(1, 4)
+        result = run_experiment(
+            "F1", fast_runner, apps=["lbm"], bank_counts=(1, 4)
         )
         row = result.rows[0]
         assert row[0] == "lbm"
@@ -97,9 +86,9 @@ class TestFigures:
         assert row[2] == pytest.approx(1.0)
 
     def test_f2_f3_share_runs(self, fast_runner):
-        f2 = f2_ws_dbp_vs_ebp(fast_runner, mixes=TINY_MIXES)
+        f2 = run_experiment("F2", fast_runner, mixes=TINY_MIXES)
         cached = len(fast_runner._run_cache)
-        f3 = f3_ms_dbp_vs_ebp(fast_runner, mixes=TINY_MIXES)
+        f3 = run_experiment("F3", fast_runner, mixes=TINY_MIXES)
         assert len(fast_runner._run_cache) == cached  # reused
         assert f2.rows[-1][0] == "gmean"
         assert "dbp_vs_ebp_ws_pct" in f2.summary
@@ -109,14 +98,14 @@ class TestFigures:
                 assert isinstance(value, float) and not math.isnan(value)
 
     def test_f8_epoch_sweep(self, fast_runner):
-        result = f8_epoch_sweep(
-            fast_runner, mixes=TINY_MIXES, epochs=(5_000, 10_000)
+        result = run_experiment(
+            "F8", fast_runner, mixes=TINY_MIXES, epochs=(5_000, 10_000)
         )
         assert [row[0] for row in result.rows] == ["5000", "10000"]
         assert all(row[1] > 0 for row in result.rows)
 
     def test_f9_ablation_variants(self, fast_runner):
-        result = f9_ablation(fast_runner, mixes=TINY_MIXES)
+        result = run_experiment("F9", fast_runner, mixes=TINY_MIXES)
         assert [row[0] for row in result.rows] == [
             "full",
             "blp-only",
@@ -125,10 +114,8 @@ class TestFigures:
         ]
 
     def test_f13_seed_rows(self, fast_runner):
-        from repro.experiments import f13_seed_robustness
-
-        result = f13_seed_robustness(
-            fast_runner, mixes=TINY_MIXES, seeds=(1, 2)
+        result = run_experiment(
+            "F13", fast_runner, mixes=TINY_MIXES, seeds=(1, 2)
         )
         assert [row[0] for row in result.rows] == ["1", "2"]
         assert "min_ws_delta_pct" in result.summary
@@ -162,3 +149,13 @@ class TestRegistry:
     def test_unknown_id_rejected(self, fast_runner):
         with pytest.raises(ExperimentError):
             run_experiment("F99", fast_runner)
+
+    @pytest.mark.parametrize(
+        "exp_id, scope",
+        [("F7", {"mixes": ["M1"]}), ("T3", {"mixes": ["M1"]}), ("F6", {"seeds": (1,)})],
+    )
+    def test_scope_the_experiment_does_not_take_is_rejected(
+        self, fast_runner, exp_id, scope
+    ):
+        with pytest.raises(ExperimentError, match=f"experiment {exp_id} takes no"):
+            run_experiment(exp_id, fast_runner, **scope)
