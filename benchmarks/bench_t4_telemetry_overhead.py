@@ -8,10 +8,10 @@ contract:
 * disabled telemetry leaves no probes on the controllers (structurally
   zero per-request cost), and enabled telemetry stays within a small
   constant factor of the untraced run;
-* the streaming sink inherits both guarantees: a run that spills every
-  epoch to JSONL is still bit-identical to the untraced run, keeps every
-  epoch on disk past the ring capacity, and stays within the same
-  overhead bound (epoch boundaries are rare, so per-epoch I/O is noise);
+* the epoch log inherits both guarantees: a run whose records are then
+  written to disk (what ``explain --log`` does) is still bit-identical to
+  the untraced run, the log holds every epoch, and run plus write stays
+  within the same overhead bound;
 * span tracing rides the same contract: an installed flight-recorder
   tracer leaves results bit-identical, records the epoch boundaries,
   and — since its instrumentation only fires at those rare boundaries —
@@ -28,11 +28,11 @@ from repro.core.dbp import DBPConfig, DynamicBankPartitioning
 from repro.sim.system import System
 from repro.telemetry import (
     SpanTracer,
-    TelemetryConfig,
     TelemetryRecorder,
     install_tracer,
-    load_stream,
+    read_epoch_log,
     uninstall_tracer,
+    write_epoch_log,
 )
 from repro.workloads import AppProfile, generate_trace
 
@@ -59,40 +59,42 @@ def _system(recorder=None):
     )
 
 
-def _timed_run(recorder=None):
+def _timed_run(recorder=None, log_path=None):
     system = _system(recorder)
     started = time.perf_counter()
     result = system.run()
+    if log_path is not None:
+        write_epoch_log(log_path, recorder.records, horizon=HORIZON)
     return result, time.perf_counter() - started, system
 
 
 def bench_t4_telemetry_overhead(benchmark, tmp_path):
-    stream_path = tmp_path / "t4-stream.jsonl"
+    log_path = tmp_path / "t4-epochs.json"
 
     def body():
-        # Interleave off/on/stream runs and keep the best of two so a
+        # Interleave off/on/log runs and keep the best of two so a
         # scheduler hiccup on one run cannot fake an overhead regression.
-        walls = {"off": [], "on": [], "stream": [], "spans": []}
+        walls = {"off": [], "on": [], "log": [], "spans": []}
         results = {}
         recorders = []
         tracers = []
+        # Checked before a run: a finished System releases its listeners.
+        assert all(len(c._listeners) == 1 for c in _system().controllers)
         for _ in range(2):
-            result, wall, system = _timed_run()
+            result, wall, _system_off = _timed_run()
             walls["off"].append(wall)
             results["off"] = result
-            assert all(len(c._listeners) == 1 for c in system.controllers)
             recorder = TelemetryRecorder()
             result, wall, _system_on = _timed_run(recorder)
             walls["on"].append(wall)
             results["on"] = result
             recorders.append(recorder)
-            # Ring of 2 + spill-to-disk: the stressed configuration.
-            streamer = TelemetryRecorder(
-                TelemetryConfig(capacity=2, stream_path=str(stream_path))
+            # Record, then write the epoch log: the explain --log path.
+            result, wall, _system_log = _timed_run(
+                TelemetryRecorder(), log_path
             )
-            result, wall, _system_stream = _timed_run(streamer)
-            walls["stream"].append(wall)
-            results["stream"] = result
+            walls["log"].append(wall)
+            results["log"] = result
             # Flight-recorder spans, no telemetry: isolates the tracer.
             tracer = SpanTracer("bench-t4")
             install_tracer(tracer)
@@ -109,10 +111,10 @@ def bench_t4_telemetry_overhead(benchmark, tmp_path):
         body, rounds=1, iterations=1
     )
 
-    # Telemetry must be invisible to the simulation itself — with the ring
-    # alone, with the streaming sink spilling every epoch to disk, and
-    # with the span tracer installed.
-    for mode in ("on", "stream", "spans"):
+    # Telemetry must be invisible to the simulation itself — recorded in
+    # memory, written out as an epoch log, and with the span tracer
+    # installed.
+    for mode in ("on", "log", "spans"):
         assert results[mode].threads == results["off"].threads
         assert results[mode].total_commands == results["off"].total_commands
         assert results[mode].pages_migrated == results["off"].pages_migrated
@@ -122,10 +124,10 @@ def bench_t4_telemetry_overhead(benchmark, tmp_path):
     assert summary["policy_epochs"] == HORIZON // EPOCH
     assert summary["quanta"] == HORIZON // QUANTUM
 
-    # The stream kept every epoch despite the 2-slot ring.
-    stored = load_stream(str(stream_path))
-    assert stored.epochs == summary["epochs"]
-    assert len(stored.records) == summary["epochs"]
+    # The log holds every epoch, exactly as recorded.
+    stored = read_epoch_log(log_path)["records"]
+    assert len(stored) == summary["epochs"]
+    assert stored == recorders[-1].records
 
     # ... and the tracer recorded every epoch boundary on each pass.
     for tracer in tracers:
@@ -139,21 +141,21 @@ def bench_t4_telemetry_overhead(benchmark, tmp_path):
 
     off = min(walls["off"])
     on = min(walls["on"])
-    streamed = min(walls["stream"])
+    logged = min(walls["log"])
     spanned = min(walls["spans"])
     overhead = (on - off) / off if off else 0.0
-    stream_overhead = (streamed - off) / off if off else 0.0
+    log_overhead = (logged - off) / off if off else 0.0
     span_overhead = (spanned - off) / off if off else 0.0
     print()
     print(
         f"T4 telemetry overhead: off={off * 1e3:.1f} ms "
         f"on={on * 1e3:.1f} ms (+{overhead * 100.0:.1f}%) "
-        f"stream={streamed * 1e3:.1f} ms (+{stream_overhead * 100.0:.1f}%) "
+        f"log={logged * 1e3:.1f} ms (+{log_overhead * 100.0:.1f}%) "
         f"spans={spanned * 1e3:.1f} ms (+{span_overhead * 100.0:.1f}%)"
     )
     # Generous CI-noise bound; typical overhead is a few percent.
     assert overhead < 0.5
-    assert stream_overhead < 0.5
+    assert log_overhead < 0.5
     # Span instrumentation fires only at epoch boundaries, so it gets a
     # much tighter budget than the recorder, which does real per-epoch
     # work: 5% over best-of-two interleaved runs.

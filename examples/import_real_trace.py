@@ -17,7 +17,7 @@ This example walks the whole escape hatch on the bundled sample capture:
 The same flow is one CLI line per step:
 
     repro-dbp traces import examples/data/sample_champsim.trace --name sample
-    repro-dbp mix sample+lbm ebp dbp
+    repro-dbp explain sample+lbm ebp dbp
 
 Run:  python examples/import_real_trace.py
 """

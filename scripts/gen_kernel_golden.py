@@ -14,7 +14,7 @@ simulation-*visible* behaviour change is intended (say so in the commit),
 and only once ``tests/test_kernel_equivalence.py`` shows the oracle
 reproducing the new file too:
 
-    PYTHONPATH=src python scripts/gen_kernel_golden.py
+    python scripts/gen_kernel_golden.py
 """
 
 from __future__ import annotations
@@ -24,18 +24,12 @@ import json
 import os
 import sys
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
 
-from repro.kernelgrid import GRID, golden_document  # noqa: E402
+from tests.kernelgrid import GRID, golden_document  # noqa: E402
 
-DEFAULT_OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "tests",
-    "data",
-    "kernel_golden.json",
-)
+DEFAULT_OUT = os.path.join(_ROOT, "tests", "data", "kernel_golden.json")
 
 
 def main() -> int:

@@ -169,7 +169,6 @@ def _runner_for(
 ):
     """A process-local Runner matching the spec's scope (cached)."""
     from ..sim.runner import Runner
-    from ..telemetry import TelemetryConfig
 
     telemetry = getattr(spec, "telemetry", False)
     key = (spec.runner_key(), telemetry)
@@ -177,7 +176,7 @@ def _runner_for(
     if runner is None:
         runner = Runner(
             config=spec.config,
-            telemetry=TelemetryConfig() if telemetry else None,
+            telemetry=telemetry,
             **scope_of(spec),
         )
         _WORKER_RUNNERS[key] = runner

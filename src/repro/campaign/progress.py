@@ -94,11 +94,9 @@ def aggregate_telemetry(
         "epochs",
         "quanta",
         "policy_epochs",
-        "dropped_epochs",
         "migration_casses",
         "repartitions",
         "pages_migrated",
-        "streamed_epochs",
     )
     maxed = ("max_read_queue_depth", "max_write_queue_depth")
     outcomes = list(outcomes)

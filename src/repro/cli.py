@@ -4,12 +4,12 @@ This module is the registry: the global options, the subcommands in help
 order, and the one dispatch. What each subcommand does is documented — and
 implemented — in its module under :mod:`repro.commands`:
 
-* :mod:`~repro.commands.run`      — ``list``, ``config``, ``run``, ``mix``
+* :mod:`~repro.commands.run`      — ``list``, ``config``, ``run``
 * :mod:`~repro.commands.campaign` — ``campaign``
 * :mod:`~repro.commands.results`  — ``results index|query|compare|gates``
 * :mod:`~repro.commands.store`    — ``store stats|ls|gc``
 * :mod:`~repro.commands.tune`     — ``tune run|report|frontier``
-* :mod:`~repro.commands.trace`    — ``trace``, ``perf``, ``metrics``
+* :mod:`~repro.commands.explain`  — ``explain``
 * :mod:`~repro.commands.traces`   — ``traces``, ``gen-traces``
 
 Importing this module loads argparse and the command modules' parsers,
@@ -28,7 +28,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .commands import campaign, results, run, store, trace, traces, tune
+from .commands import campaign, explain, results, run, store, traces, tune
 from .errors import ReproError
 
 #: Every top-level subcommand, in ``--help`` order. Each entry adds one
@@ -41,10 +41,7 @@ _REGISTRY = (
     results.add_results,
     store.add_store,
     tune.add_tune,
-    trace.add_trace,
-    trace.add_perf,
-    trace.add_metrics,
-    run.add_mix,
+    explain.add_explain,
     traces.add_traces,
     traces.add_gen_traces,
 )

@@ -5,7 +5,6 @@
 * ``config`` — print the simulated system configuration.
 * ``run``    — run one experiment by id and print its table; ``--jobs``
   fans its sweeps out over worker processes.
-* ``mix``    — run a single mix under one or more approaches.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from .common import add_format, add_jobs, make_runner, print_profile
+from .common import add_format, add_jobs, make_runner
 
 
 def add_list(sub) -> None:
@@ -57,23 +56,6 @@ def add_run(sub) -> None:
             "persist runs to the content-addressed result store "
             "(default location when DIR omitted)"
         ),
-    )
-
-
-def add_mix(sub) -> None:
-    parser = sub.add_parser("mix", help="run one mix under approaches")
-    parser.set_defaults(handler=cmd_mix)
-    parser.add_argument("mix", help="mix name, e.g. M1")
-    parser.add_argument(
-        "approaches",
-        nargs="*",
-        default=["shared-frfcfs", "ebp", "dbp"],
-        help="approach names (default: shared-frfcfs ebp dbp)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print a wall-clock profile after each approach",
     )
 
 
@@ -152,28 +134,4 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         print(result.render())
         print(f"\n({time.time() - started:.1f}s simulated wall-clock)")
-    return 0
-
-
-def cmd_mix(args: argparse.Namespace) -> int:
-    from ..workloads.mixes import resolve_mix
-
-    runner = make_runner(args, profile=args.profile)
-    mix = resolve_mix(args.mix)
-    print(f"{mix.name}: {' '.join(mix.apps)}  [{mix.category}]")
-    header = f"{'approach':<14} {'WS':>7} {'HS':>7} {'MS':>7}  slowdowns"
-    print(header)
-    print("-" * len(header))
-    for approach in args.approaches:
-        metrics = runner.run_mix(mix, approach).metrics
-        downs = " ".join(
-            f"{mix.apps[t]}={s:.2f}" for t, s in metrics.slowdowns.items()
-        )
-        print(
-            f"{approach:<14} {metrics.weighted_speedup:>7.3f} "
-            f"{metrics.harmonic_speedup:>7.3f} "
-            f"{metrics.max_slowdown:>7.3f}  {downs}"
-        )
-        if runner.profile and runner.last_profile is not None:
-            print_profile(runner.last_profile)
     return 0

@@ -137,7 +137,7 @@ def _import(library, operands: List[str], args: argparse.Namespace) -> int:
             f"rbh={c.get('rbh', 0.0):.3f} blp={c.get('blp', 0.0):.2f} "
             f"ipc_alone={c.get('ipc_alone', 0.0):.3f}"
         )
-    print(f"usable in mixes now, e.g.: repro-dbp mix {entry.name}+lbm")
+    print(f"usable in mixes now, e.g.: repro-dbp explain {entry.name}+lbm")
     return 0
 
 

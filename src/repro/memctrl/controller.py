@@ -180,9 +180,10 @@ class ChannelController:
         self._low_wm = config.write_low_watermark
         # Kernel introspection counters (flight recorder). Plain ints so
         # they pickle with the system and cost one attribute bump where
-        # they fire; exported as repro_kernel_* metrics, which kernelgrid
-        # strips from the differential document (they describe the memo
-        # machinery, which the golden fixture's full-rescan oracle lacks).
+        # they fire; exported as repro_kernel_* metrics, which
+        # tests/kernelgrid.py strips from the differential document (they
+        # describe the memo machinery, which the golden fixture's
+        # full-rescan oracle lacks).
         self.kc_decisions = 0
         self.kc_wake_hits = 0
         self.kc_wake_misses = 0
@@ -265,8 +266,8 @@ class ChannelController:
 
         The repro_kernel_* series describe the memo machinery, not the
         simulated machine — the golden fixture's full-rescan oracle has
-        none — so ``kernelgrid.grid_doc`` strips the prefix from the
-        differential document.
+        none — so ``grid_doc`` in ``tests/kernelgrid.py`` strips the prefix
+        from the differential document.
         """
         registry.counter(
             "repro_kernel_decisions_total",

@@ -7,7 +7,7 @@ or one persisted in ``RunResult.metrics_snapshot`` — into the derived
 quantities that actually explain kernel behaviour: the wake-memo
 short-circuit ratio (the headline ~2/3 figure from the kernel rebuild),
 best-memo hit rates, mean bucket scan lengths, and the invalidation
-cause mix.  ``repro-dbp perf`` renders the result.
+cause mix.  ``repro-dbp explain --show kernel`` renders the result.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def _num(value: Optional[float], fmt: str = "{:.1f}") -> str:
 
 
 def render_kernel_summary(summary: Dict[str, object]) -> str:
-    """Human-readable report for ``repro-dbp perf``."""
+    """Human-readable report for ``repro-dbp explain --show kernel``."""
     wake = summary["wake_memo"]
     best = summary["best_memo"]
     floor = summary["cas_floor"]

@@ -14,8 +14,8 @@ Two consumable forms:
   (metrics sorted by name, samples sorted by label values) suitable for
   `RunResult.metrics_snapshot` and the result store;
 * :func:`prometheus_text` — the Prometheus text exposition format,
-  rendered from a *snapshot* (not the live registry) so stored snapshots
-  round-trip through ``repro-dbp metrics`` without re-simulating.
+  rendered from a *snapshot* (not the live registry), so a stored snapshot
+  renders exactly as ``repro-dbp explain --show metrics`` prints a live one.
 """
 
 from __future__ import annotations

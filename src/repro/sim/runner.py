@@ -32,7 +32,7 @@ from ..records import (
     WorkloadRunMetrics,
     describe_run,
 )
-from ..telemetry import TelemetryConfig, TelemetryRecorder
+from ..telemetry import TelemetryRecorder
 from ..telemetry.spans import current_tracer, now_us
 from ..traces.source import DefaultTraceSource, TraceSource
 from ..workloads import Mix
@@ -52,7 +52,7 @@ class Runner:
         ahead_limit: int = 8192,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
-        telemetry: Optional[TelemetryConfig] = None,
+        telemetry: bool = False,
         profile: bool = False,
         trace_source: Optional[TraceSource] = None,
         safepoint_every: Optional[int] = None,
@@ -77,7 +77,7 @@ class Runner:
         self.alone_store: Optional[ResultStore] = None
         #: Worker processes campaign-backed sweeps may fan out over.
         self.jobs = jobs
-        #: When set, every mix run records per-epoch telemetry; the full
+        #: When True, every mix run records per-epoch telemetry; the full
         #: recorder of the most recent *simulated* (non-cached) run is kept
         #: on :attr:`last_telemetry` and its summary travels on the
         #: RunResult. Telemetry never changes simulation results, so store
@@ -437,9 +437,9 @@ class Runner:
     ) -> Callable[[System, int], None]:
         """The per-safepoint callback: checkpoint the system to ``path``.
 
-        A system that cannot be checkpointed (e.g. streaming telemetry
-        holds an open file) disables safepoints for the rest of the run
-        with a warning instead of failing it.
+        A system that cannot be checkpointed (e.g. a lambda on its agenda)
+        disables safepoints for the rest of the run with a warning instead
+        of failing it.
         """
         from .checkpoint import CheckpointError, write_checkpoint_file
 
@@ -512,11 +512,7 @@ class Runner:
             policy=policy,
             validate=self.validate,
             ahead_limit=self.ahead_limit,
-            telemetry=(
-                TelemetryRecorder(self.telemetry)
-                if self.telemetry is not None
-                else None
-            ),
+            telemetry=TelemetryRecorder() if self.telemetry else None,
             profile=self.profile,
         )
 

@@ -498,11 +498,9 @@ class System:
                 gc.enable()
 
     def _finish(self) -> SystemResult:
-        """Close the run (telemetry, validation, the result), then
-        :meth:`_release` the wiring; nothing simulated runs after this."""
+        """Close the run (validation, the result), then :meth:`_release`
+        the wiring; nothing simulated runs after this."""
         self._finished = True
-        if self.telemetry is not None:
-            self.telemetry.close()
         if self.validate:
             self._validate_command_streams()
         result = self._collect()
@@ -548,13 +546,6 @@ class System:
             )
         if self._finished:
             raise CheckpointError("this run already finished")
-        if self.telemetry is not None and getattr(
-            self.telemetry, "stream", None
-        ) is not None:
-            raise CheckpointError(
-                "streaming telemetry holds an open file and cannot be "
-                "checkpointed; use in-memory telemetry or no telemetry"
-            )
         doc: Dict[str, object] = {
             "cycle": self.engine.now,
             "horizon": self.horizon,

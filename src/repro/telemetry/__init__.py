@@ -2,8 +2,8 @@
 
 See :mod:`repro.telemetry.recorder` for the cost model: a system built
 without a recorder pays one ``is None`` check per epoch boundary and
-nothing per request. :mod:`repro.telemetry.stream` adds the on-disk
-streaming sink (rotating JSONL with schema headers) and its loader.
+nothing per request. The recorder's epoch log is the one on-disk form of
+its records.
 """
 
 from .._lazy import lazy_exports
@@ -13,8 +13,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".recorder": (
             "ControllerProbe",
-            "TelemetryConfig",
             "TelemetryRecorder",
+            "read_epoch_log",
+            "write_epoch_log",
         ),
         ".report": ("render_decisions", "render_timeline"),
         ".spans": (
@@ -26,13 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "merge_traces",
             "uninstall_tracer",
             "write_trace_file",
-        ),
-        ".stream": (
-            "STREAM_SCHEMA",
-            "STREAM_SCHEMA_VERSION",
-            "StoredTelemetry",
-            "TelemetryStreamWriter",
-            "load_stream",
         ),
     },
 )

@@ -16,53 +16,28 @@ recorder registers no extra controller listeners and executes exactly one
 ``is None`` check per epoch boundary — the hot command-issue path is
 untouched. With a recorder attached, per-request work is a few counter
 increments in :class:`ControllerProbe`; everything expensive (snapshotting
-dicts, JSON) happens once per epoch.
+dicts) happens once per epoch.
 
-Records live in a bounded ring (:class:`collections.deque` with
-``maxlen``): a long run keeps the newest ``capacity`` epochs and counts the
-evicted ones in ``dropped_epochs``, so memory is O(capacity) regardless of
-horizon. When ``stream_path`` is set, every record is *also* appended to a
-rotating JSONL file (see :mod:`repro.telemetry.stream`) before it can be
-evicted, so the full history survives on disk.
+The recorder keeps every epoch in a plain list: an epoch is a profiling
+interval (≈ 25k cycles under DBP-TCM) and a record ≈ 1.4 KB, so even a
+multi-million-cycle run holds a few hundred KB. :func:`write_epoch_log`
+persists the list as one versioned JSON document (the *epoch log*) and
+:func:`read_epoch_log` reads it back for ``repro-dbp explain --from-log``.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
+from ..artefact import Corrupt, Stale, read_json, write_json
 from ..errors import ConfigError
 
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Knobs of the epoch recorder."""
-
-    #: Maximum epochs kept in the ring buffer (oldest evicted first).
-    capacity: int = 4096
-    #: Log2 buckets of the per-controller read-latency histogram; bucket i
-    #: holds latencies of bit length i — [2^(i-1), 2^i) CPU cycles — and
-    #: the last bucket is open-ended.
-    latency_buckets: int = 14
-    #: When set, every epoch record is also appended to this JSONL file
-    #: (rotating, size-bounded) so history beyond ``capacity`` survives.
-    stream_path: Optional[str] = None
-    #: Rotate the stream file once a segment exceeds this many bytes.
-    stream_max_bytes: int = 16 * 1024 * 1024
-    #: Keep at most this many rotated segments besides the active file.
-    stream_max_files: int = 8
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ConfigError("telemetry capacity must be >= 1")
-        if self.latency_buckets < 2:
-            raise ConfigError("latency_buckets must be >= 2")
-        if self.stream_max_bytes < 4096:
-            raise ConfigError("stream_max_bytes must be >= 4096")
-        if self.stream_max_files < 1:
-            raise ConfigError("stream_max_files must be >= 1")
+#: Log2 buckets of the per-controller read-latency histogram: bucket i
+#: holds latencies of bit length i — [2^(i-1), 2^i) CPU cycles — and the
+#: last bucket is open-ended.
+LATENCY_BUCKETS = 14
+#: Format version of the epoch log; bump when the record layout changes.
+EPOCH_LOG_VERSION = 1
 
 
 class ControllerProbe:
@@ -70,7 +45,6 @@ class ControllerProbe:
 
     __slots__ = (
         "controller",
-        "buckets",
         "arrivals",
         "reads",
         "writes",
@@ -80,9 +54,8 @@ class ControllerProbe:
         "latency_hist",
     )
 
-    def __init__(self, controller, buckets: int) -> None:
+    def __init__(self, controller) -> None:
         self.controller = controller
-        self.buckets = buckets
         self._reset()
 
     def _reset(self) -> None:
@@ -92,7 +65,7 @@ class ControllerProbe:
         self.row_hits = 0
         self.migration_casses = 0
         self.latency_sum = 0
-        self.latency_hist = [0] * self.buckets
+        self.latency_hist = [0] * LATENCY_BUCKETS
 
     # -- controller listener interface ---------------------------------
     def on_arrival(self, request, now: int) -> None:
@@ -109,7 +82,7 @@ class ControllerProbe:
             if data_end is not None:
                 latency = max(0, data_end - request.arrival)
                 self.latency_sum += latency
-                bucket = min(latency.bit_length(), self.buckets - 1)
+                bucket = min(latency.bit_length(), LATENCY_BUCKETS - 1)
                 self.latency_hist[bucket] += 1
         if row_hit:
             self.row_hits += 1
@@ -135,34 +108,22 @@ class ControllerProbe:
 
 
 class TelemetryRecorder:
-    """Ring-buffer recorder of per-epoch system state.
+    """Recorder of per-epoch system state, one record per boundary.
 
-    Built by whoever wants visibility (Runner, the ``trace`` CLI, a test),
-    handed to :class:`~repro.sim.system.System`, read afterwards.
+    Built by whoever wants visibility (Runner, ``repro-dbp explain``, a
+    test), handed to :class:`~repro.sim.system.System`, read afterwards.
     """
 
-    def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
-        self.config = config if config is not None else TelemetryConfig()
-        self.records: deque = deque(maxlen=self.config.capacity)
+    def __init__(self) -> None:
+        self.records: List[Dict[str, object]] = []
         self.probes: List[ControllerProbe] = []
-        self.epochs = 0
-        self.quanta = 0
-        self.policy_epochs = 0
-        self.dropped_epochs = 0
         self._policy = None
         self._scheduler = None
         self._last_pages_migrated = 0
-        self.stream = None
-        if self.config.stream_path is not None:
-            from .stream import TelemetryStreamWriter
 
-            self.stream = TelemetryStreamWriter(
-                self.config.stream_path,
-                capacity=self.config.capacity,
-                latency_buckets=self.config.latency_buckets,
-                max_bytes=self.config.stream_max_bytes,
-                max_files=self.config.stream_max_files,
-            )
+    @property
+    def epochs(self) -> int:
+        return len(self.records)
 
     # ------------------------------------------------------------------
     # Wiring (called once by the System builder).
@@ -172,7 +133,7 @@ class TelemetryRecorder:
         self._policy = policy
         self._scheduler = scheduler
         for controller in controllers:
-            probe = ControllerProbe(controller, self.config.latency_buckets)
+            probe = ControllerProbe(controller)
             controller.add_listener(probe)
             self.probes.append(probe)
 
@@ -182,13 +143,6 @@ class TelemetryRecorder:
     def on_epoch(
         self, now: int, snapshot, fired_quantum: bool, fired_policy: bool
     ) -> None:
-        if len(self.records) == self.records.maxlen:
-            self.dropped_epochs += 1
-        self.epochs += 1
-        if fired_quantum:
-            self.quanta += 1
-        if fired_policy:
-            self.policy_epochs += 1
         record: Dict[str, object] = {
             "cycle": now,
             "fired_quantum": fired_quantum,
@@ -212,8 +166,6 @@ class TelemetryRecorder:
             # quantum, so this is the only boundary their state surfaces.
             record["scheduler"] = self._scheduler_state()
         self.records.append(record)
-        if self.stream is not None:
-            self.stream.write(record)
 
     def _policy_decisions(self) -> Dict[str, object]:
         """Duck-typed capture of whatever the policy exposes.
@@ -249,26 +201,6 @@ class TelemetryRecorder:
             doc.update(state())
         return doc
 
-    # ------------------------------------------------------------------
-    # Export.
-    # ------------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """One deterministic JSON document per recorded epoch."""
-        return "".join(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            for record in self.records
-        )
-
-    def dump_jsonl(self, path) -> None:
-        """Write :meth:`to_jsonl` to ``path``."""
-        with open(path, "w") as handle:
-            handle.write(self.to_jsonl())
-
-    def close(self) -> None:
-        """Flush and close the streaming sink, if any (idempotent)."""
-        if self.stream is not None:
-            self.stream.close()
-
     def summary(self) -> Dict[str, object]:
         """Compact run-level digest (attached to store entry metadata)."""
         max_read_q = max_write_q = 0
@@ -280,15 +212,12 @@ class TelemetryRecorder:
                 migration_casses += ctrl["migration_casses"]
         doc: Dict[str, object] = {
             "epochs": self.epochs,
-            "quanta": self.quanta,
-            "policy_epochs": self.policy_epochs,
-            "dropped_epochs": self.dropped_epochs,
+            "quanta": sum(r["fired_quantum"] for r in self.records),
+            "policy_epochs": sum(r["fired_policy"] for r in self.records),
             "max_read_queue_depth": max_read_q,
             "max_write_queue_depth": max_write_q,
             "migration_casses": migration_casses,
         }
-        if self.stream is not None:
-            doc["streamed_epochs"] = self.stream.records_written
         repartitions = getattr(self._policy, "stat_repartitions", None)
         if repartitions is not None:
             doc["repartitions"] = repartitions
@@ -296,3 +225,25 @@ class TelemetryRecorder:
         if pages is not None:
             doc["pages_migrated"] = pages
         return doc
+
+
+def write_epoch_log(
+    path, records: Sequence[Dict[str, object]], **header: object
+) -> None:
+    """Persist ``records`` as one epoch-log document; ``header`` names the
+    run (mix, approach, horizon, seed)."""
+    write_json(
+        path, {"version": EPOCH_LOG_VERSION, **header, "records": list(records)}
+    )
+
+
+def read_epoch_log(path) -> Dict[str, object]:
+    """The epoch-log document at ``path``; a missing, torn or foreign-
+    version file is a :class:`ConfigError` naming it."""
+    try:
+        doc = read_json(path, EPOCH_LOG_VERSION, kind="epoch log")
+    except (Corrupt, Stale) as error:
+        raise ConfigError(str(error)) from None
+    if not isinstance(doc.get("records"), list):
+        raise ConfigError(f"corrupt epoch log {path}: no records list")
+    return doc

@@ -8,16 +8,14 @@ Two tables, built for terminal widths:
   estimated bank demand, the colors it was assigned, and the scheduler's
   quantum/batch state at that boundary.
 
-Both renderers accept anything recorder-shaped — a live
-:class:`~repro.telemetry.recorder.TelemetryRecorder` or a
-:class:`~repro.telemetry.stream.StoredTelemetry` loaded from a JSONL
-stream — they only touch ``records``, ``dropped_epochs`` and
-``config.capacity``.
+Both renderers take a list of epoch records: a live
+:class:`~repro.telemetry.recorder.TelemetryRecorder`'s ``records`` or the
+``records`` of an epoch log read back from disk.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 
 def _colors_compact(colors: List[int]) -> str:
@@ -58,9 +56,10 @@ def _sched_compact(doc: Dict[str, object]) -> str:
     return str(name)
 
 
-def render_timeline(recorder, last: Optional[int] = None) -> str:
+def render_timeline(
+    records: Sequence[Dict[str, object]], last: Optional[int] = None
+) -> str:
     """The epoch timeline table (optionally only the newest ``last`` rows)."""
-    records = list(recorder.records)
     if last is not None:
         records = records[-last:]
     header = (
@@ -88,17 +87,12 @@ def render_timeline(recorder, last: Optional[int] = None) -> str:
             f"{bandwidth:>6.2f} {max_mpki:>8.1f} {read_q:>4} {write_q:>4} "
             f"{mig:>6} {repart!s:>6} {moved!s:>6}"
         )
-    if recorder.dropped_epochs:
-        lines.append(
-            f"... {recorder.dropped_epochs} older epoch(s) evicted from the "
-            f"ring (capacity {recorder.config.capacity})"
-        )
     return "\n".join(lines)
 
 
-def render_decisions(recorder) -> str:
+def render_decisions(records: Sequence[Dict[str, object]]) -> str:
     """The policy-decisions table (policy epochs only)."""
-    records = [r for r in recorder.records if r.get("policy")]
+    records = [r for r in records if r.get("policy")]
     if not records:
         return "(no policy epochs recorded)"
     thread_ids = sorted(

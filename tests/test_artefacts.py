@@ -6,8 +6,8 @@ Three layers:
   exact JSON bytes, the classification of bytes read back;
 * one parametrized chaos test that damages a freshly written file of
   every kind — store entry, alone record, failure record, library
-  manifest, checkpoint, span file — and asserts each kind's documented
-  outcome (DESIGN.md, "On-disk artefacts");
+  manifest, checkpoint, span file, epoch log — and asserts each kind's
+  documented outcome (DESIGN.md, "On-disk artefacts");
 * a compatibility case over ``tests/data/artefacts/``: one file per kind
   written by the writers that predate the shared module. Each must still
   read at an unchanged version and re-emit byte-identically.
@@ -38,7 +38,7 @@ from repro.campaign.store import (
     ResultStore,
     decode_run_result,
 )
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.cpu.trace import Trace, TraceRecord
 from repro.errors import ConfigError
 from repro.faults import corrupt_file, truncate_file
@@ -50,6 +50,7 @@ from repro.sim.checkpoint import (
     load_checkpoint,
     write_checkpoint_file,
 )
+from repro.telemetry.recorder import EPOCH_LOG_VERSION, write_epoch_log
 from repro.telemetry.spans import (
     SpanTracer,
     load_trace_file,
@@ -259,6 +260,31 @@ class SpanFile:
         assert isinstance(excinfo.value, Corrupt)
 
 
+class EpochLog:
+    foreign = staticmethod(lambda path: _bump_json(path, "version"))
+
+    def write(self, root):
+        record = {
+            "cycle": 25_000, "fired_quantum": True, "fired_policy": False,
+            "threads": {}, "controllers": [],
+        }
+        path = root / "epochs.json"
+        write_epoch_log(path, [record], mix="M4", approach="dbp", seed=1)
+        return path
+
+    def check(self, root, path, case):
+        args = _build_parser().parse_args(["explain", "--from-log", str(path)])
+        with pytest.raises(ConfigError) as excinfo:
+            args.handler(args)
+        if case == "foreign":
+            assert f"stale epoch log {path}: version " in str(excinfo.value)
+            assert f"{EPOCH_LOG_VERSION + 1} != {EPOCH_LOG_VERSION}" in (
+                str(excinfo.value)
+            )
+        else:
+            assert f"corrupt epoch log {path}" in str(excinfo.value)
+
+
 KINDS = {
     "store-entry": StoreEntry(),
     "alone-record": AloneRecord(),
@@ -266,6 +292,7 @@ KINDS = {
     "manifest": Manifest(),
     "checkpoint": Checkpoint(),
     "span-file": SpanFile(),
+    "epoch-log": EpochLog(),
 }
 DAMAGE = {
     "torn": truncate_file,

@@ -620,7 +620,6 @@ class TestAggregateTelemetry:
                         "quanta": 5,
                         "repartitions": 1,
                         "max_read_queue_depth": 7,
-                        "streamed_epochs": 5,
                     }
                 ),
                 self._outcome(None),  # a run without telemetry
@@ -631,7 +630,6 @@ class TestAggregateTelemetry:
         assert merged["quanta"] == 8
         assert merged["repartitions"] == 3
         assert merged["max_read_queue_depth"] == 10
-        assert merged["streamed_epochs"] == 5
         # Fields no run reported are dropped, not reported as 0.
         assert "pages_migrated" not in merged
 

@@ -26,12 +26,6 @@ import pytest
 
 from repro.faults import FaultPlan, FaultSpec, TransientFaultError
 from repro.faults import install_plan, reset as faults_reset
-from repro.kernelgrid import (
-    GRID,
-    HORIZON,
-    build_grid_system,
-    run_grid_spec_checkpointed,
-)
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointCorruptError,
@@ -43,11 +37,18 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.runner import Runner
 from repro.sim.system import System
+from tests.kernelgrid import (
+    GRID,
+    HORIZON,
+    build_grid_system,
+    run_grid_spec_checkpointed,
+)
 
 _GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "kernel_golden.json"
 )
-_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SRC = os.path.join(_ROOT, "src")
 
 _MAGIC = b"RDBPCKPT\n"
 _LEN = struct.Struct(">I")
@@ -378,7 +379,7 @@ def test_interrupt_point_does_not_change_results(golden):
 _WRITE_FIRST_SAFEPOINT = """
 import sys
 from pathlib import Path
-from repro.kernelgrid import GRID, HORIZON, build_grid_system
+from tests.kernelgrid import GRID, HORIZON, build_grid_system
 
 spec = next(s for s in GRID if s[0] == sys.argv[1])
 
@@ -398,7 +399,7 @@ except Stop:
 _RESUME_AND_REPORT = """
 import json, sys
 from pathlib import Path
-from repro.kernelgrid import grid_doc
+from tests.kernelgrid import grid_doc
 from repro.sim.system import System
 
 system = System.restore(Path(sys.argv[1]).read_bytes())
@@ -407,7 +408,11 @@ print(json.dumps(grid_doc(system, system.resume())))
 
 
 def _python(code, hash_seed, *argv):
-    env = dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED=str(hash_seed))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([_SRC, _ROOT]),
+        PYTHONHASHSEED=str(hash_seed),
+    )
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
         env=env, capture_output=True, text=True, check=True, timeout=300,

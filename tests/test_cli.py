@@ -23,19 +23,21 @@ class TestConfig:
 
 
 class TestMix:
+    """``explain``'s default section: one mix under several approaches."""
+
     def test_mix_runs_default_approaches(self, capsys):
-        assert main(["--horizon", "20000", "mix", "M4"]) == 0
+        assert main(["--horizon", "20000", "explain", "M4"]) == 0
         out = capsys.readouterr().out
         assert "shared-frfcfs" in out
         assert "dbp" in out
         assert "WS" in out
 
     def test_unknown_mix_errors(self, capsys):
-        assert main(["--horizon", "20000", "mix", "M99"]) == 1
+        assert main(["--horizon", "20000", "explain", "M99"]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_unknown_approach_errors(self, capsys):
-        assert main(["--horizon", "20000", "mix", "M4", "warp-drive"]) == 1
+        assert main(["--horizon", "20000", "explain", "M4", "warp-drive"]) == 1
         assert "error" in capsys.readouterr().err
 
 
@@ -69,78 +71,77 @@ class TestRun:
         assert f"experiment {exp_id.upper()} takes no --mixes" in err
 
 
+def _tables(out):
+    """The timeline and decisions tables of an ``explain`` output."""
+    return out[out.index("Epoch timeline"):].split("\n\nwrote ")[0].rstrip()
+
+
 class TestTrace:
+    """``explain --show timeline,decisions`` and the epoch log."""
+
     def test_trace_renders_timeline_and_decisions(self, capsys):
-        assert main(["--horizon", "45000", "trace", "M4"]) == 0
+        assert main(
+            [
+                "--horizon", "45000", "explain", "M4", "dbp-tcm",
+                "--show", "timeline,decisions",
+            ]
+        ) == 0
         out = capsys.readouterr().out
         assert "cycle" in out
         assert "scheduler" in out
 
-    def test_trace_streams_then_rerenders_from_jsonl(self, tmp_path, capsys):
-        stream = tmp_path / "run.jsonl"
-        assert main(
-            ["--horizon", "45000", "trace", "M4", "--stream", str(stream)]
-        ) == 0
-        live = capsys.readouterr().out
-        assert f"streamed" in live
-        assert stream.exists()
-
-        assert main(["trace", "--from-jsonl", str(stream)]) == 0
-        stored = capsys.readouterr().out
-        assert "epochs" in stored
-        # The stored rendering repeats the live tables verbatim.
-        for line in live.splitlines():
-            if line.startswith("| "):
-                assert line in stored
-
-    def test_trace_small_capacity_reports_dropped_epochs(
-        self, tmp_path, capsys
-    ):
-        stream = tmp_path / "run.jsonl"
+    def test_log_round_trips_through_from_log(self, tmp_path, capsys):
+        log = tmp_path / "epochs.json"
+        show = ["--show", "timeline,decisions"]
         assert main(
             [
-                "--horizon", "130000", "trace", "M4",
-                "--capacity", "2", "--stream", str(stream),
+                "--horizon", "60000", "explain", "M4", "dbp-tcm", *show,
+                "--log", str(log),
             ]
         ) == 0
-        capsys.readouterr()
-        assert main(["trace", "--from-jsonl", str(stream)]) == 0
-        out = capsys.readouterr().out
-        # All 5 boundaries survive on disk even though the ring held 2.
-        assert "epochs=5" in out
-        assert "dropped_epochs=0" in out
+        live = capsys.readouterr().out
+        assert f"wrote 2 epoch records to {log}" in live
+        assert main(["explain", "--from-log", str(log), *show]) == 0
+        stored = capsys.readouterr().out
+        assert "M4 under dbp-tcm  (horizon 60000, seed 1)" in stored
+        assert _tables(stored) == _tables(live)
+        assert "Policy decisions:" in _tables(live)
 
-    def test_from_jsonl_with_mix_is_an_error(self, tmp_path, capsys):
-        assert main(
-            ["trace", "M4", "--from-jsonl", str(tmp_path / "x.jsonl")]
-        ) == 1
-        assert "error:" in capsys.readouterr().err
+    def test_log_needs_exactly_one_approach(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", "M4", "ebp", "dbp", "--log", str(tmp_path / "x")])
+        assert exit_info.value.code == 2
+        assert "name one APPROACH" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
-    def test_trace_without_mix_or_jsonl_is_an_error(self, capsys):
-        assert main(["trace"]) == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["M4", "--from-log", "x.json"],
+            ["--from-log", "x.json", "--show", "summary"],
+            ["--from-log", "x.json", "--log", "y.json"],
+            [],
+        ],
+        ids=["with-mix", "summary", "with-log", "nothing"],
+    )
+    def test_from_log_misuse_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", *argv])
+        assert exit_info.value.code == 2
+        assert "usage: repro-dbp explain" in capsys.readouterr().err
 
-    def test_corrupt_jsonl_fails_cleanly(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(
-            '{"kind": "header", "schema": "repro-dbp-telemetry",'
-            ' "schema_version": 1, "seq": 0}\n'
-            '{"cycle": 10000, "truncat\n'
-        )
-        assert main(["trace", "--from-jsonl", str(bad)]) == 1
+    def test_missing_log_fails_cleanly(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["explain", "--from-log", str(missing)]) == 1
         err = capsys.readouterr().err
-        assert "error:" in err
-        assert "corrupt" in err
-
-    def test_missing_jsonl_fails_cleanly(self, tmp_path, capsys):
-        assert main(
-            ["trace", "--from-jsonl", str(tmp_path / "nope.jsonl")]
-        ) == 1
-        assert "error:" in capsys.readouterr().err
+        assert f"error: corrupt epoch log {missing}" in err
 
     def test_trace_profile_prints_breakdown(self, capsys):
         assert main(
-            ["--horizon", "30000", "trace", "M4", "--profile"]
+            [
+                "--horizon", "30000", "explain", "M4", "dbp-tcm",
+                "--show", "timeline,profile",
+            ]
         ) == 0
         out = capsys.readouterr().out
         assert "cycles/sec" in out
@@ -149,25 +150,59 @@ class TestTrace:
 
 class TestMetrics:
     def test_metrics_prometheus_output(self, capsys):
-        assert main(["--horizon", "20000", "metrics", "M4"]) == 0
+        assert main(
+            ["--horizon", "20000", "explain", "M4", "dbp-tcm", "--show", "metrics"]
+        ) == 0
         out = capsys.readouterr().out
+        assert out.startswith("# HELP ")
         assert "# TYPE repro_ctrl_requests_served_total counter" in out
         assert "repro_sim_cycles 20000" in out
 
     def test_metrics_json_output(self, capsys):
         assert main(
-            ["--horizon", "20000", "metrics", "M4", "--format", "json"]
+            [
+                "--horizon", "20000", "explain", "M4", "dbp-tcm",
+                "--show", "metrics", "--format", "json",
+            ]
         ) == 0
         out = capsys.readouterr().out
         import json
 
-        snapshot = json.loads(out)
+        snapshot = json.loads(out)["runs"][0]["metrics"]
         names = [m["name"] for m in snapshot["metrics"]]
         assert "repro_dram_commands_total" in names
 
     def test_metrics_unknown_mix_errors(self, capsys):
-        assert main(["metrics", "M99"]) == 1
+        assert main(["explain", "M99", "--show", "metrics"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestOneExplainVerb:
+    """``explain`` replaced ``mix``, ``trace``, ``perf`` and ``metrics``."""
+
+    @pytest.mark.parametrize("verb", ["mix", "trace", "perf", "metrics"])
+    def test_old_verb_is_gone(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "M4"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_perf_sections(self, capsys):
+        assert main(
+            [
+                "--horizon", "20000", "explain", "M4", "dbp-tcm",
+                "--show", "profile,kernel",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("M4 under dbp-tcm  (horizon 20000, seed 1)\n")
+        assert "wake-memo short-circuits" in out
+
+    def test_unknown_section_is_rejected_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", "M4", "--show", "summary,colours"])
+        assert exit_info.value.code == 2
+        assert "unknown section(s) 'colours'" in capsys.readouterr().err
 
 
 class TestOutOfDomainOptions:
@@ -194,6 +229,8 @@ class TestOutOfDomainOptions:
             ["results", "compare", "a", "b", "--tolerance", "-1"],
             ["results", "compare", "a", "b", "--tolerance", "nan"],
             ["results", "compare", "a", "b", "--tolerance", "inf"],
+            ["explain", "M4", "--last", "0"],
+            ["explain", "M4", "--last", "-1"],
         ],
     )
     def test_rejected_at_parse_time(self, argv, capsys):
@@ -266,13 +303,13 @@ class TestOneBenchmarkSystem:
         assert not hasattr(repro.results, "sync_bench_dir")
 
 
-#: Every registered command line that must parse: the 13 top-level
+#: Every registered command line that must parse: the 10 top-level
 #: commands and each results/tune/store/traces verb.
 HELP_TARGETS = [
     [command]
     for command in (
         "list", "config", "run", "campaign", "results", "store", "tune",
-        "trace", "perf", "metrics", "mix", "traces", "gen-traces",
+        "explain", "traces", "gen-traces",
     )
 ] + [
     [command, verb]
@@ -305,7 +342,8 @@ class TestRegistryCompleteness:
             ["results", "compare", "a", "b"], ["results", "gates"],
             ["store", "stats"], ["store", "ls"],
             ["store", "gc"], ["tune", "run"], ["tune", "report"],
-            ["tune", "frontier"], ["trace"], ["perf"], ["metrics", "M4"],
-            ["mix", "M4"], ["traces", "list"], ["gen-traces", "mcf"],
+            ["tune", "frontier"], ["explain", "M4"],
+            ["explain", "--from-log", "x.json"], ["traces", "list"],
+            ["gen-traces", "mcf"],
         ):
             assert callable(parser.parse_args(argv).handler), argv

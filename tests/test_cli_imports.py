@@ -121,6 +121,20 @@ class TestReadersSkipTheSimulator:
         assert not modules & SIMULATOR
         assert in_layers(modules) == []
 
+    def test_explain_from_log(self, tmp_path):
+        log = tmp_path / "epochs.json"
+        assert main(
+            [
+                "--horizon", "30000", "explain", "M4", "dbp-tcm",
+                "--show", "decisions", "--log", str(log),
+            ]
+        ) == 0
+        code, modules, out = run_probe("explain", "--from-log", str(log))
+        assert code == 0
+        assert "Policy decisions:" in out
+        assert not modules & SIMULATOR
+        assert in_layers(modules) == []
+
     def test_uncached_campaign_still_loads_it(self, tmp_path):
         """The probe is not vacuous: real work does import the simulator."""
         code, modules, _out = run_probe(

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.kernelgrid import GRID, build_grid_system, grid_doc
 from repro.metrics.kernelstats import (
     kernel_counter_summary,
     render_kernel_summary,
 )
 from tests import reference_kernel
+from tests.kernelgrid import GRID, build_grid_system, grid_doc
 
 #: Counter families every populated run must export.
 _KERNEL_METRICS = (

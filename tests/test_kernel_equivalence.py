@@ -21,8 +21,8 @@ import os
 
 import pytest
 
-from repro.kernelgrid import GRID, run_grid_spec
 from tests import reference_kernel
+from tests.kernelgrid import GRID, run_grid_spec
 
 _GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "kernel_golden.json"

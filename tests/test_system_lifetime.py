@@ -22,13 +22,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro import kernelgrid
 from repro.config import PrefetcherConfig, SystemConfig
 from repro.core.integration import get_approach
 from repro.sim.runner import Runner
 from repro.sim.system import System
 from repro.telemetry import TelemetryRecorder
 from repro.workloads import resolve_mix
+from tests import kernelgrid
 
 HORIZON = 30_000
 

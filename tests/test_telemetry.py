@@ -12,8 +12,6 @@ layer that would have caught them:
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.baselines import SharedPolicy
@@ -31,7 +29,7 @@ from repro.osmm import MigrationPlan
 from repro.sim.engine import Engine
 from repro.sim.runner import Runner
 from repro.sim.system import System
-from repro.telemetry import TelemetryConfig, TelemetryRecorder
+from repro.telemetry import TelemetryRecorder, read_epoch_log, write_epoch_log
 from repro.telemetry.report import render_decisions, render_timeline
 from repro.workloads import AppProfile, generate_trace
 
@@ -287,7 +285,7 @@ class TestReadLatency:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry mechanics: zero-cost when off, bounded, deterministic.
+# Telemetry mechanics: zero-cost when off, complete, deterministic.
 # ---------------------------------------------------------------------------
 class TestRecorder:
     def test_disabled_registers_no_listeners(self, small_config):
@@ -301,28 +299,36 @@ class TestRecorder:
         assert all(len(c._listeners) == 2 for c in system.controllers)
         assert len(recorder.probes) == len(system.controllers)
 
-    def test_ring_buffer_caps_memory(self, small_config):
-        recorder = TelemetryRecorder(TelemetryConfig(capacity=2))
-        system = dbp_tcm_system(small_config, horizon=65_000, recorder=recorder)
-        system.run()
-        assert len(recorder.records) == 2
-        assert recorder.dropped_epochs == recorder.epochs - 2
-        assert [r["cycle"] for r in recorder.records] == [50_000, 60_000]
-
-    def test_jsonl_is_deterministic_across_identical_runs(self, small_config):
+    def test_epoch_log_is_deterministic_across_identical_runs(
+        self, small_config, tmp_path
+    ):
         outputs = []
-        for _ in range(2):
+        for run in range(2):
             recorder = TelemetryRecorder()
             system = dbp_tcm_system(
                 small_config, horizon=45_000, recorder=recorder
             )
             system.run()
-            outputs.append(recorder.to_jsonl())
+            path = tmp_path / f"run{run}.json"
+            write_epoch_log(path, recorder.records, mix="test", seed=1)
+            outputs.append(path.read_bytes())
+            # The log reads back as exactly the recorded epochs.
+            doc = read_epoch_log(path)
+            assert doc["records"] == recorder.records
+            assert (doc["mix"], doc["seed"]) == ("test", 1)
         assert outputs[0] == outputs[1]
-        lines = outputs[0].splitlines()
-        assert lines, "a 45k run must record epochs"
-        for line in lines:
-            json.loads(line)  # every record is valid standalone JSON
+        assert recorder.records, "a 45k run must record epochs"
+
+    def test_epoch_log_without_records_is_corrupt(self, tmp_path):
+        path = tmp_path / "epochs.json"
+        write_epoch_log(path, [])
+        doc = path.read_text().replace('"records"', '"recs"')
+        path.write_text(doc)
+        with pytest.raises(ConfigError) as excinfo:
+            read_epoch_log(path)
+        assert f"corrupt epoch log {path}: no records list" in str(
+            excinfo.value
+        )
 
     def test_latency_histogram_counts_all_reads(self, small_config):
         recorder = TelemetryRecorder()
@@ -342,10 +348,10 @@ class TestRecorder:
         recorder = TelemetryRecorder()
         system = dbp_tcm_system(small_config, horizon=45_000, recorder=recorder)
         system.run()
-        timeline = render_timeline(recorder)
+        timeline = render_timeline(recorder.records)
         assert "cycle" in timeline and "repart" in timeline
         assert str(20_000) in timeline
-        decisions = render_decisions(recorder)
+        decisions = render_decisions(recorder.records)
         assert "dbp" in decisions
         assert "->" in decisions
 
@@ -359,7 +365,7 @@ class TestRunnerIntegration:
             config=small_config,
             horizon=30_000,
             target_insts=200_000,
-            telemetry=TelemetryConfig(),
+            telemetry=True,
         )
         result = runner.run_apps(["lbm", "gcc"], "dbp-tcm")
         assert result.telemetry is not None
@@ -381,7 +387,7 @@ class TestRunnerIntegration:
             horizon=30_000,
             target_insts=200_000,
             store=store,
-            telemetry=TelemetryConfig(),
+            telemetry=True,
         )
         first = runner.run_apps(["lbm", "gcc"], "dbp")
         assert first.telemetry is not None
@@ -392,7 +398,7 @@ class TestRunnerIntegration:
             horizon=30_000,
             target_insts=200_000,
             store=store,
-            telemetry=TelemetryConfig(),
+            telemetry=True,
         )
         second = resumed.run_apps(["lbm", "gcc"], "dbp")
         assert second.telemetry == first.telemetry
@@ -546,7 +552,7 @@ class TestSchedulerTelemetryState:
         recorder = TelemetryRecorder()
         system = dbp_tcm_system(small_config, horizon=45_000, recorder=recorder)
         system.run()
-        table = render_decisions(recorder)
+        table = render_decisions(recorder.records)
         header = table.splitlines()[0]
         assert "scheduler" in header
         assert "tcm L=[" in table
