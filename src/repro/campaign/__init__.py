@@ -4,12 +4,14 @@ The reconstructed evaluation is a grid of fully independent
 (mix x approach x seed x horizon) simulations. This package turns such a
 grid into a *campaign*:
 
-* :mod:`~repro.campaign.spec` **plans** — expands a
-  :class:`CampaignSpec` into picklable :class:`RunSpec` cells (approaches
-  travel by registry name; workers rebuild the policies);
-* :mod:`~repro.campaign.executor` **executes** — hands the plan out to
-  supervisor-owned worker processes with bounded retries and per-run
-  deadlines enforced by killing and replacing the worker that overran;
+* :mod:`~repro.campaign.spec` **plans** — :meth:`CampaignSpec.plan` is
+  the one place a grid becomes picklable :class:`RunSpec` cells
+  (approaches travel by registry name; workers rebuild the policies);
+* :mod:`~repro.campaign.executor` **executes** — :func:`execute` is the one
+  place a cell is looked up, run and persisted: it hands the plan out to
+  supervisor-owned worker processes (or, at one job, to the same worker
+  function inline) with bounded retries and per-run deadlines enforced by
+  killing and replacing the worker that overran;
 * :mod:`~repro.campaign.store` **persists** — a content-addressed
   :class:`ResultStore` under ``benchmarks/results/store/`` makes re-runs
   free and interrupted campaigns resumable;
@@ -31,7 +33,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "RunOutcome",
             "RunTimeoutError",
             "execute",
-            "execute_one",
         ),
         ".failures": (
             "FailureAttempt",
@@ -49,7 +50,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "DEFAULT_APPROACHES",
             "CampaignSpec",
             "RunSpec",
-            "plan_sweep",
         ),
         ".store": (
             "STORE_VERSION",

@@ -3,10 +3,9 @@
 * :func:`run_campaign` — plan-and-execute for CLI/script use, with the
   persistent store on by default.
 * :func:`sweep_metrics` — the engine behind every grid entry of the
-  experiment catalog: executes a (mix x approach) grid through a Runner's
-  scope, fanning out over ``runner.jobs`` worker processes and adopting
-  every result into the Runner's in-memory cache so later figures that
-  share runs (e.g. F3 after F2) stay free.
+  experiment catalog: plans a (mix x approach) grid in a Runner's scope
+  and executes it like any campaign, over ``runner.jobs`` workers and
+  against ``runner.store``.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..errors import ExperimentError
-from ..workloads import get_mix
 from .executor import CampaignResult, ProgressFn, execute
-from .spec import CampaignSpec, RunSpec, plan_sweep
+from .spec import CampaignSpec, RunSpec
 from .store import ResultStore, default_store_dir
 
 
@@ -71,43 +69,42 @@ def sweep_metrics(
     mixes: Sequence[str],
     approaches: Sequence[str],
 ) -> Dict[str, Dict[str, List[float]]]:
-    """Run mixes x approaches through ``runner``; per-approach WS/MS/HS lists.
+    """Run mixes x approaches in ``runner``'s scope; per-approach WS/MS/HS.
 
-    When ``runner.jobs <= 1`` it *is* the serial path (same Runner, same
-    order), so metrics are bit-identical; with more jobs the missing cells
-    fan out through the campaign executor and the Runner adopts the
-    results.
+    The grid is planned by :class:`CampaignSpec` and executed by
+    :func:`execute` on ``runner.jobs`` workers against ``runner.store``,
+    like any campaign — at one job inline, on this process's worker
+    Runners, whose in-memory memo serves a later grid that shares cells
+    (F3 after F2) even without a store. A cell that fails or is
+    quarantined fails the sweep.
     """
+    specs = CampaignSpec(
+        mixes=tuple(mixes),
+        approaches=tuple(approaches),
+        seeds=(runner.seed,),
+        horizons=(runner.horizon,),
+        config=runner.config,
+        target_insts=runner.target_insts,
+        ahead_limit=runner.ahead_limit,
+        validate=runner.validate,
+        telemetry=runner.telemetry,
+    ).plan()
+    campaign = execute(specs, jobs=runner.jobs, store=runner.store)
+    failures = campaign.failed + campaign.quarantined
+    if failures:
+        first = failures[0]
+        raise ExperimentError(
+            f"{len(failures)} of {len(specs)} sweep runs "
+            f"failed or were quarantined; "
+            f"first: {first.spec.label} — {first.error}"
+        )
     out: Dict[str, Dict[str, List[float]]] = {
         approach: {"ws": [], "ms": [], "hs": []} for approach in approaches
     }
-    if runner.jobs > 1:
-        missing = [
-            spec
-            for spec in plan_sweep(runner, mixes, approaches)
-            if runner.cached_run(spec.apps, spec.approach) is None
-        ]
-        if missing:
-            campaign = execute(
-                missing, jobs=runner.jobs, store=runner.store
-            )
-            failures = campaign.failed + campaign.quarantined
-            if failures:
-                first = failures[0]
-                raise ExperimentError(
-                    f"{len(failures)} of {len(missing)} sweep runs "
-                    f"failed or were quarantined; "
-                    f"first: {first.spec.label} — {first.error}"
-                )
-            for outcome in campaign.outcomes:
-                runner.adopt_result(
-                    outcome.spec.apps, outcome.spec.approach, outcome.result
-                )
-    for mix_name in mixes:
-        mix = get_mix(mix_name)
-        for approach in approaches:
-            metrics = runner.run_mix(mix, approach).metrics
-            out[approach]["ws"].append(metrics.weighted_speedup)
-            out[approach]["ms"].append(metrics.max_slowdown)
-            out[approach]["hs"].append(metrics.harmonic_speedup)
+    for outcome in campaign.outcomes:
+        metrics = outcome.result.metrics
+        series = out[outcome.spec.approach]
+        series["ws"].append(metrics.weighted_speedup)
+        series["ms"].append(metrics.max_slowdown)
+        series["hs"].append(metrics.harmonic_speedup)
     return out

@@ -45,6 +45,10 @@ Supervision rules (see :mod:`repro.campaign.failures` for the taxonomy):
   and nothing to overlap, so the same scheduling loop calls the worker
   function inline instead of starting a process — same code path a worker
   process runs, so metrics are bit-identical either way.
+
+:func:`execute` is the one path by which a cell is looked up in, run for
+and written to the store: campaigns, tuner trials and the experiment
+catalog's grids all come through it.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import (
     Tuple, Union,
 )
 
-from ..records import RunResult, describe_run
+from ..records import RunResult
 from ..telemetry.spans import (
     SpanTracer,
     install_tracer,
@@ -158,30 +162,41 @@ class CampaignResult:
 # Worker side. Everything here must be importable (top-level) and picklable.
 # ---------------------------------------------------------------------------
 _WORKER_RUNNERS: Dict[object, object] = {}
+_WORKER_TRACES: Dict[tuple, object] = {}
 _WORKER_STORES: Dict[str, ResultStore] = {}
 
 
 def _runner_for(
     spec: RunSpec,
+    store: Optional[ResultStore] = None,
     safepoint_every: Optional[int] = None,
     safepoint_dir: Optional[str] = None,
     submission: int = 1,
 ):
-    """A process-local Runner matching the spec's scope (cached)."""
+    """A process-local Runner matching the spec's scope (cached).
+
+    Its traces, alone IPCs and run memo outlive the hand-off: a worker
+    process reuses them for the cells it serves next, and the inline path
+    (one job) for every later plan in this process that shares cells.
+    """
     from ..sim.runner import Runner
 
-    telemetry = getattr(spec, "telemetry", False)
-    key = (spec.runner_key(), telemetry)
+    key = (spec.runner_key(), spec.telemetry)
     runner = _WORKER_RUNNERS.get(key)
     if runner is None:
         runner = Runner(
             config=spec.config,
-            telemetry=telemetry,
+            telemetry=spec.telemetry,
             **scope_of(spec),
         )
+        # A trace is a function of (app, seed, length) — or of a library
+        # digest — never of the config, so every scope shares one cache.
+        runner._trace_cache = _WORKER_TRACES
         _WORKER_RUNNERS[key] = runner
-    # Safepoint policy is per-campaign, not part of the runner's scope
-    # (it never changes results), so refresh it on every hand-off.
+    # The alone-record store and the safepoint policy are per-campaign,
+    # not part of the runner's scope (they never change results), so
+    # refresh them on every hand-off.
+    runner.store = store
     runner.safepoint_every = safepoint_every
     runner.safepoint_dir = safepoint_dir
     runner.fault_attempt = submission
@@ -194,28 +209,6 @@ def _store_for(store_root: str) -> ResultStore:
         store = ResultStore(store_root)
         _WORKER_STORES[store_root] = store
     return store
-
-
-def execute_one(
-    spec: RunSpec,
-    submission: int = 1,
-    safepoint_every: Optional[int] = None,
-    safepoint_dir: Optional[str] = None,
-) -> Tuple[RunResult, float]:
-    """Run one spec in this process; returns (result, wall-clock seconds)."""
-    from ..faults import maybe_fire
-
-    runner = _runner_for(
-        spec, safepoint_every, safepoint_dir, submission=submission
-    )
-    started = time.perf_counter()
-    # Chaos harness hook: crash/hang/raise exactly like a faulty run would,
-    # inside the timeout scope so injected hangs test the deadline too.
-    maybe_fire("worker.run", key=spec.label, attempt=submission)
-    result = runner.run_apps(
-        list(spec.apps), spec.approach, mix_name=spec.mix_name
-    )
-    return result, time.perf_counter() - started
 
 
 def _span_part_path(span_dir: str, label: str, submission: int) -> str:
@@ -239,9 +232,13 @@ def _worker(
     span_dir: Optional[str] = None,
     alone: Optional[Tuple[str, str]] = None,
 ) -> Tuple[object, float]:
-    """One hand-off: run, persist to the store, return the result — or,
+    """One hand-off: run the spec on this process's Runner for its scope,
+    persist it to the store and return (result, wall-clock seconds) — or,
     given ``alone`` (an alone-record key and its app), a baseline task:
-    measure that app alone under the spec's scope, which records it."""
+    measure that app alone under the spec's scope, which records it.
+
+    The only place a run is simulated for, and written to, the store.
+    """
     from ..faults import maybe_fire
 
     label = spec.label
@@ -263,27 +260,27 @@ def _worker(
         tracer = SpanTracer(f"campaign-worker pid={os.getpid()}")
         previous_tracer = install_tracer(tracer)
     try:
-        # Like the safepoint policy, the store holding the alone records is
-        # per-campaign: point the (cached) Runner at this hand-off's.
         store = _store_for(store_root) if store_root is not None else None
-        runner = _runner_for(spec)
-        runner.alone_store = store
+        runner = _runner_for(
+            spec, store, safepoint_every, safepoint_dir, submission
+        )
         if alone is not None:
-            # Chaos harness hook, as in execute_one; its own site, so plans
-            # written against ``worker.run`` keep meaning "a cell".
+            # Chaos harness hook, as for a cell below; its own site, so
+            # plans written against ``worker.run`` keep meaning "a cell".
             maybe_fire("worker.alone", key=label, attempt=submission)
             return runner.alone_ipc(alone_app), 0.0  # the reply is unused
-        result, wall = execute_one(
-            spec, submission, safepoint_every, safepoint_dir
+        started = time.perf_counter()
+        # Chaos harness hook: crash/hang/raise exactly like a faulty run
+        # would, inside the timeout scope so injected hangs test the
+        # deadline too.
+        maybe_fire("worker.run", key=spec.label, attempt=submission)
+        result = runner.run_apps(
+            list(spec.apps), spec.approach, mix_name=spec.mix_name
         )
+        wall = time.perf_counter() - started
         if store is not None:
             key = spec.key()
-            describe = describe_run(
-                spec.mix_name, spec.apps, spec.approach, spec.seed,
-                spec.horizon, spec.target_insts, spec.trace_digests,
-                result.telemetry,
-            )
-            store.put(key, result, wall, describe=describe)
+            store.put(key, result, wall, describe=spec.describe())
             # Chaos harness hook: damage the just-written blob, as a dying
             # disk or torn write would. The store's digest/decode checks
             # must catch it on the next read and quarantine rather than

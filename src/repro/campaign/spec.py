@@ -12,7 +12,7 @@ policy/scheduler rather than the label.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import SystemConfig
 from ..core.integration import get_approach
@@ -23,11 +23,6 @@ from .store import alone_key, run_key, runner_fingerprint, scope_of
 
 #: The F2/F3 headline grid's approaches — the campaign CLI default.
 DEFAULT_APPROACHES: Tuple[str, ...] = ("shared-frfcfs", "ebp", "dbp")
-
-
-def _mix_trace_digests(apps: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
-    """Sorted (app, digest) pairs for the library traces among ``apps``."""
-    return tuple(sorted(library_digests(apps).items()))
 
 
 @dataclass(frozen=True)
@@ -43,10 +38,10 @@ class RunSpec:
     ahead_limit: int = 8192
     validate: bool = False
     mix_name: Optional[str] = None
-    #: Record per-epoch telemetry in the worker and attach its summary to
-    #: the store entry. Deliberately NOT part of :meth:`key` — telemetry
-    #: never changes simulation results, so traced and untraced runs share
-    #: one store entry.
+    #: Record per-epoch telemetry in the worker; its summary travels on the
+    #: result (``result.telemetry`` in the store entry). Deliberately NOT
+    #: part of :meth:`key` — telemetry never changes simulation results,
+    #: so traced and untraced runs share one store entry.
     telemetry: bool = False
     #: ``(app, digest)`` pairs for every app in ``apps`` that resolves to a
     #: library trace. Part of :meth:`key` (library traces are addressed by
@@ -89,6 +84,21 @@ class RunSpec:
             for app in self.apps
         }
 
+    def describe(self) -> Dict[str, object]:
+        """The ``spec`` metadata its store entry carries beside the result
+        (what the result index reads its mix/approach/seed columns from)."""
+        doc: Dict[str, object] = {
+            "mix": self.mix_name or "+".join(self.apps),
+            "apps": list(self.apps),
+            "approach": self.approach,
+            "seed": self.seed,
+            "horizon": self.horizon,
+            "target_insts": self.target_insts,
+        }
+        if self.trace_digests:
+            doc["trace_digests"] = dict(self.trace_digests)
+        return doc
+
     def runner_key(self) -> str:
         """Fingerprint of the Runner this spec needs (apps/approach aside)."""
         return runner_fingerprint(self.config, **scope_of(self))
@@ -96,7 +106,12 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """A named experiment grid; :meth:`plan` expands it to RunSpecs."""
+    """A named experiment grid; :meth:`plan` expands it to RunSpecs.
+
+    The one planner: campaigns, the experiment catalog's grids
+    (:func:`~repro.campaign.api.sweep_metrics`) and tuner trials all build
+    their cells here.
+    """
 
     name: str = "campaign"
     mixes: Tuple[str, ...] = ()
@@ -128,7 +143,7 @@ class CampaignSpec:
             for seed in self.seeds:
                 for mix_name in self.mixes:
                     mix = resolve_mix(mix_name)
-                    digests = _mix_trace_digests(mix.apps)
+                    digests = tuple(sorted(library_digests(mix.apps).items()))
                     for approach in self.approaches:
                         specs.append(
                             RunSpec(
@@ -147,30 +162,3 @@ class CampaignSpec:
                         )
         return specs
 
-
-def plan_sweep(
-    runner,
-    mixes: Sequence[str],
-    approaches: Sequence[str],
-) -> List[RunSpec]:
-    """RunSpecs mirroring what ``runner.run_mix`` would do for a grid.
-
-    The specs inherit every scope field of the Runner, so the store keys
-    (and therefore the results) are identical to the serial path's.
-    """
-    specs: List[RunSpec] = []
-    for mix_name in mixes:
-        mix = resolve_mix(mix_name)
-        digests = tuple(sorted(runner.library_digests(mix.apps).items()))
-        for approach in approaches:
-            specs.append(
-                RunSpec(
-                    apps=tuple(mix.apps),
-                    approach=approach,
-                    config=runner.config,
-                    mix_name=mix.name,
-                    trace_digests=digests,
-                    **scope_of(runner),
-                )
-            )
-    return specs

@@ -294,6 +294,24 @@ def decode_run_result(doc: Dict[str, object]) -> RunResult:
     )
 
 
+def entry_doc(
+    key: str,
+    result: RunResult,
+    wall_clock: float,
+    describe: Optional[Dict[str, object]] = None,
+) -> Dict[str, object]:
+    """The document one store entry holds (and the result index reads):
+    the run's key, its ``spec`` metadata (:meth:`RunSpec.describe`), the
+    wall-clock it took and the encoded result."""
+    return {
+        "version": STORE_VERSION,
+        "key": key,
+        "spec": describe or {},
+        "wall_clock": wall_clock,
+        "result": encode_run_result(result),
+    }
+
+
 # ---------------------------------------------------------------------------
 # The store.
 # ---------------------------------------------------------------------------
@@ -388,13 +406,7 @@ class ResultStore:
         describe: Optional[Dict[str, object]] = None,
     ) -> Path:
         """Persist one run atomically; last concurrent writer wins."""
-        doc = {
-            "version": STORE_VERSION,
-            "key": key,
-            "spec": describe or {},
-            "wall_clock": wall_clock,
-            "result": encode_run_result(result),
-        }
+        doc = entry_doc(key, result, wall_clock, describe)
         path = write_json(self.path_for(key), doc)
         self.stats.writes += 1
         self._index_put(doc, path)

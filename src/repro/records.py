@@ -11,7 +11,7 @@ re-export their records from here; there is one class object per name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 if TYPE_CHECKING:
     from .metrics.metrics import MetricSummary
@@ -89,29 +89,3 @@ class RunResult:
     #: was built with ``profile=True``; never persisted (host-specific).
     profile: Optional[Dict[str, object]] = None
 
-
-def describe_run(
-    mix: Optional[str],
-    apps: Sequence[str],
-    approach: str,
-    seed: int,
-    horizon: int,
-    target_insts: int,
-    trace_digests: Optional[Mapping[str, str]] = None,
-    telemetry: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """The ``spec`` metadata a store entry carries beside one run's result
-    (what the result index reads its mix/approach/seed columns from)."""
-    doc: Dict[str, object] = {
-        "mix": mix or "+".join(apps),
-        "apps": list(apps),
-        "approach": approach,
-        "seed": seed,
-        "horizon": horizon,
-        "target_insts": target_insts,
-    }
-    if trace_digests:
-        doc["trace_digests"] = dict(trace_digests)
-    if telemetry is not None:
-        doc["telemetry"] = telemetry
-    return doc

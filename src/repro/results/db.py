@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..artefact import Stale, read_json
-from ..campaign.store import STORE_VERSION, ResultStore
+from ..campaign.store import STORE_VERSION, ResultStore, entry_doc
 from ..core.integration import get_approach
 from ..errors import ConfigError, ReproError
 from ..workloads.mixes import MIXES
@@ -472,36 +472,10 @@ def index_outcomes(outcomes, index: Optional[ResultIndex] = None) -> ResultIndex
         if outcome.result is None:
             continue
         spec = outcome.spec
-        summary = outcome.result.metrics.summary
-        apps = list(spec.apps)
-        row: Dict[str, object] = {
-            "key": spec.key(),
-            "version": STORE_VERSION,
-            "mix": spec.mix_name or "+".join(apps),
-            "approach": spec.approach,
-            "policy": None,
-            "scheduler": None,
-            "apps": json.dumps(apps),
-            "seed": spec.seed,
-            "horizon": spec.horizon,
-            "target_insts": spec.target_insts,
-            "num_cores": len(apps),
-            "intensive_count": None,
-            "category": None,
-            "ws": summary.weighted_speedup,
-            "hs": summary.harmonic_speedup,
-            "ms": summary.max_slowdown,
-            "wall_clock": outcome.wall_clock,
-            "trace_digests": (
-                json.dumps(dict(spec.trace_digests))
-                if spec.trace_digests
-                else None
-            ),
-            "mtime": 0.0,
-            "source": "campaign",
-        }
-        _annotate_registries(row, apps)
-        index.upsert(row)
+        doc = entry_doc(
+            spec.key(), outcome.result, outcome.wall_clock, spec.describe()
+        )
+        index.upsert(row_from_doc(doc, source="campaign"))
     return index
 
 

@@ -9,12 +9,17 @@ The runner owns the methodology boilerplate every experiment shares:
   and, with a store attached, as an alone record every later process and
   campaign worker reads instead of simulating;
 * a mix run builds a fresh :class:`~repro.sim.system.System` for the chosen
-  approach and converts the resulting IPCs into the paper's metrics.
+  approach and converts the resulting IPCs into the paper's metrics, and is
+  remembered in memory for the life of the Runner.
+
+A Runner never reads or writes run entries: looking a cell up in the
+result store, running it and persisting it is
+:func:`repro.campaign.executor.execute`'s job, which calls a process-local
+Runner per scope to do the simulating.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -26,12 +31,7 @@ from ..core.integration import Approach, get_approach
 from ..cpu.trace import Trace
 from ..errors import ExperimentError
 from ..metrics import slowdowns, summarize
-from ..records import (
-    RunResult,
-    SystemResult,
-    WorkloadRunMetrics,
-    describe_run,
-)
+from ..records import RunResult, SystemResult, WorkloadRunMetrics
 from ..telemetry import TelemetryRecorder
 from ..telemetry.spans import current_tracer, now_us
 from ..traces.source import DefaultTraceSource, TraceSource
@@ -69,13 +69,11 @@ class Runner:
         self.validate = validate
         self.ahead_limit = ahead_limit
         #: Optional persistent result store (see :mod:`repro.campaign.store`)
-        #: consulted before and fed after every cacheable mix run.
+        #: whose alone records back :meth:`alone_ipc`; grids run through a
+        #: Runner (``sweep_metrics``) also look up and persist their cells
+        #: there, through the campaign executor.
         self.store = store
-        #: Where alone-baseline records are read and written when not
-        #: ``store``: a campaign worker persists run results itself, so it
-        #: leaves ``store`` unset and points this at the campaign's store.
-        self.alone_store: Optional[ResultStore] = None
-        #: Worker processes campaign-backed sweeps may fan out over.
+        #: Worker processes campaign-backed sweeps fan out over.
         self.jobs = jobs
         #: When True, every mix run records per-epoch telemetry; the full
         #: recorder of the most recent *simulated* (non-cached) run is kept
@@ -158,13 +156,12 @@ class Runner:
         ipc = self._alone_cache.get(key)
         if ipc is not None:
             return ipc
-        store = self.alone_store or self.store
-        if store is not None:
-            ipc = store.get_alone(key)
+        if self.store is not None:
+            ipc = self.store.get_alone(key)
         if ipc is None:
             ipc = self._simulate_alone(app)
-            if store is not None:
-                store.put_alone(key, ipc, {"app": app, **scope_of(self)})
+            if self.store is not None:
+                self.store.put_alone(key, ipc, {"app": app, **scope_of(self)})
         self._alone_cache[key] = ipc
         return ipc
 
@@ -193,7 +190,7 @@ class Runner:
 
         Includes the policy and scheduler names and parameters the approach
         label resolves to, so two registrations sharing a label can never
-        collide — in this cache or in the persistent store's hash. Library
+        collide — in this memo or in the persistent store's hash. Library
         traces contribute their content digests, so re-registering a name
         with different records can never serve a stale run either.
         """
@@ -207,23 +204,6 @@ class Runner:
             tuple(sorted(spec.scheduler_params.items())),
             tuple(sorted(self.library_digests(apps).items())),
         )
-
-    def cached_run(
-        self, apps: Sequence[str], approach: str
-    ) -> Optional[RunResult]:
-        """The in-memory cached result for (apps, approach), if any."""
-        return self._run_cache.get(self.run_cache_key(apps, approach))
-
-    def adopt_result(
-        self, apps: Sequence[str], approach: str, result: RunResult
-    ) -> None:
-        """Insert an externally-computed result (e.g. a campaign worker's).
-
-        The caller asserts the result came from this Runner's exact scope
-        (config, seed, horizon, target_insts) — the campaign store key
-        guarantees that for results fetched through it.
-        """
-        self._run_cache[self.run_cache_key(apps, approach)] = result
 
     def _store_key(self, apps: Sequence[str], approach: str) -> str:
         return run_key(
@@ -242,45 +222,25 @@ class Runner:
     ) -> RunResult:
         """Run a list of applications under a named approach.
 
-        Results are cached per (apps, resolved approach): experiments that
-        share runs (e.g. the WS and MS views of the same sweep) pay for
-        them once per process — and, when a persistent ``store`` is
-        attached, once *ever* per store.
+        Results are memoized per (apps, resolved approach) for the life of
+        the Runner, so callers that read one run twice pay for it once.
+        Only the alone baselines touch ``store``; persisting the run itself
+        is the campaign executor's job.
         """
         cache_key = self.run_cache_key(apps, approach)
         cached = self._run_cache.get(cache_key)
         if cached is not None:
             return cached
         tracer = current_tracer()
-        store_key = None
-        if self.store is not None:
-            store_key = self._store_key(apps, approach)
-            hit = self.store.get(store_key)
-            if hit is not None:
-                result, _wall = hit
-                self._run_cache[cache_key] = result
-                # A cached run was not simulated here: any recorder on
-                # last_telemetry — and any wall-clock profile on
-                # last_profile — belongs to an earlier run, not this one.
-                self.last_telemetry = None
-                self.last_profile = None
-                if tracer is not None:
-                    tracer.instant(
-                        "run-cached",
-                        mix=mix_name or "+".join(apps),
-                        approach=approach,
-                    )
-                return result
         run_started = now_us() if tracer is not None else 0
-        started = time.perf_counter()
         spec = get_approach(approach)
         config = self._configure(spec, len(apps))
         ckpt_path: Optional[Path] = None
         hook: Optional[Callable[[System, int], None]] = None
         every: Optional[int] = None
+        store_key: Optional[str] = None
         if self.safepoint_every and self.safepoint_dir is not None:
-            if store_key is None:
-                store_key = self._store_key(apps, approach)
+            store_key = self._store_key(apps, approach)
             ckpt_path = Path(self.safepoint_dir) / f"{store_key}.ckpt"
             every = self.safepoint_every
             label = (
@@ -317,17 +277,6 @@ class Runner:
                 pass
         run_result = self._assemble(apps, approach, mix_name, system, result)
         self._run_cache[cache_key] = run_result
-        if self.store is not None and store_key is not None:
-            self.store.put(
-                store_key,
-                run_result,
-                time.perf_counter() - started,
-                describe=describe_run(
-                    mix_name, apps, approach, self.seed, self.horizon,
-                    self.target_insts, self.library_digests(apps),
-                    run_result.telemetry,
-                ),
-            )
         if tracer is not None:
             tracer.complete(
                 "run",

@@ -6,8 +6,9 @@ full evaluation horizon. Evaluating a :class:`TrialPoint` then means:
 1. fold the point's policy/scheduler params into a **parameterized
    approach name** (``dbp@epoch_cycles=20000,...``) and its OS/migration
    params into the RunSpec's SystemConfig;
-2. plan one RunSpec per mix and push them through the existing
-   supervised campaign executor against the content-addressed store —
+2. plan one RunSpec per mix (:meth:`CampaignSpec.plan`) and push them
+   through the supervised campaign executor against the content-addressed
+   store —
    a repeated point is therefore a set of cache hits, not simulations;
 3. geomean WS/MS/HS across the mixes and scalarize per the chosen
    objective (higher is always better for the searcher).
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..campaign.executor import execute
-from ..campaign.spec import RunSpec, _mix_trace_digests
+from ..campaign.spec import CampaignSpec, RunSpec
 from ..campaign.store import ResultStore
 from ..config import SystemConfig
 from ..core.integration import get_approach
@@ -163,20 +164,14 @@ class CampaignObjective:
             config = replace(
                 config, osmm=replace(config.osmm, **layers["osmm"])
             )
-        horizon = self.horizon_for(point.fidelity)
-        specs = [
-            RunSpec(
-                apps=tuple(mix.apps),
-                approach=name,
-                config=config,
-                seed=self.seed,
-                horizon=horizon,
-                target_insts=self.target_insts,
-                mix_name=mix.name,
-                trace_digests=_mix_trace_digests(mix.apps),
-            )
-            for mix in self.mixes
-        ]
+        specs = CampaignSpec(
+            mixes=tuple(mix.name for mix in self.mixes),
+            approaches=(name,),
+            seeds=(self.seed,),
+            horizons=(self.horizon_for(point.fidelity),),
+            config=config,
+            target_insts=self.target_insts,
+        ).plan()
         return specs, name, layers["osmm"]
 
     def evaluate(self, point: TrialPoint) -> TrialResult:

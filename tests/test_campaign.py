@@ -16,7 +16,6 @@ from repro.campaign import (
     ResultStore,
     RunSpec,
     execute,
-    plan_sweep,
     run_key,
     sweep_metrics,
 )
@@ -74,10 +73,22 @@ class TestPlanner:
         with pytest.raises(Exception):
             CampaignSpec(mixes=("M4",), approaches=("warp-drive",))
 
-    def test_plan_sweep_mirrors_runner_scope(self, fast_runner):
-        plan = plan_sweep(fast_runner, ["M4"], ["ebp"])
+    def test_plan_sweep_mirrors_runner_scope(self, fast_runner, monkeypatch):
+        """The cells a sweep plans carry every scope field of its Runner."""
+        import repro.campaign.api as api
+
+        plan = []
+
+        def capture(specs, **_kwargs):
+            plan.extend(specs)
+            return api.CampaignResult()
+
+        monkeypatch.setattr(api, "execute", capture)
+        sweep_metrics(fast_runner, ["M4"], ["ebp"])
         # fast_runner's config has 2 cores; M4 has 4 apps — the campaign
         # worker reconfigures core count per run exactly like run_apps does.
+        assert len(plan) == 1
+        assert plan[0].key() == fast_runner._store_key(plan[0].apps, "ebp")
         assert plan[0].horizon == fast_runner.horizon
         assert plan[0].seed == fast_runner.seed
         assert plan[0].target_insts == fast_runner.target_insts
@@ -485,24 +496,15 @@ class TestSweepIntegration:
         assert data["ebp"]["ms"] == [expected.max_slowdown]
         assert data["ebp"]["hs"] == [expected.harmonic_speedup]
 
-    def test_parallel_sweep_adopts_into_runner_cache(self, small_config):
-        runner = Runner(
-            config=small_config,
-            horizon=30_000,
-            target_insts=200_000,
-            jobs=2,
-        )
-        data = sweep_metrics(runner, ["D2"], ["shared-frfcfs", "ebp"])
-        assert runner.cached_run(("lbm", "h264ref"), "ebp") is not None
-        assert len(data["ebp"]["ws"]) == 1
-
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_parallel_sweep_failure_raises_experiment_error(
-        self, small_config, monkeypatch
+        self, small_config, monkeypatch, jobs
     ):
         from repro.core.integration import APPROACHES, Approach
 
         # Registered (so planning passes) but the policy name is bogus, so
-        # every worker attempt fails and the sweep must surface the error.
+        # every worker attempt fails and the sweep must surface the error —
+        # the same error inline and on worker processes.
         monkeypatch.setitem(
             APPROACHES, "tmp-bad", Approach("tmp-bad", "no-such-policy", "frfcfs")
         )
@@ -510,7 +512,7 @@ class TestSweepIntegration:
             config=small_config,
             horizon=30_000,
             target_insts=200_000,
-            jobs=2,
+            jobs=jobs,
         )
         with pytest.raises(ExperimentError):
             sweep_metrics(runner, ["D2"], ["tmp-bad"])
@@ -518,24 +520,39 @@ class TestSweepIntegration:
 
 class TestRunnerStoreIntegration:
     def test_runner_reads_and_writes_store(self, tmp_path, small_config):
+        """A sweep on a store-backed Runner writes every cell, and the same
+        sweep on a fresh Runner is all hits."""
         store = ResultStore(tmp_path / "store")
-        first = Runner(
+        scope = dict(
             config=small_config,
             horizon=30_000,
             target_insts=200_000,
             store=store,
         )
-        a = first.run_apps(["lbm", "gcc"], "shared-frfcfs")
-        assert store.stats.writes == 1
-        second = Runner(
+        grid = (["D2"], ["shared-frfcfs", "ebp"])
+        first = sweep_metrics(Runner(**scope), *grid)
+        assert (store.stats.writes, store.stats.hits) == (2, 0)
+        assert store.entry_count() == 2
+        _WORKER_RUNNERS.clear()  # nothing left in memory to serve it
+        second = sweep_metrics(Runner(**scope), *grid)
+        assert (store.stats.writes, store.stats.hits) == (2, 2)
+        assert second == first
+
+    def test_runner_store_holds_only_alone_records(
+        self, tmp_path, small_config
+    ):
+        """A Runner reads and writes alone records, never run entries."""
+        store = ResultStore(tmp_path / "store")
+        runner = Runner(
             config=small_config,
             horizon=30_000,
             target_insts=200_000,
             store=store,
         )
-        b = second.run_apps(["lbm", "gcc"], "shared-frfcfs")
-        assert store.stats.hits == 1
-        assert b.metrics.summary == a.metrics.summary
+        runner.run_apps(["lbm", "gcc"], "shared-frfcfs")
+        assert store.entry_count() == 0
+        assert (store.stats.hits, store.stats.misses) == (0, 0)
+        assert len(store.alone_paths()) == 2
 
 
 class TestCampaignCLI:

@@ -52,7 +52,6 @@ def test_result_records_are_one_object_everywhere():
         "WorkloadRunMetrics": (repro, sim, runner),
         "SystemResult": (repro, sim, system, runner),
         "ThreadResult": (system,),
-        "describe_run": (runner,),
     }.items():
         for home in homes:
             assert getattr(home, name) is getattr(records, name), (name, home)

@@ -141,14 +141,6 @@ class TestRunCacheKey:
         key_b = fast_runner.run_cache_key(("lbm", "gcc"), "tmp-x")
         assert key_a != key_b
 
-    def test_adopt_result_round_trips(self, fast_runner, mix):
-        result = fast_runner.run_mix(mix, "shared-frfcfs")
-        assert fast_runner.cached_run(mix.apps, "shared-frfcfs") is result
-        fast_runner._run_cache.clear()
-        assert fast_runner.cached_run(mix.apps, "shared-frfcfs") is None
-        fast_runner.adopt_result(mix.apps, "shared-frfcfs", result)
-        assert fast_runner.run_mix(mix, "shared-frfcfs") is result
-
 
 class TestRunCustom:
     def test_custom_policy_run(self, fast_runner):

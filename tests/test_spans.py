@@ -181,33 +181,6 @@ class TestRunnerSpans:
         assert _x_events(doc, "alone-run")
         assert measure["args"]["approach"] == "dbp-tcm"
 
-    def test_store_hit_emits_cached_instant(self, small_config, tmp_path):
-        from repro.sim.runner import Runner
-
-        store = ResultStore(tmp_path / "store")
-        runner = Runner(
-            config=small_config,
-            horizon=30_000,
-            target_insts=200_000,
-            store=store,
-        )
-        runner.run_apps(["lbm", "gcc"], "ebp")
-        fresh = Runner(
-            config=small_config,
-            horizon=30_000,
-            target_insts=200_000,
-            store=store,
-        )
-        tracer = SpanTracer("cached")
-        install_tracer(tracer)
-        fresh.run_apps(["lbm", "gcc"], "ebp")
-        uninstall_tracer()
-        assert any(
-            e["name"] == "run-cached"
-            for e in tracer.events()
-            if e.get("ph") == "i"
-        )
-
     def test_no_tracer_costs_nothing_and_records_nothing(self, fast_runner):
         assert current_tracer() is None
         result = fast_runner.run_apps(["lbm", "gcc"], "shared-frfcfs")

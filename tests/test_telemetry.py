@@ -379,31 +379,30 @@ class TestRunnerIntegration:
         assert fast_runner.last_telemetry is None
 
     def test_summary_round_trips_through_store(self, small_config, tmp_path):
+        from repro.campaign import RunSpec, execute
         from repro.campaign.store import ResultStore
 
         store = ResultStore(tmp_path / "store")
-        runner = Runner(
+        spec = RunSpec(
+            apps=("lbm", "gcc"),
+            approach="dbp",
             config=small_config,
             horizon=30_000,
             target_insts=200_000,
-            store=store,
             telemetry=True,
         )
-        first = runner.run_apps(["lbm", "gcc"], "dbp")
-        assert first.telemetry is not None
-        # A fresh Runner on the same store must be served from disk with
-        # the summary intact (and no live recorder, since nothing ran).
-        resumed = Runner(
-            config=small_config,
-            horizon=30_000,
-            target_insts=200_000,
-            store=store,
-            telemetry=True,
-        )
-        second = resumed.run_apps(["lbm", "gcc"], "dbp")
-        assert second.telemetry == first.telemetry
-        assert resumed.last_telemetry is None
+        first = execute([spec], store=store).outcomes[0]
+        assert first.status == "ok"
+        assert first.result.telemetry is not None
+        # A second campaign on the same store is served from disk with the
+        # summary intact; the entry holds it once, with the result.
+        second = execute([spec], store=store).outcomes[0]
+        assert second.status == "cached"
+        assert second.result.telemetry == first.result.telemetry
         assert store.stats.hits == 1
+        doc = store.load_doc(store.path_for(spec.key()))
+        assert doc["result"]["telemetry"] == first.result.telemetry
+        assert "telemetry" not in doc["spec"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.spec import RunSpec, plan_sweep
-from repro.campaign.store import ResultStore, result_digest, run_key
+from repro.campaign.spec import CampaignSpec, RunSpec
+from repro.campaign.store import result_digest, run_key
 from repro.cpu.trace import Trace, TraceRecord, save_trace
 from repro.errors import ConfigError, TraceError
 from repro.sim.runner import Runner
@@ -678,23 +678,6 @@ class TestRunnerIntegration:
         assert plain != shadowed
         assert ("lbm", "1" * 64) in shadowed[-1]
 
-    def test_store_hit_resets_last_profile_and_telemetry(
-        self, tmp_path, small_config
-    ):
-        store = ResultStore(tmp_path / "store")
-        runner = self._runner(small_config, store=store, profile=True)
-        runner.run_apps(["lbm", "gcc"], "dbp")
-        assert runner.last_profile is not None
-
-        fresh = self._runner(small_config, store=store, profile=True)
-        fresh.run_apps(["bzip2", "gcc"], "dbp")  # simulate: profile set
-        assert fresh.last_profile is not None
-        result = fresh.run_apps(["lbm", "gcc"], "dbp")  # served from store
-        assert store.stats.hits == 1
-        assert result.metrics.weighted_speedup > 0
-        assert fresh.last_profile is None
-        assert fresh.last_telemetry is None
-
 
 # ---------------------------------------------------------------------------
 # Campaign spec / store keys.
@@ -734,7 +717,11 @@ class TestCampaignKeys:
         register_trace(_entry("ghost", "7" * 64))
         runner = Runner(config=small_config, horizon=10_000,
                         target_insts=100_000)
-        specs = plan_sweep(runner, ["ghost+gcc"], ["dbp"])
+        specs = CampaignSpec(
+            mixes=("ghost+gcc",), approaches=("dbp",),
+            horizons=(runner.horizon,), config=small_config,
+            target_insts=runner.target_insts,
+        ).plan()
         assert specs[0].apps == ("ghost", "gcc")
         assert specs[0].trace_digests == (("ghost", "7" * 64),)
         assert specs[0].key() == runner._store_key(["ghost", "gcc"], "dbp")
