@@ -83,7 +83,7 @@ from .failures import (
     classify_failure,
 )
 from .spec import RunSpec
-from .store import ResultStore, scope_of
+from .store import ResultStore, StoreStats, scope_of
 
 if TYPE_CHECKING:  # a fully cached plan never loads multiprocessing
     import multiprocessing
@@ -343,13 +343,20 @@ def _worker_main(conn: Connection) -> None:
     what lets the cells one worker serves share generated traces. Alone
     baselines are shared wider — across workers and campaigns — through
     the store's alone records.
+
+    Each reply carries the store accounting of its attempt (this process's
+    handle counted it), which the supervisor adds to its own handle's.
     """
     while True:
         try:
             args = conn.recv()
         except EOFError:
             return
-        conn.send(_attempt(args))
+        reply = _attempt(args)
+        store, stats = _WORKER_STORES.get(args[1]), None  # by store root
+        if store is not None:
+            stats, store.stats = store.stats, StoreStats()
+        conn.send((reply, stats))
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +820,12 @@ class _Supervisor:
             timed_out = False
             if slot.conn in signalled:
                 try:
-                    reply = slot.conn.recv()
+                    reply, stats = slot.conn.recv()
                 except (EOFError, OSError):
                     pass  # EOF: the worker died mid-attempt
+                else:
+                    if stats is not None and self.store is not None:
+                        self.store.stats.add(stats)
             elif slot.process.sentinel not in signalled:
                 timed_out = slot.deadline is not None and now >= slot.deadline
                 if not timed_out:

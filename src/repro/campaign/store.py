@@ -332,6 +332,11 @@ class StoreStats:
     #: Simulated-run wall-clock seconds that hits avoided re-paying.
     wall_saved: float = 0.0
 
+    def add(self, other: "StoreStats") -> None:
+        """Count another handle's accounting in this one's."""
+        for name, value in dataclasses.asdict(other).items():
+            setattr(self, name, getattr(self, name) + value)
+
     def as_dict(self) -> Dict[str, float]:
         wall_saved = round(self.wall_saved, 3)
         return dict(dataclasses.asdict(self), wall_saved=wall_saved)

@@ -30,6 +30,7 @@ The core talks to the rest of the system through a ``MemoryPort``: a single
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from functools import partial
 from typing import Callable, Deque, Dict, Optional, Protocol, Tuple
@@ -90,6 +91,10 @@ class CoreStats:
         self.finished = False
 
 
+#: Records the core extends its trace by whenever its reads near the end
+#: of the filled prefix (a fixed step: the fill never runs far ahead).
+_FILL_STEP = 256
+
 # History entry fields: (m_prev, m_end, t_start, t_end, gap)
 _HistEntry = Tuple[int, int, int, int, int]
 
@@ -117,13 +122,18 @@ class Core:
         self.horizon = horizon
         self.ahead_limit = ahead_limit
         self.stats = CoreStats()
-        # Virtual (looping) record indexing.
+        # Virtual (looping) record indexing over the trace's filled prefix:
+        # the live columns grow in place as _fill_ahead extends the trace.
         self._n = len(trace)
-        self._gaps = trace.gaps
-        self._vlines = trace.vlines
-        self._writes = trace.writes
-        self._cum = trace.cumulative_insts
-        self._insts_per_loop = trace.total_insts
+        self._gaps = trace._gaps
+        self._vlines = trace._vlines
+        self._writes = trace._writes
+        self._cum = trace._cum
+        #: Every record index the core reads stays below this bound (no
+        #: bound once the trace is complete and indices loop); looping
+        #: needs completion, so the loop length is known only then.
+        self._fill_bound = 0
+        self._insts_per_loop = 0
         # Hoisted config constants for the per-record hot loops.
         self._width = config.width
         self._mshrs = config.mshrs
@@ -142,10 +152,24 @@ class Core:
         self._outstanding_reads = 0
         self._complete: Dict[int, int] = {}
         self._wake_scheduled = False
+        self._fill_ahead()
 
     # ------------------------------------------------------------------
     # Virtual-index helpers (traces loop past their end).
     # ------------------------------------------------------------------
+    def _fill_ahead(self) -> None:
+        """Extend the trace a fixed step past the furthest index the core
+        may read: retirement stops ``rob_size`` records past the next
+        issue (see :meth:`_advance_retirement`), and
+        :meth:`_crossing_time` reads the record retirement is parked on."""
+        wanted = self._issue_idx + self._rob_size + _FILL_STEP
+        filled = self.trace.extend_to(wanted)
+        if filled == self._n:
+            self._fill_bound = math.inf
+            self._insts_per_loop = self.trace.total_insts
+        else:
+            self._fill_bound = filled
+
     def _m(self, virt_idx: int) -> int:
         loops, i = divmod(virt_idx, self._n)
         return loops * self._insts_per_loop + self._cum[i]
@@ -276,6 +300,8 @@ class Core:
                 break  # nothing past the horizon matters
             self._dispatch(idx, vlines[i], is_write, t_issue)
             self._issue_idx += 1
+            if self._issue_idx + rob_size >= self._fill_bound:
+                self._fill_ahead()
             self._last_issue = t_issue
             progressed = True
         return progressed

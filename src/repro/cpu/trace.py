@@ -46,12 +46,17 @@ def _domain_error(name: str, *columns) -> TraceError:
 
 
 class Trace:
-    """An immutable memory trace held as three typed columns.
+    """An append-only memory trace held as three typed columns.
 
     ``gaps[i]`` (u32), ``vlines[i]`` (u64) and ``writes[i]`` (0/1) are
     record ``i``; ``cumulative_insts[i]`` counts instructions through it.
     :class:`TraceRecord` is only the row type of ``iter(trace)``,
     :attr:`records` and the importers — rows are never stored.
+
+    A trace built :meth:`on_demand` knows its length from the start but
+    holds only the records filled so far. Every public accessor completes
+    it first, so only :class:`~repro.cpu.core.Core`, which reads the
+    growing prefix through :meth:`extend_to`, ever sees a partial trace.
     """
 
     def __init__(self, name: str, records: Iterable[TraceRecord]) -> None:
@@ -65,25 +70,93 @@ class Trace:
         trace._adopt(name, gaps, vlines, writes)
         return trace
 
+    @classmethod
+    def on_demand(cls, name: str, length: int, source) -> "Trace":
+        """An empty trace of ``length`` records that ``source`` fills.
+
+        ``source.fill(gaps, vlines, writes, upto)`` appends records to the
+        columns until they hold ``upto`` (whole bursts, so possibly more,
+        but never past ``length``). A partial trace pickles its source with
+        it, so the source must be picklable.
+        """
+        trace = cls.__new__(cls)
+        trace._init(name, length, array("I"), array("Q"), bytearray(), source)
+        return trace
+
     def _adopt(self, name: str, gaps, vlines, writes) -> None:
         if not len(gaps):
             raise TraceError(f"trace {name!r} is empty")
         try:
-            self.gaps = _column("I", gaps)
-            self.vlines = _column("Q", vlines)
-            self.writes = bytes(writes)
+            columns = _column("I", gaps), _column("Q", vlines), bytes(writes)
         except (OverflowError, TypeError, ValueError):
             raise _domain_error(name, gaps, vlines, writes) from None
-        if max(self.writes) > 1 or not len(gaps) == len(vlines) == len(writes):
+        if max(columns[2]) > 1 or not len(gaps) == len(vlines) == len(writes):
             raise _domain_error(name, gaps, vlines, writes)
+        self._init(name, len(gaps), *columns, None)
+
+    def _init(
+        self, name: str, length: int, gaps, vlines, writes, source
+    ) -> None:
         self.name = name
-        # cumulative_insts[i] = instructions up to and including record i's
-        # memory instruction (each record is gap + 1 instructions).
-        self.cumulative_insts = array("Q", accumulate(g + 1 for g in gaps))
-        self.total_insts: int = self.cumulative_insts[-1]
-        self.total_requests = len(self.gaps)
+        self.total_requests = length
+        self._gaps, self._vlines, self._writes = gaps, vlines, writes
+        # _cum[i] = instructions up to and including record i's memory
+        # instruction (each record is gap + 1 instructions).
+        self._cum = array("Q", accumulate(g + 1 for g in gaps))
+        self._source = source
         self._footprint_lines: Optional[int] = None
         self._digest: Optional[str] = None
+
+    def extend_to(self, n: int) -> int:
+        """Fill at least ``min(n, len(self))`` records and return how many
+        are filled — ``len(self)`` once the trace is complete.
+
+        The columns only grow in place, so a reader holding them sees every
+        fill, and a :meth:`renamed` copy shares them and the source.
+        """
+        cum = self._cum
+        filled = len(cum)
+        if n > filled and self._source is not None:
+            self._source.fill(
+                self._gaps,
+                self._vlines,
+                self._writes,
+                min(n, self.total_requests),
+            )
+            total = cum[-1] if filled else 0
+            cum.extend(
+                total + insts
+                for insts in accumulate(g + 1 for g in self._gaps[filled:])
+            )
+            filled = len(cum)
+            if filled == self.total_requests:
+                self._source = None
+        return filled
+
+    def _complete(self) -> "Trace":
+        if self._source is not None:
+            self.extend_to(self.total_requests)
+        return self
+
+    @property
+    def gaps(self) -> array:
+        return self._complete()._gaps
+
+    @property
+    def vlines(self) -> array:
+        return self._complete()._vlines
+
+    @property
+    def writes(self):
+        return self._complete()._writes
+
+    @property
+    def cumulative_insts(self) -> array:
+        return self._complete()._cum
+
+    @property
+    def total_insts(self) -> int:
+        return self._complete()._cum[-1]
 
     def renamed(self, name: str) -> "Trace":
         """The same trace under another name, sharing columns and caches."""
@@ -92,7 +165,7 @@ class Trace:
         return clone
 
     def __len__(self) -> int:
-        return len(self.gaps)
+        return self.total_requests
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return map(TraceRecord, self.gaps, self.vlines, map(bool, self.writes))

@@ -2,7 +2,10 @@
 
 The runner owns the methodology boilerplate every experiment shares:
 
-* traces are generated once per (app, seed) and reused;
+* traces are resolved once per (app, seed) and reused by the shared and
+  the alone runs; a synthetic trace starts empty and is generated as
+  those runs replay it, so only the records some run reads are ever
+  generated or held (see :meth:`repro.cpu.trace.Trace.on_demand`);
 * each application's *alone* IPC — the denominator of every speedup — is
   measured on the unpartitioned FR-FCFS system with a single core
   (:meth:`SystemConfig.alone`) once per content key: remembered in memory

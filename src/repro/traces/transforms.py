@@ -3,7 +3,7 @@
 Real-trace dumps rarely arrive run-ready: they open with a warmup phase,
 cover more memory than a small simulated machine should map, or need to be
 spliced into phased workloads. Every transform returns a **new**
-:class:`~repro.cpu.trace.Trace` (traces are immutable) and composes with
+:class:`~repro.cpu.trace.Trace` (traces are append-only) and composes with
 every other, so an import pipeline is just function application::
 
     trace = import_trace("app.trace")

@@ -50,6 +50,61 @@ class _Stream:
         self.line = rng.randrange(LINES_PER_PAGE)
 
 
+class _Generator:
+    """The generation loop as resumable, picklable state.
+
+    Its state is the RNG, the streams and the cursor; :meth:`fill` resumes
+    the loop where the last call left it. Whole bursts are appended, and
+    only the last burst of the trace is cut short (at ``length``), so
+    every prefix is the one an eager loop would have produced.
+    """
+
+    def __init__(self, profile: AppProfile, seed: int, length: int) -> None:
+        self.profile = profile
+        self.length = length
+        self.rng = make_rng(seed, "trace", profile.name)
+        self.insts_per_access = 1000.0 / profile.mpki
+        footprint_pages = max(
+            profile.streams, profile.footprint_mb * (1 << 20) // 4096
+        )
+        region = max(1, footprint_pages // profile.streams)
+        self.streams: List[_Stream] = []
+        for index in range(profile.streams):
+            stream = _Stream(index * region, region)
+            stream.jump(self.rng)
+            self.streams.append(stream)
+        self.cursor = 0
+
+    def fill(
+        self, gaps: array, vlines: array, writes: bytearray, upto: int
+    ) -> None:
+        """Append bursts to the columns until they hold ``upto`` records."""
+        profile, rng, streams = self.profile, self.rng, self.streams
+        insts_per_access = self.insts_per_access
+        cursor = self.cursor
+        while len(vlines) < upto:
+            # One burst: `b` accesses issued nearly back to back (they land
+            # in the same ROB window, creating memory-level parallelism),
+            # then a long compute stretch sized to keep the target MPKI.
+            b = max(1, min(2 * profile.burst, round(rng.expovariate(1.0 / profile.burst))))
+            b = min(b, self.length - len(vlines))
+            small_gaps = [rng.randrange(3) for _ in range(b - 1)]
+            big_mean = max(0.0, b * insts_per_access - b - sum(small_gaps))
+            big_gap = int(rng.expovariate(1.0 / big_mean)) if big_mean > 0 else 0
+            gaps.append(big_gap)
+            gaps.extend(small_gaps)
+            for j in range(b):
+                stream = streams[(cursor + j) % len(streams)]
+                if rng.random() < profile.row_locality:
+                    stream.advance_sequential()
+                else:
+                    stream.jump(rng)
+                vlines.append(stream.vline())
+                writes.append(rng.random() < profile.write_frac)
+            cursor += b
+        self.cursor = cursor
+
+
 def generate_trace(
     profile: AppProfile,
     seed: int = 1,
@@ -58,12 +113,13 @@ def generate_trace(
     max_records: int = 40_000,
     length_override: Optional[int] = None,
 ) -> Trace:
-    """Generate a trace realizing ``profile``.
+    """The trace realizing ``profile``, generated as it is read.
 
     ``target_insts`` sizes the trace: the record count is chosen so the
     trace covers roughly that many instructions before looping (clamped to
     [min_records, max_records] to bound memory). ``length_override`` pins
-    the record count exactly (used by tests).
+    the record count exactly (used by tests). The trace starts empty and
+    fills on demand (see :meth:`repro.cpu.trace.Trace.extend_to`).
     """
     if length_override is not None:
         num_records = length_override
@@ -75,38 +131,6 @@ def generate_trace(
         )
     if num_records < 1:
         raise TraceError("trace must contain at least one record")
-    rng = make_rng(seed, "trace", profile.name)
-    insts_per_access = 1000.0 / profile.mpki
-    footprint_pages = max(
-        profile.streams, profile.footprint_mb * (1 << 20) // 4096
+    return Trace.on_demand(
+        profile.name, num_records, _Generator(profile, seed, num_records)
     )
-    region = max(1, footprint_pages // profile.streams)
-    streams: List[_Stream] = []
-    for index in range(profile.streams):
-        stream = _Stream(index * region, region)
-        stream.jump(rng)
-        streams.append(stream)
-    # The trace's own columns, filled in place and handed over uncopied.
-    gaps, vlines, writes = array("I"), array("Q"), bytearray()
-    cursor = 0
-    while len(vlines) < num_records:
-        # One burst: `b` accesses issued nearly back to back (they land in
-        # the same ROB window, creating memory-level parallelism), then a
-        # long compute stretch sized to keep the target MPKI.
-        b = max(1, min(2 * profile.burst, round(rng.expovariate(1.0 / profile.burst))))
-        b = min(b, num_records - len(vlines))
-        small_gaps = [rng.randrange(3) for _ in range(b - 1)]
-        big_mean = max(0.0, b * insts_per_access - b - sum(small_gaps))
-        big_gap = int(rng.expovariate(1.0 / big_mean)) if big_mean > 0 else 0
-        gaps.append(big_gap)
-        gaps.extend(small_gaps)
-        for j in range(b):
-            stream = streams[(cursor + j) % len(streams)]
-            if rng.random() < profile.row_locality:
-                stream.advance_sequential()
-            else:
-                stream.jump(rng)
-            vlines.append(stream.vline())
-            writes.append(rng.random() < profile.write_frac)
-        cursor += b
-    return Trace.from_columns(profile.name, gaps, vlines, writes)

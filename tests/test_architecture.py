@@ -120,6 +120,24 @@ RULES: Tuple[Rule, ...] = (
         mutant=("src/repro/cpu/core.py", "gap = trace.records[i].gap"),
     ),
     Rule(
+        "partial-traces-seen-only-by-the-core",
+        "only the Core reads a trace's growing prefix (Trace.extend_to and "
+        "the live columns); everything else uses the public accessors, "
+        "which complete the trace first",
+        r"[.](extend_to[(]|_(gaps|vlines|writes|cum)\b)",
+        ("src/repro",),
+        include="*.py",
+        allow=r"^src/repro/cpu/(core|trace)[.]py:",
+        mutant=(
+            "src/repro/workloads/analysis.py",
+            "filled = trace.extend_to(len(trace) // 2)",
+        ),
+        tolerated=(
+            "src/repro/cpu/core.py",
+            "filled = self.trace.extend_to(wanted)",
+        ),
+    ),
+    Rule(
         "named-callbacks",
         "an agenda/request callback must be a bound method or a "
         "functools.partial of one, so checkpoints pickle it by name",

@@ -581,6 +581,31 @@ class TestCampaignCLI:
         assert "1 cached" in out
         assert "100% hit rate" in out
 
+    def test_store_line_is_the_same_at_one_and_two_jobs(
+        self, tmp_path, capsys
+    ):
+        """Pool workers write through their own store handles; the summary
+        still counts every write they made."""
+        from repro.cli import main
+
+        lines = {}
+        for jobs in ("2", "1"):
+            store = tmp_path / f"store{jobs}"
+            argv = [
+                "--horizon", "20000", "campaign",
+                "--mixes", "M1", "M2", "--approaches", "ebp", "dbp",
+                "--jobs", jobs, "--store", str(store), "--quiet",
+            ]
+            assert main(argv) == 0
+            (line,) = [
+                text
+                for text in capsys.readouterr().out.splitlines()
+                if text.startswith("store:")
+            ]
+            lines[jobs] = line.replace(str(store), "STORE")
+        assert lines["2"] == lines["1"]
+        assert "4 misses, 4 writes" in lines["1"]
+
     def test_campaign_cli_json_format(self, tmp_path, capsys):
         from repro.cli import main
 

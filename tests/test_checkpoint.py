@@ -129,9 +129,10 @@ class TestCodec:
 
     def test_foreign_version_is_stale_not_corrupt(self):
         # A future format, version 1 (whose pickled controllers still
-        # carried a kernel selection), 2 (traces pickled as tuple lists)
-        # and 3 (System-owned completion relays and the interpreter pin).
-        for version in (CHECKPOINT_VERSION + 1, 1, 2, 3):
+        # carried a kernel selection), 2 (traces pickled as tuple lists),
+        # 3 (System-owned completion relays and the interpreter pin) and
+        # 4 (traces pickled complete, without a fill source).
+        for version in (CHECKPOINT_VERSION + 1, 1, 2, 3, 4):
             blob = _rewrite_header(dump_checkpoint({"x": 1}), version=version)
             with pytest.raises(CheckpointError) as excinfo:
                 read_checkpoint_header(blob)
@@ -272,7 +273,7 @@ class TestStaleSafepoint:
         self, small_config, tmp_path, clean_faults, monkeypatch
     ):
         """Version 2 pickled a trace as a list of tuples, 3 as columns."""
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
         self._rerun_over_stale(small_config, tmp_path, monkeypatch, version=2)
 
     def test_runner_reruns_from_scratch_over_a_version_3_safepoint(
@@ -281,6 +282,13 @@ class TestStaleSafepoint:
         """Version 3 carried System's completion relays; 4 pickles only
         bound methods and partials, with no interpreter pin."""
         self._rerun_over_stale(small_config, tmp_path, monkeypatch, version=3)
+
+    def test_runner_reruns_from_scratch_over_a_version_4_safepoint(
+        self, small_config, tmp_path, clean_faults, monkeypatch
+    ):
+        """Version 4 pickled every trace complete; 5 pickles a synthetic
+        trace's filled prefix and the generator state that resumes it."""
+        self._rerun_over_stale(small_config, tmp_path, monkeypatch, version=4)
 
     def _rerun_over_stale(self, small_config, tmp_path, monkeypatch, version):
         apps, approach = ["mcf", "lbm"], "dbp"

@@ -1,5 +1,5 @@
 """The columnar trace: byte-stable identity, the per-layer memory claims,
-and the domain check at construction.
+the domain check at construction, and on-demand filling.
 
 Digests and the ``.rtrc`` hash below were captured at the last commit that
 stored a trace as a list of ``TraceRecord`` tuples; they prove the synthetic
@@ -9,14 +9,17 @@ generator, the digest definition and format v1 did not move with the layout.
 import hashlib
 import pickle
 import pickletools
+import random
 import tracemalloc
 
 import pytest
 
 from repro.cpu.trace import Trace, TraceRecord
 from repro.errors import TraceError
+from repro.sim.runner import Runner
+from repro.sim.system import System
 from repro.traces import import_trace, save_rtrc
-from repro.workloads import generate_trace, get_profile
+from repro.workloads import APP_PROFILES, generate_trace, get_mix, get_profile
 
 _PINNED_DIGESTS = {
     "mcf": "0fb5b330539314641e8ba16233286d08a79278ef131b09e4cea8bffb1901ccc5",
@@ -54,6 +57,7 @@ class TestLayerClaims:
         tracemalloc.start()
         try:
             trace = generate_trace(get_profile("mcf"), seed=1)
+            assert trace.total_insts  # completes the trace
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -156,3 +160,76 @@ class TestDomain:
         path.write_text("0 0x40 R\n5000000000 0x80 W\n")
         with pytest.raises(TraceError, match="record 1: gap 4999999999 "):
             import_trace(str(path), fmt="champsim")
+
+
+def _columns(trace):
+    return (
+        trace.gaps, trace.vlines, bytes(trace.writes), trace.cumulative_insts
+    )
+
+
+class TestOnDemand:
+    """A synthetic trace starts empty and fills as the Core reads it; every
+    prefix is the eager trace's, however the fills were sized."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_uneven_fill_steps_give_the_one_fill_trace(self, seed):
+        # 400k instructions sizes the traces at 512..~12,000 records; the
+        # fill logic does not depend on the length.
+        steps = random.Random(seed)
+        for app in sorted(APP_PROFILES):
+            once = generate_trace(
+                APP_PROFILES[app], seed=seed, target_insts=400_000
+            )
+            stepped = generate_trace(
+                APP_PROFILES[app], seed=seed, target_insts=400_000
+            )
+            filled = 0
+            while filled < len(stepped):
+                wanted = filled + steps.randrange(1, 700)
+                filled = stepped.extend_to(wanted)
+                assert min(wanted, len(stepped)) <= filled <= len(stepped)
+            assert _columns(stepped) == _columns(once), app
+            assert stepped.digest == once.digest
+
+    def test_half_filled_trace_survives_pickle(self):
+        trace = generate_trace(get_profile("mcf"), seed=1)
+        half = trace.extend_to(len(trace) // 2)
+        assert half < len(trace)
+        clone = pickle.loads(pickle.dumps(trace))
+        assert clone.extend_to(0) == half
+        assert _columns(clone) == _columns(trace)
+        assert clone.digest == _PINNED_DIGESTS["mcf"]
+
+    def test_renamed_partial_trace_shares_one_fill_state(self):
+        trace = generate_trace(get_profile("lbm"), seed=1)
+        trace.extend_to(1_000)
+        alias = trace.renamed("alias")
+        filled = alias.extend_to(5_000)
+        assert trace.extend_to(0) == filled < len(trace)
+        assert alias.digest == trace.digest == _PINNED_DIGESTS["lbm"]
+        assert alias.vlines is trace.vlines
+
+    def test_two_cores_sharing_one_trace_run_like_two_copies(
+        self, small_config
+    ):
+        def mcf():
+            return generate_trace(
+                get_profile("mcf"), seed=1, target_insts=200_000
+            )
+
+        shared = mcf()
+        one = System(small_config, [shared, shared], horizon=30_000).run()
+        two = System(small_config, [mcf(), mcf()], horizon=30_000).run()
+        assert 0 < shared.extend_to(0) < len(shared)
+        assert one == two
+
+    def test_a_run_generates_only_what_it_replays(self):
+        apps = get_mix("M4").apps
+        runner = Runner(horizon=200_000)
+        runner.run_apps(list(apps), "dbp-tcm")
+        traces = {app: runner.trace_for(app) for app in apps}
+        for app, trace in traces.items():
+            assert trace.extend_to(0) < len(trace), f"{app} was completed"
+        assert len(traces["mcf"]) == 40_000
+        assert traces["mcf"].extend_to(0) <= 10_000
