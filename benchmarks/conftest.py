@@ -3,12 +3,11 @@
 One session-scoped Runner sets every bench module's scope. Grid figures
 run through the campaign executor against the campaign subsystem's
 persistent result store, so e.g. the F3 fairness view reuses the F2
-throughput runs through the store — or, with the store off, through the
-executor's inline memo at ``REPRO_BENCH_JOBS=1`` (with more jobs and no
-store, F3 simulates F2's cells again). Runs also persist *across*
-sessions — a repeated benchmark invocation is served from
-``benchmarks/results/store/`` and the session summary reports how much
-wall-clock the store saved.
+throughput runs through the store, and only through it: with the store
+off, F3 simulates F2's cells again at any ``REPRO_BENCH_JOBS``. Runs also
+persist *across* sessions — a repeated benchmark invocation is served
+from ``benchmarks/results/store/`` and the session summary reports how
+much wall-clock the store saved.
 
 Environment knobs:
 

@@ -57,7 +57,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "StoreStats",
             "default_store_dir",
             "run_key",
-            "runner_fingerprint",
         ),
     },
 )

@@ -73,10 +73,9 @@ def sweep_metrics(
 
     The grid is planned by :class:`CampaignSpec` and executed by
     :func:`execute` on ``runner.jobs`` workers against ``runner.store``,
-    like any campaign — at one job inline, on this process's worker
-    Runners, whose in-memory memo serves a later grid that shares cells
-    (F3 after F2) even without a store. A cell that fails or is
-    quarantined fails the sweep.
+    like any campaign. A later grid that shares cells (F3 after F2) reuses
+    them only through the store. A cell that fails or is quarantined fails
+    the sweep.
     """
     specs = CampaignSpec(
         mixes=tuple(mixes),

@@ -13,10 +13,12 @@ Supervision rules (see :mod:`repro.campaign.failures` for the taxonomy):
   from disk (``status="cached"``) without touching a worker;
 * the rest are handed, one spec at a time, to up to ``jobs`` long-lived
   worker processes the supervisor starts itself (one duplex pipe each).
-  A worker keeps a process-local Runner per configuration fingerprint —
-  so generated traces are shared between the cells it serves — and
-  persists its result to the store *before* replying, so a campaign
-  killed mid-flight resumes from everything that finished;
+  A worker runs each hand-off on a Runner built from its spec and lent
+  the process's campaign memo — so the cells it serves share traces and
+  alone IPCs, keyed by content — and persists its result to the store
+  *before* replying, so a campaign killed mid-flight resumes from
+  everything that finished. The store is the only cache of runs, and the
+  memo ends with the campaign;
 * alone-run baselines are shared through the store's alone records: with
   worker processes and a store, the supervisor queues one *baseline task*
   per distinct record its pending specs need and the store lacks, ahead of
@@ -161,46 +163,12 @@ class CampaignResult:
 # ---------------------------------------------------------------------------
 # Worker side. Everything here must be importable (top-level) and picklable.
 # ---------------------------------------------------------------------------
-_WORKER_RUNNERS: Dict[object, object] = {}
-_WORKER_TRACES: Dict[tuple, object] = {}
+#: The campaign memo: the traces and alone IPCs of every Runner this
+#: process builds for a hand-off, keyed by content (see ``Runner.memo``).
+#: A worker process's memo ends with the worker, i.e. with its campaign;
+#: the supervisor empties its own when a run of the scheduling loop ends.
+_MEMO: Dict[object, object] = {}
 _WORKER_STORES: Dict[str, ResultStore] = {}
-
-
-def _runner_for(
-    spec: RunSpec,
-    store: Optional[ResultStore] = None,
-    safepoint_every: Optional[int] = None,
-    safepoint_dir: Optional[str] = None,
-    submission: int = 1,
-):
-    """A process-local Runner matching the spec's scope (cached).
-
-    Its traces, alone IPCs and run memo outlive the hand-off: a worker
-    process reuses them for the cells it serves next, and the inline path
-    (one job) for every later plan in this process that shares cells.
-    """
-    from ..sim.runner import Runner
-
-    key = (spec.runner_key(), spec.telemetry)
-    runner = _WORKER_RUNNERS.get(key)
-    if runner is None:
-        runner = Runner(
-            config=spec.config,
-            telemetry=spec.telemetry,
-            **scope_of(spec),
-        )
-        # A trace is a function of (app, seed, length) — or of a library
-        # digest — never of the config, so every scope shares one cache.
-        runner._trace_cache = _WORKER_TRACES
-        _WORKER_RUNNERS[key] = runner
-    # The alone-record store and the safepoint policy are per-campaign,
-    # not part of the runner's scope (they never change results), so
-    # refresh them on every hand-off.
-    runner.store = store
-    runner.safepoint_every = safepoint_every
-    runner.safepoint_dir = safepoint_dir
-    runner.fault_attempt = submission
-    return runner
 
 
 def _store_for(store_root: str) -> ResultStore:
@@ -232,14 +200,16 @@ def _worker(
     span_dir: Optional[str] = None,
     alone: Optional[Tuple[str, str]] = None,
 ) -> Tuple[object, float]:
-    """One hand-off: run the spec on this process's Runner for its scope,
-    persist it to the store and return (result, wall-clock seconds) — or,
-    given ``alone`` (an alone-record key and its app), a baseline task:
-    measure that app alone under the spec's scope, which records it.
+    """One hand-off: run the spec on a Runner built from it and lent the
+    campaign memo, persist it to the store and return (result, wall-clock
+    seconds) — or, given ``alone`` (an alone-record key and its app), a
+    baseline task: measure that app alone under the spec's scope, which
+    records it.
 
     The only place a run is simulated for, and written to, the store.
     """
     from ..faults import maybe_fire
+    from ..sim.runner import Runner
 
     label = spec.label
     if alone is not None:
@@ -261,9 +231,16 @@ def _worker(
         previous_tracer = install_tracer(tracer)
     try:
         store = _store_for(store_root) if store_root is not None else None
-        runner = _runner_for(
-            spec, store, safepoint_every, safepoint_dir, submission
+        runner = Runner(
+            config=spec.config,
+            store=store,
+            telemetry=spec.telemetry,
+            safepoint_every=safepoint_every,
+            safepoint_dir=safepoint_dir,
+            memo=_MEMO,
+            **scope_of(spec),
         )
+        runner.fault_attempt = submission
         if alone is not None:
             # Chaos harness hook, as for a cell below; its own site, so
             # plans written against ``worker.run`` keep meaning "a cell".
@@ -338,11 +315,10 @@ def _attempt(args: tuple) -> Union[Tuple[object, float], _Failure]:
 def _worker_main(conn: Connection) -> None:
     """Body of a worker process: serve hand-offs until the supervisor goes.
 
-    The module-level Runner cache deliberately survives between hand-offs
-    (and, under ``fork``, starts from the supervisor's warm copy), which is
-    what lets the cells one worker serves share generated traces. Alone
-    baselines are shared wider — across workers and campaigns — through
-    the store's alone records.
+    The campaign memo survives between hand-offs, which is what lets the
+    cells one worker serves share traces and alone IPCs. Alone baselines
+    are shared wider — across workers and campaigns — through the store's
+    alone records.
 
     Each reply carries the store accounting of its attempt (this process's
     handle counted it), which the supervisor adds to its own handle's.
@@ -717,6 +693,9 @@ class _Supervisor:
         finally:
             while self.slots:
                 self.slots.pop().stop()
+            # The memo ends with the campaign: a later plan reuses these
+            # cells only through the store, whatever the job count.
+            _MEMO.clear()
             if inline:
                 _WORKER_STORES.pop(self.store_root, None)
                 if self.fault_plan_doc is not None:

@@ -19,7 +19,7 @@ from ..core.integration import get_approach
 from ..errors import ExperimentError
 from ..traces.registry import library_digests
 from ..workloads import resolve_mix
-from .store import alone_key, run_key, runner_fingerprint, scope_of
+from .store import alone_key, run_key, scope_of
 
 #: The F2/F3 headline grid's approaches — the campaign CLI default.
 DEFAULT_APPROACHES: Tuple[str, ...] = ("shared-frfcfs", "ebp", "dbp")
@@ -98,10 +98,6 @@ class RunSpec:
         if self.trace_digests:
             doc["trace_digests"] = dict(self.trace_digests)
         return doc
-
-    def runner_key(self) -> str:
-        """Fingerprint of the Runner this spec needs (apps/approach aside)."""
-        return runner_fingerprint(self.config, **scope_of(self))
 
 
 @dataclass(frozen=True)

@@ -176,15 +176,6 @@ def alone_key(
     return _digest(doc)
 
 
-def runner_fingerprint(config: SystemConfig, **scope: object) -> str:
-    """Hash of everything a Runner needs besides (apps, approach).
-
-    Campaign workers key their process-local Runner cache on this, so the
-    cells one worker serves reuse generated traces.
-    """
-    return _digest(_scope_doc(config, **scope))
-
-
 def default_store_dir() -> Path:
     """Where results persist by default.
 

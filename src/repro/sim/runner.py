@@ -2,23 +2,29 @@
 
 The runner owns the methodology boilerplate every experiment shares:
 
-* traces are resolved once per (app, seed) and reused by the shared and
-  the alone runs; a synthetic trace starts empty and is generated as
-  those runs replay it, so only the records some run reads are ever
-  generated or held (see :meth:`repro.cpu.trace.Trace.on_demand`);
+* traces are resolved once per content key — (app, seed, target_insts),
+  or a library trace's digest — and reused by the shared and the alone
+  runs; a synthetic trace starts empty and is generated as those runs
+  replay it, so only the records some run reads are ever generated or
+  held (see :meth:`repro.cpu.trace.Trace.on_demand`);
 * each application's *alone* IPC — the denominator of every speedup — is
   measured on the unpartitioned FR-FCFS system with a single core
-  (:meth:`SystemConfig.alone`) once per content key: remembered in memory
-  and, with a store attached, as an alone record every later process and
+  (:meth:`SystemConfig.alone`) once per content key
+  (:func:`~repro.campaign.store.alone_key`): remembered in memory and,
+  with a store attached, as an alone record every later process and
   campaign worker reads instead of simulating;
 * a mix run builds a fresh :class:`~repro.sim.system.System` for the chosen
-  approach and converts the resulting IPCs into the paper's metrics, and is
-  remembered in memory for the life of the Runner.
+  approach and converts the resulting IPCs into the paper's metrics.
 
-A Runner never reads or writes run entries: looking a cell up in the
+Traces and alone IPCs live in one memo dict, :attr:`Runner.memo`, whose
+keys are content keys, so mutating a Runner's scope can never serve a
+stale entry. A Runner builds a fresh memo, or uses the one it is handed:
+the campaign executor lends every hand-off its process's campaign memo.
+
+A Runner never remembers, reads or writes a run: looking a cell up in the
 result store, running it and persisting it is
-:func:`repro.campaign.executor.execute`'s job, which calls a process-local
-Runner per scope to do the simulating.
+:func:`repro.campaign.executor.execute`'s job, which builds a Runner from
+each cell's spec to do the simulating.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from ..metrics import slowdowns, summarize
 from ..records import RunResult, SystemResult, WorkloadRunMetrics
 from ..telemetry import TelemetryRecorder
 from ..telemetry.spans import current_tracer, now_us
-from ..traces.source import DefaultTraceSource, TraceSource
+from ..traces.registry import library_digests
+from ..traces.source import library_digest, resolve_trace
 from ..workloads import Mix
 from .system import System
 
@@ -57,9 +64,9 @@ class Runner:
         jobs: int = 1,
         telemetry: bool = False,
         profile: bool = False,
-        trace_source: Optional[TraceSource] = None,
         safepoint_every: Optional[int] = None,
         safepoint_dir: Optional[object] = None,
+        memo: Optional[Dict[object, object]] = None,
     ) -> None:
         self.config = config if config is not None else SystemConfig()
         if horizon <= 0:
@@ -79,15 +86,14 @@ class Runner:
         #: Worker processes campaign-backed sweeps fan out over.
         self.jobs = jobs
         #: When True, every mix run records per-epoch telemetry; the full
-        #: recorder of the most recent *simulated* (non-cached) run is kept
-        #: on :attr:`last_telemetry` and its summary travels on the
-        #: RunResult. Telemetry never changes simulation results, so store
-        #: keys are unaffected.
+        #: recorder of the most recent run is kept on :attr:`last_telemetry`
+        #: and its summary travels on the RunResult. Telemetry never changes
+        #: simulation results, so store keys are unaffected.
         self.telemetry = telemetry
         self.last_telemetry: Optional[TelemetryRecorder] = None
         #: When True, mix runs time the event loop per component; the
-        #: report of the most recent simulated run lands on
-        #: :attr:`last_profile` and on ``RunResult.profile``.
+        #: report of the most recent run lands on :attr:`last_profile` and
+        #: on ``RunResult.profile``.
         self.profile = profile
         self.last_profile: Optional[Dict[str, object]] = None
         #: When both are set, every cacheable mix run writes a checkpoint
@@ -103,45 +109,22 @@ class Runner:
         #: harness so ``times=N`` checkpoint-write faults stop firing once
         #: the campaign has moved past attempt N.
         self.fault_attempt = 1
-        #: Where app names resolve to traces: the default source serves
-        #: synthetic profiles and registered library traces alike (see
-        #: :mod:`repro.traces.source`).
-        self.trace_source: TraceSource = (
-            trace_source if trace_source is not None else DefaultTraceSource()
-        )
-        self._trace_cache: Dict[tuple, Trace] = {}
-        self._alone_cache: Dict[str, float] = {}
-        self._run_cache: Dict[tuple, RunResult] = {}
+        #: Traces by (app, seed, target_insts) or (app, library digest),
+        #: alone IPCs by their alone-record key (a string): content keys
+        #: all, so one memo can serve Runners of any scope.
+        self.memo: Dict[object, object] = memo if memo is not None else {}
 
     # ------------------------------------------------------------------
     def trace_for(self, app: str) -> Trace:
-        """The (cached) trace for one application — synthetic or library.
-
-        Cached under the full generator input (app, seed, target_insts) —
-        so mutating the Runner's fields can never serve a stale trace — or,
-        for a library trace, under its content digest alone."""
-        digest = self.trace_source.digest_for(app)
+        """The (memoized) trace for one application — synthetic or library."""
+        digest = library_digest(app)
         key = (app, digest) if digest else (app, self.seed, self.target_insts)
-        trace = self._trace_cache.get(key)
+        trace = self.memo.get(key)
         if trace is None:
-            trace = self.trace_source.trace_for(
+            trace = self.memo[key] = resolve_trace(
                 app, self.seed, self.target_insts
             )
-            self._trace_cache[key] = trace
         return trace
-
-    def library_digests(self, apps: Sequence[str]) -> Dict[str, str]:
-        """{app: digest} for the library-resolved apps among ``apps``.
-
-        Empty for all-synthetic runs, which keeps their store keys (and
-        therefore every previously-persisted result) unchanged.
-        """
-        digests: Dict[str, str] = {}
-        for app in apps:
-            digest = self.trace_source.digest_for(app)
-            if digest is not None:
-                digests[app] = digest
-        return digests
 
     def alone_ipc(self, app: str) -> float:
         """IPC of ``app`` running alone on the full machine.
@@ -153,10 +136,10 @@ class Runner:
         key = alone_key(
             self.config,
             app,
-            trace_digest=self.trace_source.digest_for(app),
+            trace_digest=library_digest(app),
             **scope_of(self),
         )
-        ipc = self._alone_cache.get(key)
+        ipc = self.memo.get(key)
         if ipc is not None:
             return ipc
         if self.store is not None:
@@ -165,7 +148,7 @@ class Runner:
             ipc = self._simulate_alone(app)
             if self.store is not None:
                 self.store.put_alone(key, ipc, {"app": app, **scope_of(self)})
-        self._alone_cache[key] = ipc
+        self.memo[key] = ipc
         return ipc
 
     def _simulate_alone(self, app: str) -> float:
@@ -188,32 +171,12 @@ class Runner:
         return ipc
 
     # ------------------------------------------------------------------
-    def run_cache_key(self, apps: Sequence[str], approach: str) -> tuple:
-        """In-memory cache key binding the *resolved* approach.
-
-        Includes the policy and scheduler names and parameters the approach
-        label resolves to, so two registrations sharing a label can never
-        collide — in this memo or in the persistent store's hash. Library
-        traces contribute their content digests, so re-registering a name
-        with different records can never serve a stale run either.
-        """
-        spec = get_approach(approach)
-        return (
-            tuple(apps),
-            approach,
-            spec.policy,
-            tuple(sorted(spec.policy_params.items())),
-            spec.scheduler,
-            tuple(sorted(spec.scheduler_params.items())),
-            tuple(sorted(self.library_digests(apps).items())),
-        )
-
     def _store_key(self, apps: Sequence[str], approach: str) -> str:
         return run_key(
             self.config,
             apps,
             approach,
-            trace_digests=self.library_digests(apps),
+            trace_digests=library_digests(apps),
             **scope_of(self),
         )
 
@@ -225,15 +188,9 @@ class Runner:
     ) -> RunResult:
         """Run a list of applications under a named approach.
 
-        Results are memoized per (apps, resolved approach) for the life of
-        the Runner, so callers that read one run twice pay for it once.
-        Only the alone baselines touch ``store``; persisting the run itself
-        is the campaign executor's job.
+        Every call simulates: only the alone baselines touch ``store``, and
+        looking a run up or persisting it is the campaign executor's job.
         """
-        cache_key = self.run_cache_key(apps, approach)
-        cached = self._run_cache.get(cache_key)
-        if cached is not None:
-            return cached
         tracer = current_tracer()
         run_started = now_us() if tracer is not None else 0
         spec = get_approach(approach)
@@ -279,7 +236,6 @@ class Runner:
             except OSError:
                 pass
         run_result = self._assemble(apps, approach, mix_name, system, result)
-        self._run_cache[cache_key] = run_result
         if tracer is not None:
             tracer.complete(
                 "run",

@@ -52,12 +52,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "registered_names",
             "unregister_trace",
         ),
-        ".source": (
-            "DefaultTraceSource",
-            "LibraryTraceSource",
-            "SyntheticTraceSource",
-            "TraceSource",
-        ),
+        ".source": ("library_digest", "resolve_trace"),
         ".library": ("TraceLibrary",),
     },
 )

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import SystemConfig
 from repro.core.integration import get_approach
 from repro.sim.system import System
-from repro.traces.source import DefaultTraceSource
+from repro.traces.source import resolve_trace
 from repro.workloads import resolve_mix
 
 #: (run-name, approach, page_policy, validate)
@@ -59,13 +59,12 @@ _trace_cache: Dict[tuple, object] = {}
 
 
 def _traces(apps, seed: int, target_insts: int):
-    source = DefaultTraceSource()
     out = []
     for app in apps:
         key = (app, seed, target_insts)
         trace = _trace_cache.get(key)
         if trace is None:
-            trace = source.trace_for(app, seed, target_insts)
+            trace = resolve_trace(app, seed, target_insts)
             _trace_cache[key] = trace
         out.append(trace)
     return out

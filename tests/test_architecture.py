@@ -231,6 +231,30 @@ RULES: Tuple[Rule, ...] = (
             "store.put(key, result, wall, describe=spec.describe())",
         ),
     ),
+    Rule(
+        "runner-privates-stay-in-runner",
+        "code outside sim/runner.py reaches into a Runner's private "
+        "attributes; hand it what it needs through its constructor",
+        r"runner\._[a-z]",
+        ("src/repro",),
+        include="*.py",
+        allow=r"^src/repro/sim/runner[.]py:",
+        mutant=("src/repro/campaign/executor.py", "runner._memo = _MEMO"),
+        tolerated=("src/repro/sim/runner.py", "runner._assemble(apps)"),
+    ),
+    Rule(
+        "one-run-cache",
+        "a second cache of runs crept back into src/repro; the result "
+        "store is the only one, and the campaign memo holds only traces "
+        "and alone IPCs",
+        r"_run_cache|run_cache_key|_WORKER_RUNNERS",
+        ("src/repro",),
+        include="*.py",
+        mutant=(
+            "src/repro/sim/runner.py",
+            "self._run_cache: Dict[tuple, RunResult] = {}",
+        ),
+    ),
 )
 
 _IDS = [rule.name for rule in RULES]

@@ -7,6 +7,7 @@ import multiprocessing
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,10 +17,10 @@ from repro.campaign import (
     ResultStore,
     RunSpec,
     execute,
+    executor,
     run_key,
     sweep_metrics,
 )
-from repro.campaign.executor import _WORKER_RUNNERS
 from repro.campaign.store import STORE_VERSION, alone_key, result_digest
 from repro.errors import ExperimentError
 from repro.sim.runner import Runner
@@ -41,14 +42,6 @@ def specs(small_config):
         )
         for approach in ("shared-frfcfs", "ebp")
     ]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_worker_caches():
-    """Keep the process-local runner cache from leaking between tests."""
-    _WORKER_RUNNERS.clear()
-    yield
-    _WORKER_RUNNERS.clear()
 
 
 class TestPlanner:
@@ -192,6 +185,25 @@ class TestKeys:
         )
         assert key_fcfs != key_frfcfs
 
+    def test_run_key_binds_scheduler_params(self, specs, monkeypatch):
+        from repro.core.integration import APPROACHES, Approach
+
+        spec = replace(specs[0], approach="tmp-x")
+        keys = set()
+        for fraction in (0.2, 0.4):
+            monkeypatch.setitem(
+                APPROACHES,
+                "tmp-x",
+                Approach(
+                    "tmp-x",
+                    "shared",
+                    "tcm",
+                    scheduler_params={"cluster_fraction": fraction},
+                ),
+            )
+            keys.add(spec.key())
+        assert len(keys) == 2
+
 
 class TestStore:
     def test_hit_miss_accounting_and_round_trip(self, tmp_path, fast_runner):
@@ -258,12 +270,8 @@ class TestStore:
 
 class TestExecutor:
     def test_pooled_matches_serial_bit_for_bit(self, specs):
-        # Pooled first: worker processes compute everything from scratch
-        # (running serial first would leak warm in-process caches into the
-        # forked workers and make the comparison vacuous).
-        pooled = execute(specs, jobs=2)
-        _WORKER_RUNNERS.clear()
         serial = execute(specs, jobs=1)
+        pooled = execute(specs, jobs=2)
         assert [o.status for o in pooled.outcomes] == ["ok", "ok"]
         assert [o.status for o in serial.outcomes] == ["ok", "ok"]
         for a, b in zip(pooled.outcomes, serial.outcomes):
@@ -310,6 +318,24 @@ class TestExecutor:
         assert "ConfigError" in outcome.failure.attempts[-1].traceback
         assert [o.status for o in result.outcomes[1:]] == ["ok", "ok"]
         assert result.unresolved == []
+
+    def test_campaign_memo_ends_with_the_campaign(self, specs, alone_runs):
+        """An inline execute() empties the campaign memo when it returns,
+        also after a cell that failed once it had resolved a trace, so a
+        later plan reuses nothing but the store."""
+        held = []
+
+        def progress(_outcome, _done, _total):
+            held.append(len(executor._MEMO))
+
+        execute(specs, jobs=1, progress=progress)
+        assert held[0] > 0 and executor._MEMO == {}
+        broken = replace(specs[0], apps=("lbm", "no-such-app"))
+        result = execute([broken], jobs=1, backoff=0.01, progress=progress)
+        assert result.outcomes[0].status == "quarantined"
+        assert held[-1] > 0 and executor._MEMO == {}
+        execute(specs, jobs=1)
+        assert alone_runs == ["lbm", "gcc", "lbm", "gcc"]
 
     def test_budget_exhaustion_reports_failed(self, specs):
         bad = RunSpec(
@@ -406,7 +432,6 @@ class TestAloneRecords:
             ("pooled-warm", 2, True),
             ("inline-warm", 1, True),
         ):
-            _WORKER_RUNNERS.clear()
             del alone_runs[:]
             store = ResultStore(tmp_path / name)
             if warm:
@@ -417,7 +442,6 @@ class TestAloneRecords:
             assert store.entry_count() == len(specs)
             if jobs == 1:  # inline: the alone runs happen in this process
                 assert alone_runs == ([] if warm else ["lbm", "gcc"])
-        _WORKER_RUNNERS.clear()
         unstored = execute(specs, jobs=1)
         reference = [result_digest(o.result) for o in unstored.outcomes]
         assert all(seen == reference for seen in digests.values()), digests
@@ -533,7 +557,6 @@ class TestRunnerStoreIntegration:
         first = sweep_metrics(Runner(**scope), *grid)
         assert (store.stats.writes, store.stats.hits) == (2, 0)
         assert store.entry_count() == 2
-        _WORKER_RUNNERS.clear()  # nothing left in memory to serve it
         second = sweep_metrics(Runner(**scope), *grid)
         assert (store.stats.writes, store.stats.hits) == (2, 2)
         assert second == first

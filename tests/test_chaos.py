@@ -24,11 +24,7 @@ from repro.campaign import (
     classify_failure,
     execute,
 )
-from repro.campaign.executor import (
-    _WORKER_RUNNERS,
-    _WORKER_STORES,
-    RunTimeoutError,
-)
+from repro.campaign.executor import _WORKER_STORES, RunTimeoutError
 from repro.campaign.failures import WorkerDiedError
 from repro.errors import SimulationError, TraceError
 from repro.faults import (
@@ -44,17 +40,15 @@ from repro.faults import (
 )
 from repro.faults import reset as faults_reset
 from repro.traces.format import load_rtrc, save_rtrc
-from repro.traces.source import DefaultTraceSource
+from repro.traces.source import resolve_trace
 
 
 @pytest.fixture(autouse=True)
 def _clean_process_state():
-    """No runner caches, store handles, or fault plans leak across tests."""
-    _WORKER_RUNNERS.clear()
+    """No store handles or fault plans leak across tests."""
     _WORKER_STORES.clear()
     faults_reset()
     yield
-    _WORKER_RUNNERS.clear()
     _WORKER_STORES.clear()
     faults_reset()
 
@@ -157,7 +151,7 @@ class TestInjectors:
         assert maybe_fire("c", key="k") is None
 
     def test_truncated_trace_file_fails_deterministically(self, tmp_path):
-        trace = DefaultTraceSource().trace_for("gcc", 1, 50_000)
+        trace = resolve_trace("gcc", 1, 50_000)
         path = tmp_path / "gcc.rtrc"
         save_rtrc(trace, str(path))
         truncate_file(path, keep_fraction=0.3)

@@ -267,17 +267,15 @@ class TestSimProfileOfARun:
         from repro.config import SystemConfig
         from repro.core.integration import get_approach
         from repro.sim.system import System
-        from repro.traces.source import DefaultTraceSource
+        from repro.traces.source import resolve_trace
         from repro.workloads import resolve_mix
 
         approach = get_approach("dbp-tcm")
         config = SystemConfig().with_scheduler(
             approach.scheduler, **approach.scheduler_params
         )
-        source = DefaultTraceSource()
         traces = [
-            source.trace_for(app, 1, 4_000_000)
-            for app in resolve_mix("M4").apps
+            resolve_trace(app, 1, 4_000_000) for app in resolve_mix("M4").apps
         ]
         system = System(
             config,

@@ -89,11 +89,6 @@ class TestRunApps:
         assert set(result.alone_ipcs) == {0, 1}
         assert set(result.shared_ipcs) == {0, 1}
 
-    def test_run_cache_reuses_results(self, fast_runner, mix):
-        a = fast_runner.run_mix(mix, "shared-frfcfs")
-        b = fast_runner.run_mix(mix, "shared-frfcfs")
-        assert a is b
-
     def test_different_approaches_not_conflated(self, fast_runner, mix):
         a = fast_runner.run_mix(mix, "shared-frfcfs")
         b = fast_runner.run_mix(mix, "ebp")
@@ -111,35 +106,47 @@ class TestRunApps:
 
 class TestRunCacheKey:
     def test_key_binds_resolved_scheduler(self, fast_runner, monkeypatch):
-        """Two registrations sharing a label must not share cache entries."""
+        """Two registrations sharing a label must not share store entries."""
         from repro.core.integration import APPROACHES, Approach
 
         monkeypatch.setitem(
             APPROACHES, "tmp-x", Approach("tmp-x", "shared", "fcfs")
         )
-        key_fcfs = fast_runner.run_cache_key(("lbm", "gcc"), "tmp-x")
+        key_fcfs = fast_runner._store_key(("lbm", "gcc"), "tmp-x")
         monkeypatch.setitem(
             APPROACHES, "tmp-x", Approach("tmp-x", "shared", "frfcfs")
         )
-        key_frfcfs = fast_runner.run_cache_key(("lbm", "gcc"), "tmp-x")
+        key_frfcfs = fast_runner._store_key(("lbm", "gcc"), "tmp-x")
         assert key_fcfs != key_frfcfs
 
-    def test_key_binds_scheduler_params(self, fast_runner, monkeypatch):
-        from repro.core.integration import APPROACHES, Approach
 
-        monkeypatch.setitem(
-            APPROACHES,
-            "tmp-x",
-            Approach("tmp-x", "shared", "tcm", scheduler_params={"cluster_fraction": 0.2}),
+class TestScopeMutation:
+    def test_run_apps_follows_horizon_seed_and_config(self, small_config):
+        """A Runner whose scope is mutated between runs gives exactly what
+        a fresh Runner built at the new scope gives: nothing it remembers
+        is keyed by less than the scope."""
+        runner = Runner(small_config, horizon=20_000, target_insts=200_000)
+        runner.run_apps(["lbm", "gcc"], "dbp")
+        small_rob = replace(
+            small_config, core=replace(small_config.core, rob_size=16)
         )
-        key_a = fast_runner.run_cache_key(("lbm", "gcc"), "tmp-x")
-        monkeypatch.setitem(
-            APPROACHES,
-            "tmp-x",
-            Approach("tmp-x", "shared", "tcm", scheduler_params={"cluster_fraction": 0.4}),
-        )
-        key_b = fast_runner.run_cache_key(("lbm", "gcc"), "tmp-x")
-        assert key_a != key_b
+        for field, value in (
+            ("horizon", 40_000),
+            ("seed", 2),
+            ("config", small_rob),
+        ):
+            setattr(runner, field, value)
+            fresh = Runner(
+                runner.config,
+                horizon=runner.horizon,
+                seed=runner.seed,
+                target_insts=runner.target_insts,
+            )
+            got = runner.run_apps(["lbm", "gcc"], "dbp")
+            want = fresh.run_apps(["lbm", "gcc"], "dbp")
+            assert got.shared_ipcs == want.shared_ipcs, field
+            assert got.alone_ipcs == want.alone_ipcs, field
+            assert got.metrics.summary == want.metrics.summary, field
 
 
 class TestRunCustom:

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.campaign import ResultStore, RunSpec, execute
-from repro.campaign.executor import _WORKER_RUNNERS, _WORKER_STORES
+from repro.campaign.executor import _WORKER_STORES
 from repro.faults import FaultPlan, FaultSpec
 from repro.faults import reset as faults_reset
 from repro.telemetry.spans import (
@@ -32,14 +32,12 @@ from repro.telemetry.spans import (
 
 @pytest.fixture(autouse=True)
 def _clean_process_state():
-    """No tracer, runner cache, or fault plan leaks across tests."""
+    """No tracer, store handle, or fault plan leaks across tests."""
     uninstall_tracer()
-    _WORKER_RUNNERS.clear()
     _WORKER_STORES.clear()
     faults_reset()
     yield
     uninstall_tracer()
-    _WORKER_RUNNERS.clear()
     _WORKER_STORES.clear()
     faults_reset()
 

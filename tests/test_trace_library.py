@@ -17,7 +17,6 @@ from repro.cpu.trace import Trace, TraceRecord, save_trace
 from repro.errors import ConfigError, TraceError
 from repro.sim.runner import Runner
 from repro.traces import (
-    LibraryTraceSource,
     RegisteredTrace,
     TraceLibrary,
     characterize_trace,
@@ -629,7 +628,7 @@ class TestRunnerIntegration:
         baseline = self._runner(small_config)
         native = baseline.run_apps(["lbm", "gcc"], "dbp")
         synthetic_key = baseline._store_key(["lbm", "gcc"], "dbp")
-        assert baseline.library_digests(["lbm", "gcc"]) == {}
+        assert library_digests(["lbm", "gcc"]) == {}
 
         # Export the exact synthetic trace and re-register it (deliberate
         # shadow) as a library trace under the same name.
@@ -649,9 +648,7 @@ class TestRunnerIntegration:
         # content digest, the synthetic one by (profile, seed, length).
         library_key = replay._store_key(["lbm", "gcc"], "dbp")
         assert library_key != synthetic_key
-        assert replay.library_digests(["lbm", "gcc"]) == {
-            "lbm": native_trace_digest
-        }
+        assert library_digests(["lbm", "gcc"]) == {"lbm": native_trace_digest}
 
     def test_library_trace_runs_under_all_approaches(
         self, tmp_path, small_config
@@ -665,18 +662,6 @@ class TestRunnerIntegration:
             result = runner.run_apps(["imported", "gcc"], approach)
             assert result.metrics.weighted_speedup > 0
 
-    def test_library_source_rejects_unknown(self, small_config):
-        runner = self._runner(small_config, trace_source=LibraryTraceSource())
-        with pytest.raises(ConfigError, match="unknown library trace"):
-            runner.trace_for("lbm")
-
-    def test_run_cache_key_sees_digest(self, small_config):
-        runner = self._runner(small_config)
-        plain = runner.run_cache_key(["lbm", "gcc"], "dbp")
-        register_trace(_entry("lbm", "1" * 64, True), override=True)
-        shadowed = runner.run_cache_key(["lbm", "gcc"], "dbp")
-        assert plain != shadowed
-        assert ("lbm", "1" * 64) in shadowed[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +710,20 @@ class TestCampaignKeys:
         assert specs[0].apps == ("ghost", "gcc")
         assert specs[0].trace_digests == (("ghost", "7" * 64),)
         assert specs[0].key() == runner._store_key(["ghost", "gcc"], "dbp")
+
+    def test_planned_key_sees_a_shadowing_digest(self, small_config):
+        """Shadowing a synthetic app with a library trace moves the key of
+        every cell planned over it: the trace's digest is in the key."""
+        grid = CampaignSpec(
+            mixes=("lbm+gcc",), approaches=("dbp",), horizons=(10_000,),
+            config=small_config, target_insts=100_000,
+        )
+        plain = grid.plan()[0]
+        register_trace(_entry("lbm", "1" * 64, True), override=True)
+        shadowed = grid.plan()[0]
+        assert plain.trace_digests == ()
+        assert shadowed.trace_digests == (("lbm", "1" * 64),)
+        assert plain.key() != shadowed.key()
 
     def test_result_digest_discriminates(self, small_config):
         runner = Runner(config=small_config, horizon=20_000,
