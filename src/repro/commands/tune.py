@@ -1,5 +1,5 @@
 """``tune`` — auto-tuning over the declared parameter spaces: ``tune run``
-drives a seeded search strategy (random | halving | tpe) with the campaign
+drives a seeded search strategy (tpe | random) with the campaign
 grid as the objective (every simulation lands in the content-addressed
 store, so repeated points are cache hits and re-running a study is nearly
 free), ``tune report`` lists recorded studies and their trials, ``tune
@@ -45,9 +45,9 @@ def add_tune(sub) -> None:
     )
     run.add_argument(
         "--strategy",
-        choices=["random", "halving", "tpe"],
-        default="halving",
-        help="search strategy (default: halving)",
+        choices=["random", "tpe"],
+        default="tpe",
+        help="search strategy (default: tpe)",
     )
     run.add_argument(
         "--budget",
@@ -72,20 +72,6 @@ def add_tune(sub) -> None:
         "--study",
         default=None,
         help="study name (default: APPROACH-STRATEGY-OBJECTIVE-sSEED)",
-    )
-    run.add_argument(
-        "--screen-fidelity",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="halving: screening-rung horizon fraction (default 0.25)",
-    )
-    run.add_argument(
-        "--survivors",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="halving: fraction of the cohort promoted (default 0.25)",
     )
     add_supervision(run, "extra attempts for a failed run (default 1)")
     add_index_source(run)
@@ -133,16 +119,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     from ..tuner.report import frontier_doc, render_frontier, render_trials
     from ..tuner.trials import trial_rows
 
-    searcher_opts = {}
-    if args.strategy == "halving":
-        if args.survivors is not None:
-            searcher_opts["survivor_fraction"] = args.survivors
-        if args.screen_fidelity is not None:
-            searcher_opts["screen_fidelity"] = args.screen_fidelity
-    elif args.survivors is not None or args.screen_fidelity is not None:
-        raise ConfigError(
-            "--survivors/--screen-fidelity only apply to --strategy halving"
-        )
     root = store_dir(args)
     store = ResultStore(root)
     db_path = args.db if args.db else index_path_for(root)
@@ -150,7 +126,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     def _progress(trial) -> None:
         if args.quiet:
             return
-        point = trial.point
         score = (
             f"score={trial.score:.4f}"
             if trial.score is not None
@@ -158,8 +133,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         label = "baseline" if trial.is_default else trial.approach
         print(
-            f"  trial {point.trial_id:>3} rung {point.rung} "
-            f"fid {point.fidelity:.2f} h={trial.horizon} "
+            f"  trial {trial.point.trial_id:>3} h={trial.horizon} "
             f"{label}: {score} "
             f"[{trial.cached}c/{trial.executed}x {trial.wall_clock:.1f}s]",
             file=sys.stderr,
@@ -179,7 +153,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             study=args.study,
             progress=_progress,
-            searcher_opts=searcher_opts or None,
             retries=args.retries,
             timeout=args.timeout,
         )

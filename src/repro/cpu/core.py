@@ -366,11 +366,6 @@ class Core:
         """Instructions whose retirement has been computed so far."""
         return self._retired_processed
 
-    @property
-    def outstanding_reads(self) -> int:
-        """Reads currently in flight to the memory system."""
-        return self._outstanding_reads
-
     def finalize(self) -> None:
         """Freeze the retirement counters at end of run (idempotent).
 

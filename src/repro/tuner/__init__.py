@@ -11,7 +11,7 @@ existing campaign machinery into a tuner for them:
   **parameterized approach names** (``dbp@epoch_cycles=20000``) that any
   process resolves identically;
 * :mod:`~repro.tuner.searchers` — seeded deterministic strategies behind
-  one ask/tell interface: random, successive halving, TPE;
+  one ask/tell interface: random search and TPE;
 * :mod:`~repro.tuner.objective` — a parameter point → RunSpecs over a
   mix set → the supervised executor + content-addressed store (repeat
   points are cache hits) → scalarized WS/MS/HS score;
@@ -45,7 +45,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         ".searchers": (
             "STRATEGIES",
-            "HalvingSearcher",
             "RandomSearcher",
             "Searcher",
             "TPESearcher",
@@ -64,6 +63,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         ".trials": (
             "TUNER_SCHEMA_VERSION",
+            "clear_study",
             "ensure_tuner_schema",
             "record_trial",
             "studies",

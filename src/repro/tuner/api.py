@@ -21,7 +21,7 @@ from ..config import SystemConfig
 from ..results.db import ResultIndex, index_path_for
 from .objective import CampaignObjective, TrialResult
 from .searchers import Searcher, make_searcher
-from .trials import record_trial
+from .trials import clear_study, record_trial
 
 __all__ = ["StudyResult", "run_study", "study_name"]
 
@@ -50,14 +50,9 @@ class StudyResult:
 
     @property
     def best(self) -> Optional[TrialResult]:
-        """Best-scoring *full-fidelity* trial (screening rungs run a
-        shorter horizon, so their scores are not comparable)."""
-        full = [
-            t
-            for t in self.trials
-            if t.score is not None and t.point.fidelity >= 1.0
-        ]
-        return max(full, key=lambda t: t.score) if full else None
+        """Best-scoring trial."""
+        scored = [t for t in self.trials if t.score is not None]
+        return max(scored, key=lambda t: t.score) if scored else None
 
     @property
     def total_runs(self) -> int:
@@ -89,7 +84,7 @@ class StudyResult:
 
 def run_study(
     approach: str = "dbp",
-    strategy: str = "random",
+    strategy: str = "tpe",
     budget: int = 12,
     objective: str = "balanced",
     seed: int = 1,
@@ -101,15 +96,13 @@ def run_study(
     jobs: int = 1,
     study: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
-    searcher_opts: Optional[Dict[str, object]] = None,
-    min_horizon: int = 10_000,
     retries: int = 1,
     timeout: Optional[float] = None,
 ) -> StudyResult:
     """Run one seeded tuning study end to end and persist its trials.
 
-    The default point always evaluates first (at full fidelity) so the
-    frontier report can compare tuned points against the paper baseline.
+    The default point always evaluates first so the frontier report can
+    compare tuned points against the paper baseline.
     ``budget`` counts *searched* trials only; the baseline rides free.
     With no ``store`` the default store location is used — tuning without
     a store would re-simulate every repeated point.
@@ -128,16 +121,11 @@ def run_study(
         config=config,
         store=store,
         jobs=jobs,
-        min_horizon=min_horizon,
         retries=retries,
         timeout=timeout,
     )
     searcher: Searcher = make_searcher(
-        strategy,
-        campaign_objective.space,
-        budget,
-        seed,
-        **(searcher_opts or {}),
+        strategy, campaign_objective.space, budget, seed
     )
     result = StudyResult(
         study=study or study_name(approach, strategy, objective, seed),
@@ -147,6 +135,7 @@ def run_study(
         mixes=[m.name for m in campaign_objective.mixes],
         seed=seed,
     )
+    clear_study(index, result.study)
 
     def _record(trial: TrialResult) -> None:
         result.trials.append(trial)

@@ -94,8 +94,6 @@ class TrialResult:
             "trial_id": self.point.trial_id,
             "params": self.point.params_dict(),
             "approach": self.approach,
-            "fidelity": self.point.fidelity,
-            "rung": self.point.rung,
             "horizon": self.horizon,
             "ws": self.ws,
             "ms": self.ms,
@@ -123,7 +121,6 @@ class CampaignObjective:
         store: Optional[ResultStore] = None,
         jobs: int = 1,
         target_insts: int = 4_000_000,
-        min_horizon: int = 10_000,
         retries: int = 1,
         timeout: Optional[float] = None,
     ) -> None:
@@ -145,15 +142,10 @@ class CampaignObjective:
         self.store = store
         self.jobs = jobs
         self.target_insts = target_insts
-        self.min_horizon = min_horizon
         self.retries = retries
         self.timeout = timeout
 
     # ------------------------------------------------------------------
-    def horizon_for(self, fidelity: float) -> int:
-        """The (deterministic) horizon of a fidelity fraction."""
-        return max(self.min_horizon, int(round(self.horizon * fidelity)))
-
     def specs_for(self, point: TrialPoint) -> Tuple[List[RunSpec], str, Dict[str, object]]:
         """The point's run plan, parameterized name, and osmm overrides."""
         layers = split_point(self.space, point.params_dict())
@@ -168,7 +160,7 @@ class CampaignObjective:
             mixes=tuple(mix.name for mix in self.mixes),
             approaches=(name,),
             seeds=(self.seed,),
-            horizons=(self.horizon_for(point.fidelity),),
+            horizons=(self.horizon,),
             config=config,
             target_insts=self.target_insts,
         ).plan()
@@ -187,7 +179,7 @@ class CampaignObjective:
         result = TrialResult(
             point=point,
             approach=name,
-            horizon=self.horizon_for(point.fidelity),
+            horizon=self.horizon,
             cached=len(campaign.cached),
             executed=len(campaign.executed),
             wall_clock=campaign.wall_clock,
@@ -211,5 +203,5 @@ class CampaignObjective:
         return result
 
     def default_point(self) -> TrialPoint:
-        """Trial 0: the paper defaults at full fidelity (the baseline)."""
-        return TrialPoint(trial_id=0, params=(), fidelity=1.0)
+        """Trial 0: the paper defaults (the baseline)."""
+        return TrialPoint(trial_id=0, params=())

@@ -1,7 +1,7 @@
 """Tuning reports: trial tables and the WS-vs-MS Pareto frontier.
 
 The frontier is the point of the whole subsystem: it renders every
-full-fidelity trial of a study in the (weighted speedup ↑, maximum
+scored trial of a study in the (weighted speedup ↑, maximum
 slowdown ↓) plane, marks the non-dominated set, and states **explicitly**
 whether any tuned point Pareto-dominates the paper-default baseline —
 "no dominating point found" is a first-class result, never a silent
@@ -56,18 +56,9 @@ def _is_default(row: Dict[str, object]) -> bool:
     return not row.get("params")
 
 
-def _full_fidelity(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
-    """Frontier candidates: trials evaluated at the full horizon only.
-
-    Halving's screening rung runs a shorter horizon, so its WS/MS are not
-    comparable with full-fidelity points and would pollute the frontier.
-    """
-    return [row for row in rows if float(row.get("fidelity") or 1.0) >= 1.0]
-
-
 def frontier_doc(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Machine-readable frontier report for one study's trial rows."""
-    candidates = _scored(_full_fidelity(rows))
+    candidates = _scored(rows)
     front = pareto_front(candidates)
     default = next((row for row in candidates if _is_default(row)), None)
     tuned = [row for row in candidates if not _is_default(row)]
@@ -146,8 +137,8 @@ def render_trials(rows: Sequence[Dict[str, object]]) -> str:
     if not rows:
         return "no tuning trials recorded"
     lines = [
-        f"{'trial':>5} {'rung':>4} {'fid':>5} {'WS':>7} {'MS':>7} "
-        f"{'HS':>7} {'score':>8} {'runs':>9}  params"
+        f"{'trial':>5} {'WS':>7} {'MS':>7} {'HS':>7} {'score':>8} "
+        f"{'runs':>9}  params"
     ]
     ordered = sorted(
         rows,
@@ -170,9 +161,8 @@ def render_trials(rows: Sequence[Dict[str, object]]) -> str:
             value = row.get("score")
             score_text = f"{float(value):.4f}" if value is not None else "-"
         lines.append(
-            f"{row.get('trial_id', '?'):>5} {row.get('rung', 0):>4} "
-            f"{float(row.get('fidelity') or 1.0):>5.2f} {num('ws'):>7} "
-            f"{num('ms'):>7} {num('hs'):>7} {score_text:>8} {runs:>9}  "
+            f"{row.get('trial_id', '?'):>5} {num('ws'):>7} {num('ms'):>7} "
+            f"{num('hs'):>7} {score_text:>8} {runs:>9}  "
             f"{_params_text(row.get('params') or {})}"
         )
     return "\n".join(lines)
@@ -200,10 +190,9 @@ def render_frontier(rows: Sequence[Dict[str, object]]) -> str:
     """The WS-vs-MS frontier table plus the explicit dominance verdict."""
     doc = frontier_doc(rows)
     if not doc["evaluated"]:
-        return "no evaluated full-fidelity trials to build a frontier from"
+        return "no evaluated trials to build a frontier from"
     lines = [
-        f"Pareto frontier (WS ↑ vs MS ↓) over {doc['evaluated']} "
-        "full-fidelity point(s):",
+        f"Pareto frontier (WS ↑ vs MS ↓) over {doc['evaluated']} point(s):",
         f"{'':>2} {'trial':>5} {'WS':>7} {'MS':>7} {'HS':>7}  point",
     ]
     points = sorted(

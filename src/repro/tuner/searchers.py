@@ -1,21 +1,18 @@
 """Search strategies over a :class:`~repro.tuner.space.ParameterSpace`.
 
-All searchers share one ask/tell interface — :meth:`Searcher.propose`
+Both searchers share one ask/tell interface — :meth:`Searcher.propose`
 hands out the next :class:`TrialPoint` (or ``None`` when the budget is
 spent) and :meth:`Searcher.observe` feeds back the scalar score (higher
 is better; ``None`` marks a failed trial). Every strategy is driven by a
 private ``random.Random(seed)``, so a given (space, budget, seed) always
 replays the identical trial sequence — which is what makes a re-run of a
 tuning study hit the content-addressed store instead of the simulator.
+Every trial runs the study's full horizon.
 
 Strategies:
 
 * :class:`RandomSearcher` — uniform (log-uniform where declared)
-  sampling; the baseline strategy and the startup phase of the others.
-* :class:`HalvingSearcher` — successive halving with two rungs: a
-  screening cohort at a short fidelity (fraction of the full horizon),
-  then exactly ``ceil(cohort * survivor_fraction)`` survivors promoted
-  to full fidelity.
+  sampling; the baseline strategy and TPE's startup phase.
 * :class:`TPESearcher` — a dependency-free tree-structured Parzen
   estimator: after a random startup, observed points split into
   good/bad quantiles and candidates are drawn from a Parzen (Gaussian
@@ -37,7 +34,6 @@ __all__ = [
     "TrialPoint",
     "Searcher",
     "RandomSearcher",
-    "HalvingSearcher",
     "TPESearcher",
     "make_searcher",
 ]
@@ -49,13 +45,6 @@ class TrialPoint:
 
     trial_id: int
     params: Tuple[Tuple[str, object], ...]
-    #: Fraction of the full evaluation horizon (successive halving screens
-    #: at < 1.0; everything else evaluates at 1.0).
-    fidelity: float = 1.0
-    #: Halving rung index (0 = screening); 0 for single-rung strategies.
-    rung: int = 0
-    #: Screening trial this point was promoted from, if any.
-    parent: Optional[int] = None
 
     def params_dict(self) -> Dict[str, object]:
         return dict(self.params)
@@ -114,20 +103,15 @@ class Searcher:
         if self._proposed >= self.budget:
             return None
         point = self._next()
-        if point is not None:
-            self._proposed += 1
+        self._proposed += 1
         return point
 
     def observe(self, point: TrialPoint, score: Optional[float]) -> None:
         """Feed back one trial's scalar score (higher is better)."""
         self._observed.append((point, score))
 
-    @property
-    def done(self) -> bool:
-        return self._proposed >= self.budget
-
     # -- subclass hooks -------------------------------------------------
-    def _next(self) -> Optional[TrialPoint]:
+    def _next(self) -> TrialPoint:
         raise NotImplementedError
 
     def _sample(self) -> Dict[str, object]:
@@ -137,102 +121,20 @@ class Searcher:
 
 
 class RandomSearcher(Searcher):
-    """Pure random search at full fidelity — the honest baseline."""
+    """Pure random search — the honest baseline."""
 
     name = "random"
 
-    def _next(self) -> Optional[TrialPoint]:
+    def _next(self) -> TrialPoint:
         return TrialPoint(
             trial_id=self._proposed + 1, params=_as_items(self._sample())
         )
 
 
-class HalvingSearcher(Searcher):
-    """Two-rung successive halving: screen short, promote the top slice.
-
-    With a total budget ``B`` and survivor fraction ``f``, the screening
-    cohort is the largest ``n`` with ``n + ceil(n * f) <= B``; exactly
-    ``ceil(n * f)`` survivors re-run at full fidelity. Ranking is by
-    score descending with trial id as the deterministic tie-break;
-    failed trials (score ``None``) rank last and are never promoted
-    ahead of a scored trial.
-    """
-
-    name = "halving"
-
-    def __init__(
-        self,
-        space: ParameterSpace,
-        budget: int,
-        seed: int = 1,
-        survivor_fraction: float = 0.25,
-        screen_fidelity: float = 0.25,
-    ) -> None:
-        super().__init__(space, budget, seed)
-        if not 0.0 < survivor_fraction <= 1.0:
-            raise ConfigError("survivor_fraction must be in (0, 1]")
-        if not 0.0 < screen_fidelity <= 1.0:
-            raise ConfigError("screen_fidelity must be in (0, 1]")
-        self.survivor_fraction = survivor_fraction
-        self.screen_fidelity = screen_fidelity
-        cohort = budget
-        while cohort > 1 and cohort + self._survivors_of(cohort) > budget:
-            cohort -= 1
-        self.cohort = cohort
-        self.survivors = min(
-            self._survivors_of(cohort), max(0, budget - cohort)
-        )
-        self._promoted: List[TrialPoint] = []
-
-    def _survivors_of(self, cohort: int) -> int:
-        return max(1, math.ceil(cohort * self.survivor_fraction))
-
-    def _next(self) -> Optional[TrialPoint]:
-        if self._proposed < self.cohort:
-            return TrialPoint(
-                trial_id=self._proposed + 1,
-                params=_as_items(self._sample()),
-                fidelity=self.screen_fidelity,
-                rung=0,
-            )
-        if not self._promoted:
-            self._promoted = self._promote()
-        index = self._proposed - self.cohort
-        if index >= len(self._promoted):
-            return None
-        return self._promoted[index]
-
-    def _promote(self) -> List[TrialPoint]:
-        screened = [
-            (point, score)
-            for point, score in self._observed
-            if point.rung == 0
-        ]
-        if len(screened) < self.cohort:
-            raise ConfigError(
-                f"halving cannot promote: {len(screened)} of {self.cohort} "
-                "screening trials observed"
-            )
-        ranked = sorted(
-            screened,
-            key=lambda item: (
-                item[1] is None,
-                -(item[1] if item[1] is not None else 0.0),
-                item[0].trial_id,
-            ),
-        )
-        promoted = []
-        for offset, (point, _score) in enumerate(ranked[: self.survivors]):
-            promoted.append(
-                TrialPoint(
-                    trial_id=self.cohort + offset + 1,
-                    params=point.params,
-                    fidelity=1.0,
-                    rung=1,
-                    parent=point.trial_id,
-                )
-            )
-        return promoted
+#: TPE's good-set quantile and the Parzen candidates drawn per proposal.
+#: Its random startup is ``max(3, budget // 3)`` trials.
+TPE_GAMMA = 0.25
+TPE_CANDIDATES = 24
 
 
 class TPESearcher(Searcher):
@@ -240,42 +142,23 @@ class TPESearcher(Searcher):
 
     name = "tpe"
 
-    def __init__(
-        self,
-        space: ParameterSpace,
-        budget: int,
-        seed: int = 1,
-        n_startup: Optional[int] = None,
-        gamma: float = 0.25,
-        n_candidates: int = 24,
-    ) -> None:
-        super().__init__(space, budget, seed)
-        if not 0.0 < gamma < 1.0:
-            raise ConfigError("gamma must be in (0, 1)")
-        if n_candidates < 1:
-            raise ConfigError("n_candidates must be >= 1")
-        self.n_startup = (
-            max(3, budget // 3) if n_startup is None else max(1, n_startup)
-        )
-        self.gamma = gamma
-        self.n_candidates = n_candidates
-
-    def _next(self) -> Optional[TrialPoint]:
+    def _next(self) -> TrialPoint:
         trial_id = self._proposed + 1
         scored = [
             (point.params_dict(), score)
             for point, score in self._observed
             if score is not None
         ]
-        if self._proposed < self.n_startup or len(scored) < 2:
+        n_startup = max(3, self.budget // 3)
+        if self._proposed < n_startup or len(scored) < 2:
             return TrialPoint(trial_id=trial_id, params=_as_items(self._sample()))
         scored.sort(key=lambda item: -item[1])
-        n_good = max(1, math.ceil(self.gamma * len(scored)))
+        n_good = max(1, math.ceil(TPE_GAMMA * len(scored)))
         good = [params for params, _ in scored[:n_good]]
         bad = [params for params, _ in scored[n_good:]] or good
         best: Optional[Dict[str, object]] = None
         best_ratio = -math.inf
-        for _ in range(self.n_candidates):
+        for _ in range(TPE_CANDIDATES):
             candidate = {
                 t.name: self._draw_from(good, t) for t in self.space.tunables
             }
@@ -347,12 +230,12 @@ class TPESearcher(Searcher):
 
 
 STRATEGIES: Dict[str, type] = {
-    cls.name: cls for cls in (RandomSearcher, HalvingSearcher, TPESearcher)
+    cls.name: cls for cls in (RandomSearcher, TPESearcher)
 }
 
 
 def make_searcher(
-    strategy: str, space: ParameterSpace, budget: int, seed: int = 1, **opts
+    strategy: str, space: ParameterSpace, budget: int, seed: int = 1
 ) -> Searcher:
     """Instantiate a search strategy by name."""
     try:
@@ -362,4 +245,4 @@ def make_searcher(
         raise ConfigError(
             f"unknown search strategy {strategy!r}; known: {known}"
         ) from None
-    return cls(space, budget, seed, **opts)
+    return cls(space, budget, seed)

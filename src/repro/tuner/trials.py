@@ -7,7 +7,9 @@ meta key (:meth:`~repro.results.db.ResultIndex.ensure_table`), so the
 table. Rows key on (study, trial_id) and every write is an idempotent
 upsert — re-running a seeded study rewrites the same rows, which is what
 makes studies resumable and re-renderable offline (``repro-dbp tune
-report|frontier`` read only this table).
+report|frontier`` read only this table). A study run first clears its
+name's rows (:func:`clear_study`), so a re-run under the same name at
+another horizon or budget leaves none of the earlier run's trials behind.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from ..results.db import ResultIndex
 __all__ = [
     "TUNER_SCHEMA_VERSION",
     "ensure_tuner_schema",
+    "clear_study",
     "record_trial",
     "trial_rows",
     "studies",
@@ -27,7 +30,7 @@ __all__ = [
 
 #: Version of the tuner tables only; bumping rebuilds them without
 #: disturbing the ``runs`` table.
-TUNER_SCHEMA_VERSION = 1
+TUNER_SCHEMA_VERSION = 2
 
 _TUNER_CREATE = """
 CREATE TABLE IF NOT EXISTS tuning_trials (
@@ -40,8 +43,6 @@ CREATE TABLE IF NOT EXISTS tuning_trials (
     params TEXT NOT NULL,
     mixes TEXT NOT NULL,
     seed INTEGER,
-    fidelity REAL,
-    rung INTEGER,
     horizon INTEGER,
     ws REAL,
     ms REAL,
@@ -59,9 +60,8 @@ CREATE INDEX IF NOT EXISTS trials_by_study ON tuning_trials (study, score);
 
 _COLUMNS = (
     "study", "trial_id", "strategy", "objective", "base_approach",
-    "approach", "params", "mixes", "seed", "fidelity", "rung", "horizon",
-    "ws", "ms", "hs", "score", "status", "error", "cached", "executed",
-    "wall_clock",
+    "approach", "params", "mixes", "seed", "horizon", "ws", "ms",
+    "hs", "score", "status", "error", "cached", "executed", "wall_clock",
 )
 
 
@@ -71,6 +71,15 @@ def ensure_tuner_schema(index: ResultIndex) -> None:
         "tuning_trials", _TUNER_CREATE, "tuner_schema_version",
         TUNER_SCHEMA_VERSION,
     )
+
+
+def clear_study(index: ResultIndex, study: str) -> None:
+    """Drop every recorded trial of ``study``."""
+    ensure_tuner_schema(index)
+    with index._conn:
+        index._conn.execute(
+            "DELETE FROM tuning_trials WHERE study=?", (study,)
+        )
 
 
 def record_trial(index: ResultIndex, row: Dict[str, object]) -> None:
@@ -125,7 +134,7 @@ def studies(index: ResultIndex) -> List[Dict[str, object]]:
     cursor = index._conn.execute(
         "SELECT study, strategy, objective, base_approach, "
         "COUNT(*) AS trials, "
-        "MAX(CASE WHEN fidelity >= 1.0 THEN score END) AS best_score, "
+        "MAX(score) AS best_score, "
         "SUM(cached) AS cached, SUM(executed) AS executed "
         "FROM tuning_trials GROUP BY study ORDER BY study"
     )

@@ -255,6 +255,24 @@ RULES: Tuple[Rule, ...] = (
             "self._run_cache: Dict[tuple, RunResult] = {}",
         ),
     ),
+    Rule(
+        "one-fidelity-tuner",
+        "successive halving or its short-horizon screening crept back into "
+        "the tuner; every trial runs the study's horizon, and a searcher "
+        "stays only if it beats random search at equal budget",
+        r"HalvingSearcher|fidelity|\brung\b|survivor|screen_fidelity"
+        r"|min_horizon",
+        ("src/repro/tuner", "src/repro/commands/tune.py"),
+        include="*.py",
+        mutant=(
+            "src/repro/tuner/searchers.py",
+            "    fidelity: float = 1.0",
+        ),
+        tolerated=(
+            "src/repro/campaign/store.py",
+            "telemetry — the fidelity check the trace-library smoke makes",
+        ),
+    ),
 )
 
 _IDS = [rule.name for rule in RULES]

@@ -1,6 +1,4 @@
-"""Searcher properties: determinism, bounds, and halving promotion."""
-
-import math
+"""Searcher properties: determinism, bounds, and construction."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigError
 from repro.tuner.searchers import (
     STRATEGIES,
-    HalvingSearcher,
     TrialPoint,
     make_searcher,
 )
@@ -88,74 +85,6 @@ class TestBounds:
     def test_budget_is_respected(self, strategy, budget, seed):
         assert len(_drive(make_searcher(strategy, SPACE, budget, seed))) \
             <= budget
-
-
-class TestHalving:
-    @given(
-        budget=st.integers(min_value=2, max_value=40),
-        fraction=st.floats(min_value=0.05, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_promotes_exactly_the_configured_fraction(self, budget, fraction,
-                                                      seed):
-        searcher = HalvingSearcher(
-            SPACE, budget, seed, survivor_fraction=fraction
-        )
-        sequence = _drive(searcher)
-        screened = [p for p in sequence if p.rung == 0]
-        promoted = [p for p in sequence if p.rung == 1]
-        assert len(screened) == searcher.cohort
-        expected = min(
-            max(1, math.ceil(searcher.cohort * fraction)),
-            budget - searcher.cohort,
-        )
-        assert len(promoted) == expected
-        assert len(sequence) <= budget
-
-    def test_promotes_the_top_scored_points(self):
-        searcher = HalvingSearcher(SPACE, 6, seed=3, survivor_fraction=0.25)
-        sequence = _drive(searcher)
-        screened = {p.trial_id: p for p in sequence if p.rung == 0}
-        promoted = [p for p in sequence if p.rung == 1]
-        best = max(screened.values(), key=lambda p: (_score(p), -p.trial_id))
-        assert promoted[0].params == best.params
-        assert promoted[0].parent == best.trial_id
-        assert promoted[0].fidelity == 1.0
-
-    def test_screening_runs_at_reduced_fidelity(self):
-        searcher = HalvingSearcher(SPACE, 6, seed=3, screen_fidelity=0.2)
-        point = searcher.propose()
-        assert point.fidelity == 0.2
-        assert point.rung == 0
-
-    def test_failed_trials_are_never_promoted_over_scored_ones(self):
-        searcher = HalvingSearcher(SPACE, 6, seed=3)
-        scored = []
-        while True:
-            point = searcher.propose()
-            if point is None:
-                break
-            if point.rung == 0 and point.trial_id == 1:
-                searcher.observe(point, None)  # first screening trial fails
-            else:
-                searcher.observe(point, _score(point))
-                scored.append(point)
-        promoted = [p for p in scored if p.rung == 1]
-        assert promoted and all(p.parent != 1 for p in promoted)
-
-    def test_promotion_before_observation_is_an_error(self):
-        searcher = HalvingSearcher(SPACE, 6, seed=3)
-        for _ in range(searcher.cohort):
-            searcher.propose()  # never observed
-        with pytest.raises(ConfigError, match="cannot promote"):
-            searcher.propose()
-
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(ConfigError, match="survivor_fraction"):
-            HalvingSearcher(SPACE, 6, survivor_fraction=0.0)
-        with pytest.raises(ConfigError, match="screen_fidelity"):
-            HalvingSearcher(SPACE, 6, screen_fidelity=1.5)
 
 
 class TestConstruction:

@@ -22,13 +22,12 @@ from repro.tuner import (
 from repro.tuner.trials import TUNER_SCHEMA_VERSION, studies
 
 
-def _row(trial_id, ws, ms, params=None, fidelity=1.0, study="s"):
+def _row(trial_id, ws, ms, params=None, study="s"):
     return {
         "study": study, "trial_id": trial_id, "strategy": "random",
         "objective": "balanced", "base_approach": "dbp",
         "approach": "dbp" if not params else "dbp@tuned",
-        "params": params or {}, "mixes": ["M4"], "seed": 1,
-        "fidelity": fidelity, "rung": 0, "horizon": 10000,
+        "params": params or {}, "mixes": ["M4"], "seed": 1, "horizon": 10000,
         "ws": ws, "ms": ms, "hs": 0.5, "score": ws / ms, "status": "ok",
         "error": None, "cached": 0, "executed": 1, "wall_clock": 0.1,
     }
@@ -56,12 +55,17 @@ class TestObjective:
             CampaignObjective("dbp", [])
 
     def test_horizon_for_fidelity_has_a_floor(self):
-        objective = CampaignObjective(
-            "dbp", ["M4"], horizon=40_000, min_horizon=10_000
-        )
-        assert objective.horizon_for(1.0) == 40_000
-        assert objective.horizon_for(0.5) == 20_000
-        assert objective.horizon_for(0.01) == 10_000
+        # One fidelity: the study's horizon is the floor and the ceiling.
+        # The default point and a searched point plan the same horizon,
+        # and no reduced-horizon knob is left to lower it.
+        objective = CampaignObjective("dbp", ["M4", "M7"], horizon=40_000)
+        searched = TrialPoint(trial_id=1, params=(("epoch_cycles", 20_000),))
+        for point in (objective.default_point(), searched):
+            specs, _, _ = objective.specs_for(point)
+            assert [spec.horizon for spec in specs] == [40_000, 40_000]
+        assert not hasattr(objective, "horizon_for")
+        with pytest.raises(TypeError):
+            CampaignObjective("dbp", ["M4"], min_horizon=10_000)
 
     def test_osmm_params_land_in_config_not_name(self):
         objective = CampaignObjective("dbp", ["M4"])
@@ -122,12 +126,14 @@ class TestPareto:
         assert "no paper-default baseline" in doc["verdict"]
 
     def test_screening_rows_are_excluded(self):
-        rows = [
-            _row(0, ws=2.0, ms=2.0),
-            _row(1, ws=9.0, ms=1.0, params={"a": 1}, fidelity=0.25),
-        ]
-        doc = frontier_doc(rows)
-        assert doc["evaluated"] == 1  # the screening row is not a candidate
+        # No screening rung exists any more; the only rows the frontier
+        # leaves out are the ones it cannot place, the unscored failures.
+        failed = dict(_row(1, ws=9.0, ms=1.0, params={"a": 1}),
+                      ws=None, ms=None, hs=None, score=None,
+                      status="failed", error="M4: boom")
+        doc = frontier_doc([_row(0, ws=2.0, ms=2.0), failed])
+        assert doc["trials"] == 2
+        assert doc["evaluated"] == 1  # the failed row is not a candidate
         assert doc["dominating"] == []
 
 
@@ -143,12 +149,14 @@ class TestTrialsTable:
             assert rows[0]["mixes"] == ["M4"]
 
     def test_studies_summary_uses_full_fidelity_best(self, tmp_path):
+        # Every trial runs the study's full horizon, so the best is simply
+        # the highest score.
         with ResultIndex(tmp_path / "index.sqlite") as index:
             record_trial(index, _row(1, ws=2.0, ms=2.0))
-            record_trial(index, _row(2, ws=9.0, ms=1.0, fidelity=0.25))
+            record_trial(index, _row(2, ws=9.0, ms=1.0))
             (summary,) = studies(index)
             assert summary["trials"] == 2
-            assert summary["best_score"] == 1.0  # the fid-1.0 trial's score
+            assert summary["best_score"] == 9.0
 
     def test_runs_schema_untouched(self):
         # Creating the tuner side table adds its own version row and
@@ -204,7 +212,7 @@ class TestRunStudy:
             first = run_study(index=index, **kwargs)
             assert len(first.trials) == 3  # baseline + 2 searched
             assert first.trials[0].is_default
-            assert first.trials[0].point.fidelity == 1.0
+            assert all(t.horizon == 20_000 for t in first.trials)
             assert all(t.status == "ok" for t in first.trials)
             assert first.best is not None
 
@@ -217,6 +225,20 @@ class TestRunStudy:
             rows = trial_rows(index, first.study)
             assert len(rows) == 3
 
+    def test_rerun_at_another_horizon_replaces_the_study(self, tmp_path):
+        # The default study name carries neither horizon nor budget, so a
+        # re-run must drop the earlier run's rows, not mix two horizons.
+        store = ResultStore(tmp_path / "store")
+        kwargs = dict(strategy="random", seed=1, mixes=("M4",), store=store)
+        with ResultIndex(index_path_for(store.root)) as index:
+            run_study(index=index, budget=2, horizon=20_000, **kwargs)
+            second = run_study(index=index, budget=1, horizon=30_000,
+                               **kwargs)
+            rows = trial_rows(index, second.study)
+            assert [(r["trial_id"], r["horizon"]) for r in rows] == [
+                (0, 30_000), (1, 30_000),
+            ]
+
 
 class TestTuneCLI:
     def _run(self, tmp_path, *argv):
@@ -225,10 +247,11 @@ class TestTuneCLI:
             "--store", str(tmp_path / "store"),
         ])
 
-    def test_halving_run_report_frontier(self, tmp_path, capsys):
+    def test_tpe_run_report_frontier(self, tmp_path, capsys):
+        # No --strategy: tpe is the default, so the explicit tpe re-run
+        # below replays the same study.
         assert self._run(
-            tmp_path, "run", "--strategy", "halving", "--budget", "4",
-            "--mixes", "M4",
+            tmp_path, "run", "--budget", "4", "--mixes", "M4",
         ) == 0
         out = capsys.readouterr().out
         assert "hit rate" in out
@@ -236,26 +259,39 @@ class TestTuneCLI:
 
         # An identical re-run is pure cache hits (>= 90% acceptance bar).
         assert self._run(
-            tmp_path, "run", "--strategy", "halving", "--budget", "4",
+            tmp_path, "run", "--strategy", "tpe", "--budget", "4",
             "--mixes", "M4",
         ) == 0
         assert "(100% hit rate)" in capsys.readouterr().out
 
         assert self._run(tmp_path, "report") == 0
-        assert "dbp-halving-balanced-s3" in capsys.readouterr().out
+        assert "dbp-tpe-balanced-s3" in capsys.readouterr().out
 
         out_path = tmp_path / "frontier.json"
         assert self._run(tmp_path, "frontier", "--out", str(out_path)) == 0
         assert "verdict:" in capsys.readouterr().out
         doc = json.loads(out_path.read_text())
-        assert doc["study"] == "dbp-halving-balanced-s3"
+        assert doc["study"] == "dbp-tpe-balanced-s3"
         assert doc["default"]["is_default"]
 
+    def test_halving_run_report_frontier(self, tmp_path, capsys):
+        # Halving is gone: its run is refused at parse time and leaves no
+        # store, so there is nothing for `report` or `frontier` to read.
+        with pytest.raises(SystemExit) as exit_info:
+            self._run(tmp_path, "run", "--strategy", "halving",
+                      "--budget", "4", "--mixes", "M4")
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'halving'" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
     def test_halving_opts_rejected_for_random(self, tmp_path, capsys):
-        assert self._run(
-            tmp_path, "run", "--strategy", "random", "--survivors", "0.5",
-        ) == 1
-        assert "halving" in capsys.readouterr().err
+        for strategy in ("random", "tpe"):
+            for option in ("--survivors", "--screen-fidelity"):
+                with pytest.raises(SystemExit) as exit_info:
+                    self._run(tmp_path, "run", "--strategy", strategy,
+                              option, "0.5")
+                assert exit_info.value.code == 2
+                assert option in capsys.readouterr().err
 
     def test_frontier_without_studies_errors(self, tmp_path, capsys):
         # A store that exists but holds no studies is the clearer error;
