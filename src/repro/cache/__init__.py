@@ -3,14 +3,5 @@
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(
-    __name__,
-    {
-        ".cache": ("Cache", "AccessResult"),
-        ".replacement": (
-            "LRUPolicy",
-            "RandomPolicy",
-            "ReplacementPolicy",
-            "make_policy",
-        ),
-    },
+    __name__, {".cache": ("Cache", "AccessResult")}
 )

@@ -1,4 +1,4 @@
-"""Set-associative write-back cache.
+"""Set-associative write-back cache with LRU replacement.
 
 The cache operates on physical cache-line addresses (translation happens
 before the cache in this system, which keeps page migration honest: moving a
@@ -6,16 +6,22 @@ page changes the lines the cache holds for it). It is used as each core's
 private last-level cache; hits cost ``hit_latency`` cycles, misses go to the
 memory system, and dirty evictions surface as writeback lines for the caller
 to turn into DRAM write requests.
+
+Line state is four flat structures allocated once, indexed by slot
+``set * associativity + way``: a tag array (-1 marks an empty slot), a
+last-touch stamp per slot drawn from one counter per cache, a dirty
+bytearray, and a live-line count per set. A full set's LRU victim is its
+slot with the smallest stamp.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..config import CacheConfig
 from ..utils import ilog2
-from .replacement import ReplacementPolicy, make_policy
 
 
 @dataclass(frozen=True)
@@ -32,47 +38,32 @@ _HIT = AccessResult(hit=True)
 _CLEAN_MISS = AccessResult(hit=False)
 
 
-class _Line:
-    __slots__ = ("tag", "dirty")
-
-    def __init__(self, tag: int, dirty: bool) -> None:
-        self.tag = tag
-        self.dirty = dirty
-
-
 class Cache:
     """One set-associative cache instance."""
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        replacement: str = "lru",
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.num_sets = config.num_sets
         self.associativity = config.associativity
         self._set_bits = ilog2(self.num_sets)
         self._set_mask = self.num_sets - 1
-        # ways[set] maps way index -> _Line; sparse, created on first touch.
-        # A parallel tag index (set -> tag -> way) makes lookup a dict get
-        # instead of an associativity-wide scan.
-        self._ways: Dict[int, Dict[int, _Line]] = {}
-        self._tag_to_way: Dict[int, Dict[int, int]] = {}
-        policy_params = {"seed": seed} if replacement == "random" else {}
-        self.policy: ReplacementPolicy = make_policy(
-            replacement, self.num_sets, self.associativity, **policy_params
-        )
+        self._writeback = config.writeback
+        slots = self.num_sets * self.associativity
+        self._tags = array("q", [-1]) * slots
+        self._stamps = array("q", [0]) * slots
+        self._dirty = bytearray(slots)
+        self._live = array("q", [0]) * self.num_sets
+        self._clock = 0
         self.stat_hits = 0
         self.stat_misses = 0
         self.stat_writebacks = 0
 
     # ------------------------------------------------------------------
-    def _locate(self, set_index: int, tag: int) -> Optional[int]:
-        tags = self._tag_to_way.get(set_index)
-        if tags is None:
-            return None
-        return tags.get(tag)
+    def _slot(self, set_index: int, tag: int) -> int:
+        """Slot holding ``tag`` in ``set_index``, or -1."""
+        base = set_index * self.associativity
+        ways = self._tags[base : base + self.associativity]
+        return base + ways.index(tag) if tag in ways else -1
 
     def access(self, line_addr: int, is_write: bool) -> AccessResult:
         """Look up ``line_addr``; allocate on miss (write-allocate).
@@ -82,45 +73,43 @@ class Cache:
         """
         set_index = line_addr & self._set_mask
         tag = line_addr >> self._set_bits
-        way = self._locate(set_index, tag)
-        if way is not None:
+        slot = self._slot(set_index, tag)
+        if slot >= 0:
             self.stat_hits += 1
-            self.policy.on_touch(set_index, way)
-            if is_write and self.config.writeback:
-                self._ways[set_index][way].dirty = True
+            self._stamps[slot] = self._clock
+            self._clock += 1
+            if is_write and self._writeback:
+                self._dirty[slot] = 1
             return _HIT
         self.stat_misses += 1
-        writeback = self._fill(set_index, tag, dirty=is_write and self.config.writeback)
+        writeback = self._fill(set_index, tag, is_write and self._writeback)
         if writeback is None:
             return _CLEAN_MISS
         return AccessResult(hit=False, writeback_line=writeback)
 
     def _fill(self, set_index: int, tag: int, dirty: bool) -> Optional[int]:
-        ways = self._ways.setdefault(set_index, {})
-        tags = self._tag_to_way.setdefault(set_index, {})
-        if len(ways) < self.associativity:
-            way = len(ways)
-            # After an invalidation the set has a hole, so this way index
-            # may already be populated; the overwritten line's tag must
-            # leave the index (matching the historical scan semantics,
-            # where an overwritten line simply stopped being findable).
-            old = ways.get(way)
-            if old is not None:
-                del tags[old.tag]
-            ways[way] = _Line(tag, dirty)
-            tags[tag] = way
-            self.policy.on_touch(set_index, way)
-            return None
-        way = self.policy.victim(set_index)
-        victim = ways[way]
+        ways = self.associativity
+        base = set_index * ways
+        live = self._live[set_index]
         writeback = None
-        if victim.dirty:
-            writeback = (victim.tag << self._set_bits) | set_index
-            self.stat_writebacks += 1
-        del tags[victim.tag]
-        ways[way] = _Line(tag, dirty)
-        tags[tag] = way
-        self.policy.on_touch(set_index, way)
+        if live < ways:
+            # The fill goes to way ``live``. After an invalidation left a
+            # hole below it, that way may hold a line, which is overwritten
+            # without a writeback (a known defect, kept so that simulated
+            # results do not move; see DESIGN.md "Private caches").
+            slot = base + live
+            if self._tags[slot] < 0:
+                self._live[set_index] = live + 1
+        else:
+            stamps = self._stamps[base : base + ways]
+            slot = base + stamps.index(min(stamps))
+            if self._dirty[slot]:
+                writeback = (self._tags[slot] << self._set_bits) | set_index
+                self.stat_writebacks += 1
+        self._tags[slot] = tag
+        self._dirty[slot] = dirty
+        self._stamps[slot] = self._clock
+        self._clock += 1
         return writeback
 
     def insert(self, line_addr: int) -> Optional[int]:
@@ -131,7 +120,7 @@ class Cache:
         """
         set_index = line_addr & self._set_mask
         tag = line_addr >> self._set_bits
-        if self._locate(set_index, tag) is not None:
+        if self._slot(set_index, tag) >= 0:
             return None
         return self._fill(set_index, tag, dirty=False)
 
@@ -139,8 +128,7 @@ class Cache:
     def contains(self, line_addr: int) -> bool:
         """True if ``line_addr`` is currently resident."""
         set_index = line_addr & self._set_mask
-        tag = line_addr >> self._set_bits
-        return self._locate(set_index, tag) is not None
+        return self._slot(set_index, line_addr >> self._set_bits) >= 0
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line (used when a page migrates); returns True if present.
@@ -150,12 +138,11 @@ class Cache:
         traffic keeps the accounting in one place.
         """
         set_index = line_addr & self._set_mask
-        tag = line_addr >> self._set_bits
-        way = self._locate(set_index, tag)
-        if way is None:
+        slot = self._slot(set_index, line_addr >> self._set_bits)
+        if slot < 0:
             return False
-        del self._ways[set_index][way]
-        del self._tag_to_way[set_index][tag]
+        self._tags[slot] = -1
+        self._live[set_index] -= 1
         return True
 
     @property

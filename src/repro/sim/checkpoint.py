@@ -38,7 +38,7 @@ from ..artefact import Corrupt, Stale, atomic_write, decode_json
 #: read as stale, not fail to unpickle. Distinct from
 #: the store's ``STORE_VERSION``: checkpoints are short-lived scratch
 #: state, not results.
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 _MAGIC = b"RDBPCKPT\n"
 _HEADER_LEN = struct.Struct(">I")

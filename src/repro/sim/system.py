@@ -134,8 +134,7 @@ class System:
             self.channels.append(channel)
             self.controllers.append(controller)
         self.caches: Dict[int, Cache] = {
-            t: Cache(config.cache, seed=config.seed + t)
-            for t in range(config.num_cores)
+            t: Cache(config.cache) for t in range(config.num_cores)
         }
         self.prefetchers: Dict[int, StridePrefetcher] = {
             t: StridePrefetcher(config.prefetcher)

@@ -273,6 +273,23 @@ RULES: Tuple[Rule, ...] = (
             "telemetry — the fidelity check the trace-library smoke makes",
         ),
     ),
+    Rule(
+        "flat-lru-cache",
+        "the cache's replacement plug point or its per-line objects and "
+        "per-set dicts crept back into src/repro; line state is the flat "
+        "tag/stamp/dirty arrays and LRU is the smallest stamp",
+        r"ReplacementPolicy|RandomPolicy|LRUPolicy|_tag_to_way|class _Line",
+        ("src/repro",),
+        include="*.py",
+        mutant=(
+            "src/repro/cache/cache.py",
+            "self._tag_to_way: Dict[int, Dict[int, int]] = {}",
+        ),
+        tolerated=(
+            "src/repro/cache/cache.py",
+            "slot = base + stamps.index(min(stamps))",
+        ),
+    ),
 )
 
 _IDS = [rule.name for rule in RULES]

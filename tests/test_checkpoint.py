@@ -130,9 +130,10 @@ class TestCodec:
     def test_foreign_version_is_stale_not_corrupt(self):
         # A future format, version 1 (whose pickled controllers still
         # carried a kernel selection), 2 (traces pickled as tuple lists),
-        # 3 (System-owned completion relays and the interpreter pin) and
-        # 4 (traces pickled complete, without a fill source).
-        for version in (CHECKPOINT_VERSION + 1, 1, 2, 3, 4):
+        # 3 (System-owned completion relays and the interpreter pin),
+        # 4 (traces pickled complete, without a fill source) and 5 (caches
+        # pickled as per-set dicts and a replacement policy).
+        for version in (CHECKPOINT_VERSION + 1, 1, 2, 3, 4, 5):
             blob = _rewrite_header(dump_checkpoint({"x": 1}), version=version)
             with pytest.raises(CheckpointError) as excinfo:
                 read_checkpoint_header(blob)
@@ -273,7 +274,7 @@ class TestStaleSafepoint:
         self, small_config, tmp_path, clean_faults, monkeypatch
     ):
         """Version 2 pickled a trace as a list of tuples, 3 as columns."""
-        assert CHECKPOINT_VERSION == 5
+        assert CHECKPOINT_VERSION == 6
         self._rerun_over_stale(small_config, tmp_path, monkeypatch, version=2)
 
     def test_runner_reruns_from_scratch_over_a_version_3_safepoint(
@@ -289,6 +290,13 @@ class TestStaleSafepoint:
         """Version 4 pickled every trace complete; 5 pickles a synthetic
         trace's filled prefix and the generator state that resumes it."""
         self._rerun_over_stale(small_config, tmp_path, monkeypatch, version=4)
+
+    def test_runner_reruns_from_scratch_over_a_version_5_safepoint(
+        self, small_config, tmp_path, clean_faults, monkeypatch
+    ):
+        """Version 5 pickled each cache as per-set dicts of line objects
+        and an LRU policy; 6 pickles its flat tag/stamp/dirty arrays."""
+        self._rerun_over_stale(small_config, tmp_path, monkeypatch, version=5)
 
     def _rerun_over_stale(self, small_config, tmp_path, monkeypatch, version):
         apps, approach = ["mcf", "lbm"], "dbp"
