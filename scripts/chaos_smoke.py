@@ -8,9 +8,9 @@ with a persisted failure record. No silent losses.
 
 Stage 1 (API): a multi-worker campaign where one spec's worker is killed
 with a real ``SIGKILL`` (what ``kill -9`` / the OOM killer delivers), one hangs
-past the per-run timeout, one throws a transient error, one is poisoned
-(fails deterministically every time) and must be quarantined, and one has
-its first safepoint checkpoint torn mid-write.
+past the per-run timeout, one throws a transient error, and one is poisoned
+(fails deterministically every time) and must be quarantined. A retried
+spec re-runs from scratch.
 
 Stage 2 (CLI): the same harness activated through ``REPRO_FAULT_PLAN``,
 proving the env-var plumbing reaches CLI-spawned worker processes: a
@@ -74,7 +74,7 @@ def _outcome_docs(result) -> list:
 
 
 def stage_api(workdir: str, jobs: int) -> dict:
-    """Hang, transient, poison, and torn-checkpoint faults on N workers.
+    """Hang, transient and poison faults on N workers.
 
     The SIGKILL lives in :func:`stage_crash`, next to a bystander whose
     only job is to prove it was left alone.
@@ -83,7 +83,6 @@ def stage_api(workdir: str, jobs: int) -> dict:
         _spec("HANG"),  # blocks past the per-run timeout
         _spec("FLAKY"),  # transient error on the first attempt
         _spec("POISON"),  # deterministic failure every time -> quarantine
-        _spec("TORN"),  # first safepoint checkpoint torn mid-write
     ]
     plan = FaultPlan(
         seed=5,
@@ -94,8 +93,6 @@ def stage_api(workdir: str, jobs: int) -> dict:
                       times=1),
             FaultSpec(site="worker.run", kind="deterministic",
                       match="POISON/*", times=99),
-            FaultSpec(site="checkpoint.write", kind="torn_checkpoint",
-                      match="TORN/*", times=1),
         ),
     )
     plan.save(os.path.join(workdir, "fault_plan.json"))
@@ -109,7 +106,6 @@ def stage_api(workdir: str, jobs: int) -> dict:
         timeout=5.0,
         backoff=0.05,
         quarantine_after=2,
-        safepoint_every=20_000,
         faults=plan,
     )
     wall = time.perf_counter() - started
@@ -130,9 +126,6 @@ def stage_api(workdir: str, jobs: int) -> dict:
           "poison spec quarantined after 2 deterministic failures")
     check(store.get_failure(specs[2].key()) is not None,
           "quarantine record persisted in the store")
-    check(by_mix["TORN"].status == "ok"
-          and by_mix["TORN"].failure is not None,
-          "torn-checkpoint spec fell back to scratch and finished")
     check(result.time_lost_to_faults > 0,
           "time lost to faults is accounted")
     return {

@@ -29,8 +29,6 @@ def run_campaign(
     backoff: float = 0.25,
     quarantine_after: int = 2,
     max_pool_respawns: int = 3,
-    safepoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[object] = None,
     faults: Optional[object] = None,
     spans: Optional[object] = None,
 ) -> CampaignResult:
@@ -40,8 +38,8 @@ def run_campaign(
     :func:`~repro.campaign.store.default_store_dir` when not given — so a
     re-run of the same campaign is served from disk and an interrupted one
     resumes where it stopped. The supervision knobs (``backoff``,
-    ``quarantine_after``, ``max_pool_respawns``, ``safepoint_every``,
-    ``checkpoint_dir``, ``faults``) and the ``spans`` trace-output path
+    ``quarantine_after``, ``max_pool_respawns``, ``faults``) and the
+    ``spans`` trace-output path
     pass straight through to :func:`~repro.campaign.executor.execute`.
     """
     specs = plan.plan() if isinstance(plan, CampaignSpec) else list(plan)
@@ -57,8 +55,6 @@ def run_campaign(
         backoff=backoff,
         quarantine_after=quarantine_after,
         max_pool_respawns=max_pool_respawns,
-        safepoint_every=safepoint_every,
-        checkpoint_dir=checkpoint_dir,
         faults=faults,
         spans=spans,
     )

@@ -39,10 +39,9 @@ Supervision rules (see :mod:`repro.campaign.failures` for the taxonomy):
   campaign's wall-clock); **infrastructure** losses requeue *without*
   being charged, but a spec that loses its worker more than
   ``max_pool_respawns`` times is itself quarantined;
-* with ``safepoint_every``/``checkpoint_dir`` set, workers checkpoint
-  mid-run state periodically and a retried spec *resumes from its last
-  checkpoint* — resumed results are bit-identical to uninterrupted ones
-  (pinned by the kernel-golden checkpoint grid);
+* a retried spec re-runs from scratch on a fresh Runner, so a recovered
+  result is bit-identical to an uninterrupted one; a run that cannot
+  finish inside ``timeout`` fails however often it is retried;
 * when ``jobs=1`` and no timeout is requested there is nothing to kill
   and nothing to overlap, so the same scheduling loop calls the worker
   function inline instead of starting a process — same code path a worker
@@ -60,9 +59,7 @@ import os
 import shutil
 import time
 import traceback as traceback_module
-import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence,
     Tuple, Union,
@@ -195,8 +192,6 @@ def _worker(
     store_root: Optional[str],
     submission: int = 1,
     fault_plan: Optional[Dict[str, object]] = None,
-    safepoint_every: Optional[int] = None,
-    safepoint_dir: Optional[str] = None,
     span_dir: Optional[str] = None,
     alone: Optional[Tuple[str, str]] = None,
 ) -> Tuple[object, float]:
@@ -235,12 +230,9 @@ def _worker(
             config=spec.config,
             store=store,
             telemetry=spec.telemetry,
-            safepoint_every=safepoint_every,
-            safepoint_dir=safepoint_dir,
             memo=_MEMO,
             **scope_of(spec),
         )
-        runner.fault_attempt = submission
         if alone is not None:
             # Chaos harness hook, as for a cell below; its own site, so
             # plans written against ``worker.run`` keep meaning "a cell".
@@ -406,8 +398,6 @@ class _Supervisor:
     backoff: float
     quarantine_after: int
     max_pool_respawns: int
-    safepoint_every: Optional[int]
-    checkpoint_dir: Optional[str]
     fault_plan_doc: Optional[Dict[str, object]]
     tracer: Optional[SpanTracer] = None
     span_dir: Optional[str] = None
@@ -747,8 +737,6 @@ class _Supervisor:
             self.store_root,
             submission,
             self.fault_plan_doc,
-            self.safepoint_every,
-            self.checkpoint_dir,
             self.span_dir,
             alone,
         )
@@ -837,8 +825,6 @@ def execute(
     backoff: float = 0.25,
     quarantine_after: int = 2,
     max_pool_respawns: int = 3,
-    safepoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[object] = None,
     faults: Optional[object] = None,
     spans: Optional[object] = None,
 ) -> CampaignResult:
@@ -852,10 +838,9 @@ def execute(
     spec is forgiven before it is quarantined. ``timeout`` (seconds) is a
     hard per-attempt deadline, enforced by running the attempt in a worker
     process — even with ``jobs=1`` — and killing the one that overruns.
-    ``safepoint_every`` (cycles) makes workers checkpoint into
-    ``checkpoint_dir`` (default: ``<store>/checkpoints``) and retries
-    resume from the last checkpoint. ``faults`` injects a deterministic
-    :class:`~repro.faults.FaultPlan` into every worker (chaos testing).
+    A retried attempt re-runs its cell from scratch. ``faults`` injects a
+    deterministic :class:`~repro.faults.FaultPlan` into every worker
+    (chaos testing).
     ``spans`` names a Chrome-trace JSON file; every worker writes its own
     span part file next to it and the supervisor merges them — with its
     own scheduling spans — into one cross-process timeline at the end.
@@ -891,21 +876,6 @@ def execute(
         else:
             pending.append(index)
 
-    checkpoint_dir_str: Optional[str] = None
-    if safepoint_every is not None:
-        if checkpoint_dir is None and store is not None:
-            checkpoint_dir = Path(store.root) / "checkpoints"
-        if checkpoint_dir is None:
-            warnings.warn(
-                "safepoint_every ignored: no checkpoint_dir and no store "
-                "to derive one from",
-                RuntimeWarning,
-            )
-            safepoint_every = None
-        else:
-            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-            checkpoint_dir_str = str(checkpoint_dir)
-
     fault_plan_doc = faults.to_doc() if faults is not None else None
 
     supervisor = _Supervisor(
@@ -919,8 +889,6 @@ def execute(
         backoff,
         quarantine_after,
         max_pool_respawns,
-        safepoint_every,
-        checkpoint_dir_str,
         fault_plan_doc,
         tracer=tracer,
         span_dir=span_dir,

@@ -7,16 +7,14 @@ supervisor's reaction is a pure function of the class:
 class              typical causes                              reaction
 =================  ==========================================  ==============
 ``transient``      injected/transient env error, OSError,      retry with
-                   MemoryError, torn checkpoint flush          backoff;
+                   MemoryError                                 backoff;
                                                                charges budget
 ``deterministic``  ConfigError, SimulationError, any other     retry once to
                    exception raised by the run itself          confirm, then
                                                                quarantine
-``timeout``        per-run deadline expired; the supervisor    retry (from
-                   killed the worker that overran it           the last
-                   (RunTimeoutError)                           checkpoint if
-                                                               one exists);
-                                                               charges budget
+``timeout``        per-run deadline expired; the supervisor    retry from
+                   killed the worker that overran it           scratch;
+                   (RunTimeoutError)                           charges budget
 ``infrastructure`` the worker process holding the spec died    replace that
                    or could not be started (WorkerDiedError)   worker; requeue
                                                                without

@@ -58,16 +58,6 @@ def add_campaign(sub) -> None:
         ),
     )
     parser.add_argument(
-        "--safepoint-every",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help=(
-            "checkpoint running simulations every CYCLES cycles so a "
-            "killed or timed-out run resumes from its last safepoint"
-        ),
-    )
-    parser.add_argument(
         "--faults",
         default=None,
         metavar="PLAN.json",
@@ -168,7 +158,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         persist=not args.no_store,
         backoff=args.backoff,
         quarantine_after=args.quarantine_after,
-        safepoint_every=args.safepoint_every,
         faults=faults,
         spans=args.spans,
     )

@@ -63,7 +63,7 @@ class MemoryPort(Protocol):
         fires later with the cycle the line arrived; the core adds
         :attr:`fill_latency` itself. ``on_complete`` is a
         ``functools.partial`` of a bound method, which the port may put on
-        the engine agenda or into a request as is: both get checkpointed.
+        the engine agenda or into a request as is.
         """
 
 

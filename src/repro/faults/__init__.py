@@ -2,8 +2,8 @@
 
 Seed-driven, stateless-at-runtime injectors for chaos-testing the campaign
 layer: worker crashes (real ``SIGKILL``), hangs past the deadline,
-transient and deterministic exceptions, corrupted store blobs, truncated
-trace files, and checkpoint writes torn mid-flush. See
+transient and deterministic exceptions, corrupted store blobs and
+truncated trace files. See
 :mod:`repro.faults.plan` for how firing decisions stay deterministic
 across processes and retries.
 """
@@ -23,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".plan": ("FAULT_KINDS", "FaultPlan", "FaultPlanError", "FaultSpec"),
         ".runtime": (
             "active_plan",
-            "check_fault",
             "install_plan",
             "maybe_fire",
             "reset",

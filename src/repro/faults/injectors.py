@@ -27,9 +27,7 @@ def fire(spec: FaultSpec, path: Optional[Path] = None) -> Optional[str]:
     """Execute one matched fault. May not return (crash, raise).
 
     Returns the kind for side-effect-only injectors (file damage) so
-    callers can log what happened; ``torn_checkpoint`` is not handled here
-    — the checkpoint writer owns it because the damage must happen *inside*
-    the write.
+    callers can log what happened.
     """
     if spec.kind == "crash":
         crash_process()

@@ -29,7 +29,14 @@ FAULT_KINDS = (
     "transient",  # raise TransientFaultError (retry should succeed)
     "deterministic",  # raise SimulationError every time (poison spec)
     "corrupt_blob",  # damage a just-written store entry on disk
-    "torn_checkpoint",  # leave a half-written checkpoint file behind
+)
+
+#: Every injection point that calls :func:`~repro.faults.maybe_fire`; a
+#: rule naming any other site would never fire.
+FAULT_SITES = (
+    "worker.run",  # a campaign cell, inside the per-attempt deadline
+    "worker.alone",  # an alone-baseline task
+    "store.put",  # just after a cell's result is written
 )
 
 
@@ -61,8 +68,11 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r} "
                 f"(expected one of {sorted(FAULT_KINDS)})"
             )
-        if not self.site:
-            raise FaultPlanError("a fault spec needs a site")
+        if self.site not in FAULT_SITES:
+            raise FaultPlanError(
+                f"unknown fault site {self.site!r} "
+                f"(expected one of {sorted(FAULT_SITES)})"
+            )
         if self.times < 0:
             raise FaultPlanError("times must be >= 0")
         if not 0.0 <= self.rate <= 1.0:

@@ -14,7 +14,7 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from .plan import FaultPlan, FaultSpec
+from .plan import FaultPlan
 
 _ENV_VAR = "REPRO_FAULT_PLAN"
 
@@ -44,20 +44,6 @@ def reset() -> None:
     _active = False
 
 
-def check_fault(
-    site: str, key: str = "", attempt: int = 1
-) -> Optional[FaultSpec]:
-    """The rule that fires at (site, key, attempt), without executing it.
-
-    For callers that own the fault's mechanics (the checkpoint writer's
-    torn write). Everyone else wants :func:`maybe_fire`.
-    """
-    plan = active_plan()
-    if plan is None:
-        return None
-    return plan.match(site, key=key, attempt=attempt)
-
-
 def maybe_fire(
     site: str,
     key: str = "",
@@ -70,7 +56,10 @@ def maybe_fire(
     (hang), or damage ``path`` (corrupt_blob). Returns the fired kind for
     side-effect injectors, None when nothing matched.
     """
-    spec = check_fault(site, key=key, attempt=attempt)
+    plan = active_plan()
+    if plan is None:
+        return None
+    spec = plan.match(site, key=key, attempt=attempt)
     if spec is None:
         return None
     from . import injectors

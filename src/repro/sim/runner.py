@@ -29,10 +29,8 @@ each cell's spec to do the simulating.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
-from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..campaign.store import ResultStore, alone_key, run_key, scope_of
 from ..config import SystemConfig
@@ -64,8 +62,6 @@ class Runner:
         jobs: int = 1,
         telemetry: bool = False,
         profile: bool = False,
-        safepoint_every: Optional[int] = None,
-        safepoint_dir: Optional[object] = None,
         memo: Optional[Dict[object, object]] = None,
     ) -> None:
         self.config = config if config is not None else SystemConfig()
@@ -96,19 +92,6 @@ class Runner:
         #: on ``RunResult.profile``.
         self.profile = profile
         self.last_profile: Optional[Dict[str, object]] = None
-        #: When both are set, every cacheable mix run writes a checkpoint
-        #: to ``safepoint_dir/<store_key>.ckpt`` every ``safepoint_every``
-        #: cycles and *resumes from* a matching checkpoint left behind by a
-        #: killed or timed-out predecessor. The checkpoint is deleted once
-        #: the run completes. Resumed runs are bit-identical to
-        #: uninterrupted ones (pinned by the kernel-golden checkpoint grid).
-        self.safepoint_every = safepoint_every
-        self.safepoint_dir = safepoint_dir
-        #: Retry attempt this Runner hand-off serves (set by the campaign
-        #: executor before each submission). Only consumed by the fault
-        #: harness so ``times=N`` checkpoint-write faults stop firing once
-        #: the campaign has moved past attempt N.
-        self.fault_attempt = 1
         #: Traces by (app, seed, target_insts) or (app, library digest),
         #: alone IPCs by their alone-record key (a string): content keys
         #: all, so one memo can serve Runners of any scope.
@@ -195,32 +178,9 @@ class Runner:
         run_started = now_us() if tracer is not None else 0
         spec = get_approach(approach)
         config = self._configure(spec, len(apps))
-        ckpt_path: Optional[Path] = None
-        hook: Optional[Callable[[System, int], None]] = None
-        every: Optional[int] = None
-        store_key: Optional[str] = None
-        if self.safepoint_every and self.safepoint_dir is not None:
-            store_key = self._store_key(apps, approach)
-            ckpt_path = Path(self.safepoint_dir) / f"{store_key}.ckpt"
-            every = self.safepoint_every
-            label = (
-                f"{mix_name or '+'.join(apps)}/{approach} "
-                f"s{self.seed} h{self.horizon}"
-            )
-            hook = self._safepoint_hook(
-                ckpt_path, store_key, label, self.fault_attempt
-            )
         sim_started = now_us() if tracer is not None else 0
-        system = (
-            self._restore_safepoint(ckpt_path, store_key)
-            if ckpt_path is not None
-            else None
-        )
-        if system is not None:
-            result = system.resume(safepoint_every=every, on_safepoint=hook)
-        else:
-            system = self._build_system(config, apps, spec.make_policy())
-            result = system.run(safepoint_every=every, on_safepoint=hook)
+        system = self._build_system(config, apps, spec.make_policy())
+        result = system.run()
         if tracer is not None:
             tracer.complete(
                 "measure",
@@ -230,11 +190,6 @@ class Runner:
                 approach=approach,
                 horizon=self.horizon,
             )
-        if ckpt_path is not None:
-            try:
-                ckpt_path.unlink()
-            except OSError:
-                pass
         run_result = self._assemble(apps, approach, mix_name, system, result)
         if tracer is not None:
             tracer.complete(
@@ -294,95 +249,6 @@ class Runner:
             metrics_snapshot=system.metrics_registry().snapshot(),
             profile=self.last_profile,
         )
-
-    # ------------------------------------------------------------------
-    # Safepoints (checkpointed mid-run state for fault-tolerant retries).
-    # ------------------------------------------------------------------
-    def _restore_safepoint(
-        self, path: Path, run_key: Optional[str]
-    ) -> Optional[System]:
-        """A System resumed from ``path``, or None for scratch.
-
-        A checkpoint that is corrupt (torn write, flipped bytes) or stale
-        (foreign format version, different run) never aborts the run:
-        it is discarded with a warning and the run starts from scratch.
-        """
-        from ..artefact import Corrupt, Stale
-        from .checkpoint import (
-            CheckpointError,
-            load_checkpoint,
-            read_checkpoint_header,
-        )
-
-        try:
-            blob = path.read_bytes()
-        except OSError:  # no safepoint: start from scratch
-            return None
-        try:
-            header = read_checkpoint_header(blob)
-            if header.get("meta", {}).get("run_key") != run_key:
-                raise CheckpointError("checkpoint belongs to another run")
-            system, _header = load_checkpoint(blob)
-            if not isinstance(system, System):
-                raise CheckpointError("checkpoint does not hold a System")
-        except (Stale, Corrupt) as error:
-            warnings.warn(
-                f"discarding unusable checkpoint {path.name}: {error}; "
-                f"restarting from scratch",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return system
-
-    @staticmethod
-    def _safepoint_hook(
-        path: Path, run_key: str, fault_key: str, fault_attempt: int = 1
-    ) -> Callable[[System, int], None]:
-        """The per-safepoint callback: checkpoint the system to ``path``.
-
-        A system that cannot be checkpointed (e.g. a lambda on its agenda)
-        disables safepoints for the rest of the run with a warning instead
-        of failing it.
-        """
-        from .checkpoint import CheckpointError, write_checkpoint_file
-
-        disabled = [False]
-
-        def hook(system: System, cycle: int) -> None:
-            if disabled[0]:
-                return
-            tracer = current_tracer()
-            started = now_us() if tracer is not None else 0
-            try:
-                blob = system.checkpoint(meta={"run_key": run_key})
-            except CheckpointError as error:
-                disabled[0] = True
-                warnings.warn(
-                    f"safepoints disabled for this run: {error}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return
-            write_checkpoint_file(
-                path, blob,
-                fault_key=fault_key,
-                fault_attempt=fault_attempt,
-            )
-            if tracer is not None:
-                tracer.complete(
-                    "checkpoint-write",
-                    started,
-                    now_us() - started,
-                    cycle=cycle,
-                    bytes=len(blob),
-                )
-
-        return hook
 
     def run_mix(self, mix: Mix, approach: str) -> RunResult:
         """Run a named mix under a named approach."""

@@ -34,11 +34,6 @@ from ..metrics.registry import MetricsRegistry
 from ..osmm import ColorAwareAllocator, MigrationEngine, MigrationPlan, PageTable
 from ..records import SystemResult, ThreadResult
 from ..telemetry.spans import current_tracer, now_us
-from .checkpoint import (
-    CheckpointError,
-    dump_checkpoint,
-    load_checkpoint,
-)
 from .engine import Engine, SimProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -205,7 +200,6 @@ class System:
         if telemetry is not None:
             telemetry.attach(self.controllers, self.policy, self.scheduler)
         self._ran = False
-        self._finished = False
 
     # ------------------------------------------------------------------
     # Epoch plumbing. The profiler is snapshot once per boundary *cycle*
@@ -245,10 +239,8 @@ class System:
         return min(dues) if dues else None
 
     def _on_epoch(self, now: int) -> None:
-        # Span tracing is process-global, never stored on the system (a
-        # tracer full of wall-clock events must not ride along in
-        # checkpoints); boundaries are rare, so the lookup is off the
-        # hot path entirely.
+        # Span tracing is process-global, never stored on the system;
+        # boundaries are rare, so the lookup is off the hot path entirely.
         tracer = current_tracer()
         started = now_us() if tracer is not None else 0
         snapshot = self.profiler.snapshot(now)
@@ -403,25 +395,13 @@ class System:
     # ------------------------------------------------------------------
     # Run.
     # ------------------------------------------------------------------
-    def run(
-        self,
-        safepoint_every: Optional[int] = None,
-        on_safepoint: Optional[Callable[["System", int], None]] = None,
-    ) -> SystemResult:
+    def run(self) -> SystemResult:
         """Execute the simulation to the horizon; single use.
 
         On return the System has released its run-time wiring (see
         :meth:`_release`): the result, stats, caches, page tables, the
         profiler, :meth:`metrics_registry` and :meth:`profile_report` stay
         readable, and dropping the System frees it by reference counting.
-
-        With ``safepoint_every`` the engine is driven in bounded steps of
-        that many cycles and ``on_safepoint(system, cycle)`` runs between
-        steps — the window where :meth:`checkpoint` is legal. The stepped
-        drive pops the exact same events in the exact same order as the
-        single-shot one (the agenda is a stable heap and nothing executes
-        between steps), so results are bit-identical either way; the
-        kernel-golden checkpoint grid pins that.
         """
         if self._ran:
             raise SimulationError("System instances are single use")
@@ -435,71 +415,24 @@ class System:
         first = self._next_boundary()
         if first is not None and first < self.horizon:
             self.engine.schedule(first, self._on_epoch)
-        self._advance(safepoint_every, on_safepoint)
-        if start is not None:
-            self._wall_seconds = time.perf_counter() - start
-        return self._finish()
-
-    def resume(
-        self,
-        safepoint_every: Optional[int] = None,
-        on_safepoint: Optional[Callable[["System", int], None]] = None,
-    ) -> SystemResult:
-        """Continue a restored run to the horizon and collect its result.
-
-        Only valid on a system rebuilt by :meth:`restore` (or one whose
-        :meth:`run` was aborted by a safepoint hook): initialization
-        already happened, the agenda holds the in-flight events, and the
-        engine clock sits at the checkpointed cycle.
-        """
-        if not self._ran:
-            raise SimulationError(
-                "resume() is for restored checkpoints; use run()"
-            )
-        if self._finished:
-            raise SimulationError("this run already finished")
-        start = (
-            time.perf_counter() if self.sim_profiler is not None else None
-        )
-        self._advance(safepoint_every, on_safepoint)
-        if start is not None:
-            previous = self._wall_seconds or 0.0
-            self._wall_seconds = previous + (time.perf_counter() - start)
-        return self._finish()
-
-    def _advance(
-        self,
-        safepoint_every: Optional[int],
-        on_safepoint: Optional[Callable[["System", int], None]],
-    ) -> None:
-        """Drive the engine to the horizon, optionally in bounded steps."""
         # The event loop allocates heavily (keys, commands, events) but the
         # objects are overwhelmingly acyclic and die by refcount; cyclic-gc
         # passes over the live heap are pure overhead at this allocation
         # rate, so collection is paused for the duration of the run.
-        if safepoint_every is not None and safepoint_every <= 0:
-            raise SimulationError("safepoint_every must be positive")
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            if not safepoint_every:
-                self.engine.run()
-                return
-            now = self.engine.now
-            while now < self.horizon:
-                stop = min(self.horizon, now + safepoint_every)
-                self.engine.run(until=stop)
-                now = self.engine.now
-                if now < self.horizon and on_safepoint is not None:
-                    on_safepoint(self, now)
+            self.engine.run()
         finally:
             if gc_was_enabled:
                 gc.enable()
+        if start is not None:
+            self._wall_seconds = time.perf_counter() - start
+        return self._finish()
 
     def _finish(self) -> SystemResult:
         """Close the run (validation, the result), then :meth:`_release`
         the wiring; nothing simulated runs after this."""
-        self._finished = True
         if self.validate:
             self._validate_command_streams()
         result = self._collect()
@@ -525,50 +458,6 @@ class System:
             controller.release()
         self.scheduler._controllers = []
         self.context.inject_copy_traffic = None
-
-    # ------------------------------------------------------------------
-    # Checkpoint / restore.
-    # ------------------------------------------------------------------
-    def checkpoint(self, meta: Optional[Dict[str, object]] = None) -> bytes:
-        """Snapshot the complete mid-run state as a self-verifying blob.
-
-        Legal between engine steps only — i.e. from a safepoint hook or
-        before :meth:`run`/after an aborted step — never from inside an
-        event callback, where a half-applied event would be frozen.
-        The blob restores with :meth:`restore` to a system that
-        :meth:`resume`\\ s to a bit-identical :class:`SystemResult`.
-        """
-        if self.engine._running:
-            raise CheckpointError(
-                "checkpoint() called from inside the event loop; "
-                "only safepoint hooks may checkpoint"
-            )
-        if self._finished:
-            raise CheckpointError("this run already finished")
-        doc: Dict[str, object] = {
-            "cycle": self.engine.now,
-            "horizon": self.horizon,
-        }
-        if meta:
-            doc.update(meta)
-        return dump_checkpoint(self, meta=doc)
-
-    @classmethod
-    def restore(cls, blob: bytes) -> "System":
-        """Rebuild a checkpointed system, ready to :meth:`resume`.
-
-        Raises :class:`~repro.sim.checkpoint.CheckpointCorruptError` on a
-        torn/corrupted blob and :class:`CheckpointError` on a stale one
-        (foreign format version); callers are expected to
-        fall back to a from-scratch run on either.
-        """
-        system, _header = load_checkpoint(blob)
-        if not isinstance(system, cls):
-            raise CheckpointError(
-                f"checkpoint does not hold a {cls.__name__} "
-                f"(found {type(system).__name__})"
-            )
-        return system
 
     def profile_report(self) -> Dict[str, object]:
         """Wall-clock profile of the completed run (``profile=True`` only)."""

@@ -2,17 +2,15 @@
 
 The flight recorder complements the epoch-grained telemetry ring with a
 *causal* view of execution: nested wall-clock spans (campaign → run →
-alone/measure phase → policy epoch → migration burst → checkpoint write
-→ fault retry) emitted as Chrome trace events, loadable directly in
+alone/measure phase → policy epoch → migration burst → fault retry)
+emitted as Chrome trace events, loadable directly in
 Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 
 Design constraints, in order:
 
 * **Zero cost when off.**  Instrumentation sites call
   :func:`current_tracer` (a module-global read) and bail on ``None``.
-  No tracer objects ever live on :class:`~repro.sim.system.System` —
-  the whole system is pickled for checkpoints and a tracer full of
-  wall-clock events must not ride along.
+  No tracer objects ever live on :class:`~repro.sim.system.System`.
 * **Cross-process mergeable.**  Timestamps are absolute wall-clock
   microseconds (``time.time_ns() // 1000``), so per-worker trace files
   from a campaign pool land on one shared timeline when merged; each

@@ -17,7 +17,7 @@ the strict protocol validator on top of the comparison.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import SystemConfig
 from repro.core.integration import get_approach
@@ -103,45 +103,6 @@ def run_grid_spec(
     system = build_grid_system(spec, horizon=horizon)
     result = system.run()
     return grid_doc(system, result)
-
-
-def run_grid_spec_checkpointed(
-    spec: GridSpec,
-    horizon: int = HORIZON,
-    interrupt_at: Optional[int] = None,
-) -> Dict[str, object]:
-    """Run one grid entry *through* a mid-flight checkpoint round trip.
-
-    The run is killed at its first safepoint (default: a third of the
-    horizon) right after serializing a checkpoint; a brand-new System is
-    rebuilt from those bytes and resumed to completion. The returned
-    document must equal :func:`run_grid_spec`'s — the differential test
-    compares both against the committed golden fixture.
-    """
-    every = interrupt_at if interrupt_at is not None else max(1, horizon // 3)
-
-    class _Interrupted(Exception):
-        pass
-
-    captured: Dict[str, bytes] = {}
-
-    def _snap_and_die(system: System, _cycle: int) -> None:
-        captured["blob"] = system.checkpoint()
-        raise _Interrupted
-
-    first = build_grid_system(spec, horizon=horizon)
-    try:
-        first.run(safepoint_every=every, on_safepoint=_snap_and_die)
-    except _Interrupted:
-        pass
-    if "blob" not in captured:
-        # Horizon shorter than one safepoint step: nothing to interrupt.
-        raise RuntimeError(
-            f"no safepoint fired before horizon {horizon} (every={every})"
-        )
-    restored = System.restore(captured["blob"])
-    result = restored.resume()
-    return grid_doc(restored, result)
 
 
 def grid_doc(system: System, result) -> Dict[str, object]:

@@ -140,18 +140,24 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         "named-callbacks",
         "an agenda/request callback must be a bound method or a "
-        "functools.partial of one, so checkpoints pickle it by name",
+        "functools.partial of one, so SimProfiler charges its time to the "
+        "class owning the method (a lambda is charged to the class that "
+        "defined it, not to the work it calls)",
         r"lambda",
         ("src/repro/sim/system.py", "src/repro/cpu/core.py"),
         mutant=("src/repro/sim/system.py", "engine.schedule(t, lambda: 0)"),
     ),
     Rule(
-        "stock-pickle-checkpoints",
-        "the checkpoint codec is stock pickle: no closure reducer and no "
-        "interpreter pin",
-        r"marshal|reducer_override|_interp_tag",
-        ("src/repro/sim/checkpoint.py",),
-        mutant=("src/repro/sim/checkpoint.py", "import marshal"),
+        "no-mid-run-checkpoints",
+        "mid-run checkpoints crept back into src/repro; a retried cell "
+        "re-runs from scratch, which recovers from every fault",
+        r"(?i)safepoint|checkpoint",
+        ("src/repro",),
+        include="*.py",
+        mutant=(
+            "src/repro/sim/system.py",
+            "    def checkpoint(self) -> bytes:",
+        ),
     ),
     Rule(
         "one-artefact-mechanism",
@@ -177,7 +183,7 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         "collector-paused-only-in-the-loop",
         "collection is paused only around the event loop, in "
-        "System._advance",
+        "System.run",
         r"gc[.]disable",
         ("src/repro",),
         include="*.py",

@@ -6,7 +6,7 @@ Three layers:
   exact JSON bytes, the classification of bytes read back;
 * one parametrized chaos test that damages a freshly written file of
   every kind — store entry, alone record, failure record, library
-  manifest, checkpoint, span file, epoch log — and asserts each kind's
+  manifest, span file, epoch log — and asserts each kind's
   documented outcome (DESIGN.md, "On-disk artefacts");
 * a compatibility case over ``tests/data/artefacts/``: one file per kind
   written by the writers that predate the shared module. Each must still
@@ -42,14 +42,6 @@ from repro.cli import _build_parser, main
 from repro.cpu.trace import Trace, TraceRecord
 from repro.errors import ConfigError
 from repro.faults import corrupt_file, truncate_file
-from repro.sim.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointCorruptError,
-    CheckpointError,
-    dump_checkpoint,
-    load_checkpoint,
-    write_checkpoint_file,
-)
 from repro.telemetry.recorder import EPOCH_LOG_VERSION, write_epoch_log
 from repro.telemetry.spans import (
     SpanTracer,
@@ -142,19 +134,6 @@ def _bump_json(path: Path, field: str) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _bump_checkpoint(path: Path) -> None:
-    blob, magic = path.read_bytes(), b"RDBPCKPT\n"
-    start = len(magic) + 4
-    hlen = int.from_bytes(blob[len(magic):start], "big")
-    head = json.loads(blob[start:start + hlen])
-    head["version"] += 1
-    head_bytes = json.dumps(head, sort_keys=True).encode("utf-8")
-    path.write_bytes(
-        magic + len(head_bytes).to_bytes(4, "big") + head_bytes
-        + blob[start + hlen:]
-    )
-
-
 class StoreEntry:
     foreign = staticmethod(lambda path: _bump_json(path, "version"))
 
@@ -224,26 +203,6 @@ class Manifest:
             assert "corrupt library manifest" in str(excinfo.value)
 
 
-class Checkpoint:
-    foreign = staticmethod(_bump_checkpoint)
-
-    def write(self, root):
-        blob = dump_checkpoint({"queue": list(range(64))}, meta={"c": 7})
-        return write_checkpoint_file(root / "run.ckpt", blob)
-
-    def check(self, root, path, case):
-        foreign = case == "foreign"
-        expected = CheckpointError if foreign else CheckpointCorruptError
-        with pytest.raises(expected) as excinfo:
-            load_checkpoint(path.read_bytes())
-        assert isinstance(excinfo.value, Corrupt) != foreign
-        assert isinstance(excinfo.value, Stale) == foreign
-        if foreign:
-            assert f"format version {CHECKPOINT_VERSION + 1} != " in str(
-                excinfo.value
-            )
-
-
 class SpanFile:
     foreign = None  # span files carry no version
 
@@ -290,7 +249,6 @@ KINDS = {
     "alone-record": AloneRecord(),
     "failure-record": FailureRecordFile(),
     "manifest": Manifest(),
-    "checkpoint": Checkpoint(),
     "span-file": SpanFile(),
     "epoch-log": EpochLog(),
 }
@@ -363,13 +321,6 @@ class TestParentFormatFixtures:
         shutil.copy(DATA / "manifest.json", tmp_path / "manifest.json")
         entry = TraceLibrary(tmp_path).entries()["tiny"]
         assert entry["records"] == 2 and entry["file"] == "tiny.rtrc"
-
-    def test_checkpoint_loads_and_redumps_exactly(self):
-        blob = (DATA / "checkpoint.ckpt").read_bytes()
-        root, header = load_checkpoint(blob)
-        assert header["version"] == CHECKPOINT_VERSION
-        assert root == {"cycle": 7, "queue": [1, 2, 3]}
-        assert dump_checkpoint(root, meta=header["meta"]) == blob
 
     def test_span_file_loads_and_rewrites_exactly(self, tmp_path):
         doc = load_trace_file(str(DATA / "spans.json"))

@@ -5,8 +5,7 @@ fires is a pure function of (seed, site, key, attempt) — so every test
 here asserts *exact* convergence: a ``times=1`` fault fires on attempt 1
 and provably never again, which lets the supervised executor be held to
 "every spec resolved, nothing silently lost" under worker crashes, hangs,
-transient and poison exceptions, corrupted store blobs, and torn
-checkpoints.
+transient and poison exceptions, and corrupted store blobs.
 """
 
 from __future__ import annotations
@@ -112,6 +111,18 @@ class TestPlan:
         with pytest.raises(FaultPlanError):
             FaultSpec(site="worker.run", kind="meteor-strike")
 
+    def test_unknown_site_rejected(self, tmp_path):
+        # A rule naming a site nothing fires at would silently never fire.
+        with pytest.raises(FaultPlanError, match="unknown fault site"):
+            FaultSpec(site="checkpoint.write", kind="transient")
+        doc = {"faults": [{"site": "worker.runn", "kind": "crash"}]}
+        with pytest.raises(FaultPlanError):
+            FaultPlan.from_doc(doc)
+        path = tmp_path / "plan.json"
+        path.write_text('{"faults": [{"site": "", "kind": "hang"}]}')
+        with pytest.raises(FaultPlanError):
+            FaultPlan.load(path)
+
 
 # ---------------------------------------------------------------------------
 # Injectors.
@@ -139,16 +150,16 @@ class TestInjectors:
         install_plan(
             FaultPlan(
                 faults=(
-                    FaultSpec(site="a", kind="transient"),
-                    FaultSpec(site="b", kind="deterministic"),
+                    FaultSpec(site="worker.run", kind="transient"),
+                    FaultSpec(site="worker.alone", kind="deterministic"),
                 )
             )
         )
         with pytest.raises(TransientFaultError):
-            maybe_fire("a", key="k")
+            maybe_fire("worker.run", key="k")
         with pytest.raises(SimulationError):
-            maybe_fire("b", key="k")
-        assert maybe_fire("c", key="k") is None
+            maybe_fire("worker.alone", key="k")
+        assert maybe_fire("store.put", key="k") is None
 
     def test_truncated_trace_file_fails_deterministically(self, tmp_path):
         trace = resolve_trace("gcc", 1, 50_000)
@@ -264,6 +275,18 @@ class TestSerialFaults:
         assert outcome.attempts == 2
         assert outcome.failure.attempts[0].error_class == "timeout"
 
+        # The retry re-ran from scratch: bit-identical to a clean run.
+        clean = execute(
+            [spec], store=ResultStore(tmp_path / "clean"), retries=0
+        )
+        recovered, uninterrupted = outcome.result, clean.outcomes[0].result
+        assert (
+            recovered.system.engine_events
+            == uninterrupted.system.engine_events
+        )
+        assert recovered.metrics_snapshot == uninterrupted.metrics_snapshot
+        assert recovered.shared_ipcs == uninterrupted.shared_ipcs
+
     def test_quarantined_spec_heals_on_next_campaign(
         self, small_config, tmp_path
     ):
@@ -372,82 +395,6 @@ class TestSerialFaults:
         assert result.outcomes[0].status == "ok"
         assert started == []
         assert multiprocessing.active_children() == []
-
-
-# ---------------------------------------------------------------------------
-# Checkpointed retries.
-# ---------------------------------------------------------------------------
-class TestCheckpointedRetries:
-    def test_retry_resumes_from_checkpoint_bit_identically(
-        self, small_config, tmp_path
-    ):
-        spec = _spec(small_config)
-        # Worker dies right AFTER flushing its first safepoint: the retry
-        # must resume from that checkpoint, not from scratch.
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(site="checkpoint.write", kind="transient", times=1),
-            ),
-        )
-        store = ResultStore(tmp_path / "faulty")
-        faulty = execute(
-            [spec],
-            store=store,
-            retries=1,
-            backoff=0.01,
-            safepoint_every=10_000,
-            faults=plan,
-        )
-        outcome = faulty.outcomes[0]
-        assert outcome.status == "ok"
-        assert outcome.attempts == 2
-        assert outcome.failure.attempts[0].error_class == "transient"
-
-        clean = execute(
-            [spec], store=ResultStore(tmp_path / "clean"), retries=0
-        )
-        resumed, uninterrupted = outcome.result, clean.outcomes[0].result
-        assert (
-            resumed.system.engine_events
-            == uninterrupted.system.engine_events
-        )
-        assert resumed.metrics_snapshot == uninterrupted.metrics_snapshot
-        assert resumed.shared_ipcs == uninterrupted.shared_ipcs
-
-    def test_torn_checkpoint_falls_back_to_scratch(
-        self, small_config, tmp_path
-    ):
-        spec = _spec(small_config)
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(
-                    site="checkpoint.write",
-                    kind="torn_checkpoint",
-                    times=1,
-                ),
-            ),
-        )
-        store = ResultStore(tmp_path / "store")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = execute(
-                [spec],
-                store=store,
-                retries=1,
-                backoff=0.01,
-                safepoint_every=10_000,
-                faults=plan,
-            )
-        outcome = result.outcomes[0]
-        assert outcome.status == "ok"
-        assert outcome.attempts == 2
-        # The half-written file left by attempt 1 must be detected as
-        # corrupt and discarded — never resumed from, never fatal.
-        assert any(
-            "discarding unusable checkpoint" in str(w.message)
-            for w in caught
-        )
-        assert not list((tmp_path / "store" / "checkpoints").glob("*.ckpt"))
 
 
 # ---------------------------------------------------------------------------

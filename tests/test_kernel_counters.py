@@ -7,9 +7,8 @@ committed golden fixture — never sees them. This module pins, across the
 full 17-spec grid, that the production controller populates them, that
 the full-rescan oracle (``tests/reference_kernel.py``) runs none of the
 memoized loop yet lands on the same simulation-visible results, plus the
-checkpoint round-trip (counters are plain ints that ride along in pickled
-systems), the summary math in :mod:`repro.metrics.kernelstats`, and exact
-counts on three rows (:data:`_PINNED`).
+summary math in :mod:`repro.metrics.kernelstats` and exact counts on three
+rows (:data:`_PINNED`).
 """
 
 from __future__ import annotations
@@ -118,41 +117,6 @@ def test_agenda_peak_identical_between_kernels():
         fast_system.engine.stat_agenda_peak
         == ref_system.engine.stat_agenda_peak
     )
-
-
-def test_counters_survive_checkpoint_round_trip():
-    from repro.sim.system import System
-
-    spec = GRID[10]  # dbp-tcm/open — exercises migration + token paths
-
-    class _Interrupted(Exception):
-        pass
-
-    captured = {}
-
-    def _snap_and_die(system, _cycle):
-        captured["blob"] = system.checkpoint()
-        raise _Interrupted
-
-    first = build_grid_system(spec)
-    with pytest.raises(_Interrupted):
-        first.run(safepoint_every=20_000, on_safepoint=_snap_and_die)
-    restored = System.restore(captured["blob"])
-    result = restored.resume()
-
-    straight = build_grid_system(spec)
-    straight_result = straight.run()
-
-    assert grid_doc(restored, result) == grid_doc(
-        straight, straight_result
-    )
-    restored_counters = _kernel_samples(
-        restored.metrics_registry().snapshot()
-    )
-    straight_counters = _kernel_samples(
-        straight.metrics_registry().snapshot()
-    )
-    assert restored_counters == straight_counters
 
 
 #: Exact decision-loop work on three grid rows — the machine-independent

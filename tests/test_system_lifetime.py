@@ -62,23 +62,6 @@ def _run(system: System) -> System:
     return system
 
 
-def _checkpoint_blob() -> bytes:
-    """A mid-run checkpoint of dbp-tcm (its aborted System is collected)."""
-
-    class _Stop(Exception):
-        pass
-
-    blobs = []
-
-    def _snap(system, _cycle):
-        blobs.append(system.checkpoint())
-        raise _Stop
-
-    with pytest.raises(_Stop):
-        _system("dbp-tcm").run(safepoint_every=HORIZON // 3, on_safepoint=_snap)
-    return blobs[0]
-
-
 def _assert_freed_on_drop(make_finished) -> None:
     """``make_finished()`` returns a finished System the caller then drops."""
     _traces()  # trace generation is cached, outside the measured window
@@ -132,17 +115,6 @@ def test_telemetry_system_is_freed_on_drop():
         recorder = TelemetryRecorder()
         system = _run(_system("dbp-tcm", telemetry=recorder))
         assert recorder.epochs > 0
-        return system
-
-    _assert_freed_on_drop(make)
-
-
-def test_resumed_checkpoint_system_is_freed_on_drop():
-    blob = _checkpoint_blob()
-
-    def make():
-        system = System.restore(blob)
-        system.resume()
         return system
 
     _assert_freed_on_drop(make)

@@ -67,7 +67,7 @@ class TestLayerClaims:
     def test_pickle_is_a_few_buffers_not_a_stream_of_records(self, mcf):
         blob = pickle.dumps(mcf)
         assert len(blob) <= 1 << 20
-        # What made checkpointing slow was one opcode group per record.
+        # The columns pickle whole, not as one opcode group per record.
         assert sum(1 for _ in pickletools.genops(blob)) < 200
         clone = pickle.loads(blob)
         assert clone.records == mcf.records
