@@ -27,9 +27,14 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
 )
 
-from repro.campaign.store import result_digest  # noqa: E402
+from repro.campaign.store import result_digest, run_key, scope_of  # noqa: E402
 from repro.sim.runner import Runner  # noqa: E402
-from repro.traces import TraceLibrary, load_rtrc, save_rtrc  # noqa: E402
+from repro.traces import (  # noqa: E402
+    TraceLibrary,
+    library_digests,
+    load_rtrc,
+    save_rtrc,
+)
 
 HORIZON = 60_000
 TARGET_INSTS = 400_000
@@ -59,7 +64,9 @@ def main() -> int:
     # ---- 1: synthetic -> .rtrc -> import -> identical run ---------------
     baseline = runner()
     native = baseline.run_apps(["lbm", "gcc"], "dbp")
-    synthetic_key = baseline._store_key(["lbm", "gcc"], "dbp")
+    synthetic_key = run_key(
+        baseline.config, ["lbm", "gcc"], "dbp", **scope_of(baseline)
+    )
     trace = baseline.trace_for("lbm")
 
     exported = os.path.join(args.workdir, "lbm.rtrc")
@@ -75,7 +82,11 @@ def main() -> int:
         result_digest(imported) == result_digest(native),
         "imported run bit-identical to synthetic run (result digest)",
     )
-    library_key = replay._store_key(["lbm", "gcc"], "dbp")
+    library_key = run_key(
+        replay.config, ["lbm", "gcc"], "dbp",
+        trace_digests=library_digests(["lbm", "gcc"]),
+        **scope_of(replay),
+    )
     check(
         library_key != synthetic_key,
         "store key of the library run is content-digest addressed",

@@ -86,10 +86,6 @@ class PartitionPolicy(abc.ABC):
     name = "base"
     #: Repartitioning period in CPU cycles; None for static policies.
     epoch_cycles: Optional[int] = None
-    #: Offset of the first epoch boundary within the period, so a policy's
-    #: epoch can be staggered against the scheduler's quantum. Must satisfy
-    #: ``0 <= epoch_offset < epoch_cycles``; the system builder validates.
-    epoch_offset: int = 0
 
     @abc.abstractmethod
     def initialize(self, context: PartitionContext) -> None:

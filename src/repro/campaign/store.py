@@ -337,6 +337,8 @@ class StoreStats:
 _ENTRY_GLOB = "*/*.json"
 _ALONE_GLOB = "alone/*/*.json"
 _FAILURE_GLOB = "failures/*/*.json"
+#: Tuning-study documents (:mod:`repro.tuner.studies`).
+STUDY_GLOB = "studies/*/study.json"
 
 
 class ResultStore:
@@ -525,14 +527,17 @@ class ResultStore:
         """Temp files left by writers killed mid-write, at every level."""
         return sorted(
             path
-            for pattern in (_ENTRY_GLOB, _ALONE_GLOB, _FAILURE_GLOB)
+            for pattern in (
+                _ENTRY_GLOB, _ALONE_GLOB, _FAILURE_GLOB, STUDY_GLOB
+            )
             for path in self.root.glob(tmp_glob(pattern))
         )
 
     def stale_paths(self) -> List[Path]:
-        """Entries, alone records and failure records of another version.
+        """Entries, alone records, failure records and study documents of
+        another version.
 
-        Reads every file — O(store); meant for ``store gc --stale``, not
+        Reads every file — O(store); meant for ``results gc --stale``, not
         hot paths. Corrupt files are not reported here (entries are
         ``gc``'s quarantine listing's business once ``get`` renames them;
         a corrupt record is overwritten by its next write).
@@ -541,6 +546,7 @@ class ResultStore:
         checks = [
             (path, STORE_VERSION, "version")
             for path in entries + self.alone_paths()
+            + sorted(self.root.glob(STUDY_GLOB))
         ] + [
             (path, RECORD_VERSION, "record_version")
             for path in self.failure_paths()

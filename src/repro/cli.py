@@ -6,11 +6,11 @@ implemented — in its module under :mod:`repro.commands`:
 
 * :mod:`~repro.commands.run`      — ``list``, ``config``, ``run``
 * :mod:`~repro.commands.campaign` — ``campaign``
-* :mod:`~repro.commands.results`  — ``results index|query|compare|gates``
-* :mod:`~repro.commands.store`    — ``store stats|ls|gc``
+* :mod:`~repro.commands.results`  — ``results index|query|compare|gates``,
+  ``results stats|ls|gc``
 * :mod:`~repro.commands.tune`     — ``tune run|report|frontier``
 * :mod:`~repro.commands.explain`  — ``explain``
-* :mod:`~repro.commands.traces`   — ``traces``, ``gen-traces``
+* :mod:`~repro.commands.traces`   — ``traces``
 
 Importing this module loads argparse and the command modules' parsers,
 never the simulator: each handler imports the subsystem it drives when it
@@ -28,7 +28,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .commands import campaign, explain, results, run, store, traces, tune
+from .commands import campaign, explain, results, run, traces, tune
 from .errors import ReproError
 
 #: Every top-level subcommand, in ``--help`` order. Each entry adds one
@@ -39,11 +39,9 @@ _REGISTRY = (
     run.add_run,
     campaign.add_campaign,
     results.add_results,
-    store.add_store,
     tune.add_tune,
     explain.add_explain,
     traces.add_traces,
-    traces.add_gen_traces,
 )
 
 

@@ -59,25 +59,13 @@ def add_format(
     )
 
 
-def add_index_source(
-    parser: argparse.ArgumentParser, with_db: bool = True
-) -> None:
+def add_store_dir(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store",
         default=None,
         metavar="DIR",
         help="store directory (default: benchmarks/results/store)",
     )
-    if with_db:
-        parser.add_argument(
-            "--db",
-            default=None,
-            metavar="PATH",
-            help=(
-                "SQLite index file (default: index.sqlite inside the "
-                "store directory)"
-            ),
-        )
 
 
 def store_dir(args: argparse.Namespace):
@@ -87,17 +75,11 @@ def store_dir(args: argparse.Namespace):
 
 
 def open_query_index(args: argparse.Namespace):
-    """The index named by --db/--store, building it on first use.
-
-    An explicit ``--db`` opens that SQLite file; otherwise the store
-    directory's colocated index is opened, syncing it from the blobs when
-    it does not exist yet (later freshness is the put-time hook's and
-    ``results index``'s business).
-    """
+    """The --store directory's index, built from the blobs on first use
+    (later freshness is the put-time hook's and ``results index``'s
+    business)."""
     from ..results.db import index_path_for, open_index
 
-    if args.db:
-        return open_index(args.db)
     root = store_dir(args)
     return open_index(root, sync=not index_path_for(root).is_file())
 

@@ -1,9 +1,10 @@
-"""``results`` — the result service over the store: ``results index`` syncs
-the SQLite index from the blobs, ``results query`` filters runs and derived
-views (rollups, pair deltas, intensity breakdowns), ``results compare``
-A/B-diffs two campaigns or store snapshots, ``results gates`` evaluates the
-C1-C3 acceptance gates (or a custom JSON gates file) with a
-machine-readable report."""
+"""``results`` — everything over one store directory: ``results index``
+syncs the SQLite index from the blobs, ``results query`` filters runs and
+derived views (rollups, pair deltas, intensity breakdowns), ``results
+compare`` A/B-diffs two stores, ``results gates`` evaluates the C1-C3
+acceptance gates (or a custom JSON gates file) with a machine-readable
+report, and ``results stats|ls|gc`` account for, list and prune the
+store's files."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from .common import (
     add_format,
-    add_index_source,
+    add_store_dir,
     at_least,
     open_query_index,
     store_dir,
@@ -24,14 +25,17 @@ from .common import (
 def add_results(sub) -> None:
     results = sub.add_parser(
         "results",
-        help="result service: index | query | compare | gates",
+        help=(
+            "results over a store: index | query | compare | gates | "
+            "stats | ls | gc"
+        ),
     ).add_subparsers(dest="results_verb", required=True)
 
     index = results.add_parser(
         "index", help="sync the SQLite index from the blob store"
     )
     index.set_defaults(handler=cmd_index)
-    add_index_source(index)
+    add_store_dir(index)
     index.add_argument(
         "--no-prune",
         action="store_true",
@@ -42,7 +46,7 @@ def add_results(sub) -> None:
         "query", help="query indexed runs and derived views"
     )
     query.set_defaults(handler=cmd_query)
-    add_index_source(query)
+    add_store_dir(query)
     query.add_argument(
         "--view",
         choices=["runs", "rollup", "deltas", "intensity"],
@@ -75,15 +79,11 @@ def add_results(sub) -> None:
 
     compare = results.add_parser(
         "compare",
-        help="A/B diff two campaigns (index files or store directories)",
+        help="A/B diff the runs of two store directories",
     )
     compare.set_defaults(handler=cmd_compare)
-    compare.add_argument(
-        "side_a", metavar="A", help="index.sqlite file or store directory"
-    )
-    compare.add_argument(
-        "side_b", metavar="B", help="index.sqlite file or store directory"
-    )
+    compare.add_argument("side_a", metavar="A", help="store directory")
+    compare.add_argument("side_b", metavar="B", help="store directory")
     compare.add_argument(
         "--tolerance",
         type=at_least(0, float),
@@ -102,7 +102,7 @@ def add_results(sub) -> None:
         "gates", help="evaluate paper-claim acceptance gates"
     )
     gates.set_defaults(handler=cmd_gates)
-    add_index_source(gates)
+    add_store_dir(gates)
     gates.add_argument(
         "--claims",
         nargs="*",
@@ -135,6 +135,44 @@ def add_results(sub) -> None:
     )
     add_format(gates)
 
+    stats = results.add_parser(
+        "stats", help="entry/quarantine/index accounting for a store"
+    )
+    stats.set_defaults(handler=cmd_stats)
+    add_store_dir(stats)
+    add_format(stats)
+    ls = results.add_parser("ls", help="list store entries")
+    ls.set_defaults(handler=cmd_ls)
+    add_store_dir(ls)
+    ls.add_argument(
+        "--corrupt",
+        action="store_true",
+        help="list quarantined .corrupt files instead of entries",
+    )
+    ls.add_argument(
+        "--limit",
+        type=int,
+        default=50,
+        metavar="N",
+        help="show at most N entries (default 50; 0 = no limit)",
+    )
+    gc = results.add_parser(
+        "gc", help="prune quarantined and orphaned-tmp files"
+    )
+    gc.set_defaults(handler=cmd_gc)
+    add_store_dir(gc)
+    gc.add_argument(
+        "--stale",
+        action="store_true",
+        help="also delete entries, alone records, failure records and "
+        "study documents written under another version",
+    )
+    gc.add_argument(
+        "--dry-run",
+        action="store_true",
+        help="report what would be deleted without deleting",
+    )
+
 
 def cmd_index(args: argparse.Namespace) -> int:
     from ..campaign.store import ResultStore
@@ -144,9 +182,9 @@ def cmd_index(args: argparse.Namespace) -> int:
     if not Path(root).is_dir():
         # What query/gates say of the same path; syncing from nothing must
         # not leave an empty index behind that later reads then trust.
-        raise ResultsError(f"no index database or store directory at {root}")
+        raise ResultsError(f"no store directory at {root}")
     store = ResultStore(root, index=False)
-    db_path = args.db if args.db else index_path_for(root)
+    db_path = index_path_for(root)
     with ResultIndex(db_path) as index:
         report = index.sync(store, prune=not args.no_prune)
         print(f"{db_path}: {report.render()}")
@@ -288,3 +326,125 @@ def cmd_gates(args: argparse.Namespace) -> int:
     else:
         print(report.render())
     return 0 if report.ok(strict=args.strict) else 1
+
+
+def _open(args: argparse.Namespace):
+    from ..campaign.store import ResultStore
+
+    return ResultStore(store_dir(args), index=False)
+
+
+def cmd_stats(args: argparse.Namespace) -> int:
+    store = _open(args)
+    disk = store.disk_stats()
+    index_rows = None
+    versions = {}
+    if disk["index_exists"]:
+        from ..results.db import ResultIndex
+
+        with ResultIndex(store.index_path()) as index:
+            index_rows = index.count()
+            versions = index.version_counts()
+    if args.format == "json":
+        doc = dict(disk)
+        doc["index_rows"] = index_rows
+        doc["index_version_counts"] = {
+            str(v): n for v, n in sorted(versions.items())
+        }
+        doc["handle_stats"] = store.stats.as_dict()
+        print(json.dumps(doc, indent=2))
+        return 0
+    print(f"store {disk['root']}")
+    print(
+        f"  entries:     {disk['entries']} "
+        f"({disk['entry_bytes']} bytes)"
+    )
+    print(
+        f"  alone:       {disk['alone_records']} record(s) "
+        f"({disk['alone_bytes']} bytes)"
+    )
+    print(
+        f"  quarantined: {disk['quarantined']} "
+        f"({disk['quarantined_bytes']} bytes)"
+    )
+    print(f"  tmp files:   {disk['tmp_files']}")
+    if index_rows is None:
+        print("  index:       absent (build with: repro-dbp results index)")
+    else:
+        version_text = ", ".join(
+            f"v{v}: {n}" for v, n in sorted(versions.items())
+        )
+        print(
+            f"  index:       {index_rows} row(s), "
+            f"{disk['index_bytes']} bytes ({version_text})"
+        )
+    return 0
+
+
+def cmd_ls(args: argparse.Namespace) -> int:
+    store = _open(args)
+    if args.corrupt:
+        paths = store.quarantined_paths()
+        for path in paths:
+            print(path)
+        print(f"{len(paths)} quarantined file(s)")
+        return 0
+    from ..experiments.report import render_table
+
+    shown = 0
+    rows = []
+    total = 0
+    for key, path in store.iter_blobs():
+        total += 1
+        if args.limit and shown >= args.limit:
+            continue
+        shown += 1
+        try:
+            doc = store.load_doc(path)
+            spec = doc.get("spec") or {}
+            metrics = doc["result"]["metrics"]
+            rows.append(
+                [
+                    key[:12] + "…",
+                    doc.get("version", "?"),
+                    spec.get("mix") or metrics.get("mix", "?"),
+                    spec.get("approach") or metrics.get("approach", "?"),
+                    spec.get("seed", "-"),
+                    spec.get("horizon", "-"),
+                ]
+            )
+        except (ValueError, KeyError, TypeError):  # Corrupt is a ValueError
+            rows.append([key[:12] + "…", "?", "<malformed>", "-", "-", "-"])
+    print(
+        render_table(
+            ["key", "ver", "mix", "approach", "seed", "horizon"], rows
+        )
+    )
+    suffix = f" (showing {shown})" if shown < total else ""
+    print(f"{total} entr{'y' if total == 1 else 'ies'}{suffix}")
+    return 0
+
+
+def cmd_gc(args: argparse.Namespace) -> int:
+    from ..campaign.store import unlink_all
+
+    store = _open(args)
+    groups = [
+        ("quarantined", store.quarantined_paths()),
+        ("tmp", store.orphaned_tmp_paths()),
+    ]
+    if args.stale:
+        groups.append(("stale", store.stale_paths()))
+    if args.dry_run:
+        for label, paths in groups:
+            for path in paths:
+                print(f"would delete [{label}] {path}")
+        counts = ", ".join(f"{len(paths)} {label}" for label, paths in groups)
+        print(f"dry run: {counts} file(s) would be deleted")
+        return 0
+    removed = []
+    for label, paths in groups:
+        count, freed = unlink_all(paths)
+        removed.append(f"{count} {label} ({freed} bytes)")
+    print(f"gc {store.root}: removed " + ", ".join(removed))
+    return 0

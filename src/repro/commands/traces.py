@@ -1,14 +1,13 @@
 """``traces`` — the workload trace library: ``traces import`` parses an
 external ChampSim/DRAMSim-style dump (or ``.rtrc``), characterizes it
 alone, and registers it as a first-class app; ``traces list`` / ``info`` /
-``export`` browse and extract the catalogue. ``traces APP...`` (legacy
-form) analyzes generated traces. ``gen-traces`` exports generated traces
-to files."""
+``export`` browse and extract the catalogue (``export`` also writes a
+synthetic app's generated trace). ``traces APP...`` (legacy form)
+analyzes generated traces."""
 
 from __future__ import annotations
 
 import argparse
-import os
 from typing import List
 
 from ..errors import ConfigError
@@ -19,7 +18,7 @@ def add_traces(sub) -> None:
     parser = sub.add_parser(
         "traces",
         help=(
-            "trace library (import | list | info NAME | export NAME), "
+            "trace library (import | list | info NAME | export NAME|APP), "
             "or analyze generated traces: traces APP..."
         ),
     )
@@ -29,7 +28,7 @@ def add_traces(sub) -> None:
         nargs="+",
         metavar="ARG",
         help=(
-            "'import PATH', 'list', 'info NAME', 'export NAME', or "
+            "'import PATH', 'list', 'info NAME', 'export NAME|APP', or "
             "application names to analyze (e.g. mcf libquantum)"
         ),
     )
@@ -72,24 +71,6 @@ def add_traces(sub) -> None:
         "--override",
         action="store_true",
         help="import: replace an existing library/registry entry",
-    )
-
-
-def add_gen_traces(sub) -> None:
-    parser = sub.add_parser(
-        "gen-traces", help="export generated traces to files"
-    )
-    parser.set_defaults(handler=cmd_gen_traces)
-    parser.add_argument("apps", nargs="+", help="application names")
-    parser.add_argument(
-        "--out", default=".", help="output directory (default: cwd)"
-    )
-    parser.add_argument(
-        "--format",
-        dest="trace_format",
-        choices=["text", "rtrc"],
-        default="text",
-        help="output format (default: text; rtrc is the binary library form)",
     )
 
 
@@ -193,9 +174,29 @@ def _export(library, operands: List[str], args: argparse.Namespace) -> int:
     name = operands[0]
     suffix = "rtrc" if args.export_format == "rtrc" else "trace"
     dest = args.to if args.to else f"{name}.{suffix}"
-    library.export(name, dest, fmt=args.export_format)
+    if name in library.entries():
+        library.export(name, dest, fmt=args.export_format)
+    else:
+        _export_generated(name, dest, args)
     print(f"wrote {dest} ({args.export_format})")
     return 0
+
+
+def _export_generated(app: str, dest: str, args: argparse.Namespace) -> None:
+    """Write the trace the run path generates for ``app`` at ``--seed``."""
+    from ..cpu.trace import save_trace
+    from ..traces.format import save_rtrc
+
+    runner = make_runner(args)
+    trace = runner.trace_for(app)
+    if args.export_format == "text":
+        save_trace(trace, dest)
+        return
+    provenance = {
+        "imported_from": f"synthetic:{app} seed={runner.seed}",
+        "source_format": "synthetic",
+    }
+    save_rtrc(trace, dest, provenance=provenance)
 
 
 #: First positional tokens that select a trace-library verb rather than
@@ -207,27 +208,3 @@ _LIBRARY_VERBS = {
     "export": _export,
 }
 
-
-def cmd_gen_traces(args: argparse.Namespace) -> int:
-    from ..cpu.trace import save_trace
-    from ..traces.format import save_rtrc
-
-    runner = make_runner(args)
-    os.makedirs(args.out, exist_ok=True)
-    for app in args.apps:
-        trace = runner.trace_for(app)
-        if args.trace_format == "rtrc":
-            path = os.path.join(args.out, f"{app}.rtrc")
-            save_rtrc(
-                trace,
-                path,
-                provenance={
-                    "imported_from": f"synthetic:{app} seed={runner.seed}",
-                    "source_format": "synthetic",
-                },
-            )
-        else:
-            path = os.path.join(args.out, f"{app}.trace")
-            save_trace(trace, path)
-        print(f"wrote {path} ({len(trace)} records)")
-    return 0

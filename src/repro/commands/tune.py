@@ -15,11 +15,10 @@ import sys
 from ..errors import ConfigError
 from .common import (
     add_format,
-    add_index_source,
     add_jobs,
+    add_store_dir,
     add_supervision,
     at_least,
-    open_query_index,
     store_dir,
 )
 
@@ -74,7 +73,7 @@ def add_tune(sub) -> None:
         help="study name (default: APPROACH-STRATEGY-OBJECTIVE-sSEED)",
     )
     add_supervision(run, "extra attempts for a failed run (default 1)")
-    add_index_source(run)
+    add_store_dir(run)
     run.add_argument(
         "--quiet",
         action="store_true",
@@ -86,7 +85,7 @@ def add_tune(sub) -> None:
         "report", help="list recorded studies (or one study's trials)"
     )
     report.set_defaults(handler=cmd_report)
-    add_index_source(report)
+    add_store_dir(report)
     report.add_argument(
         "--study", default=None, help="show this study's trials in full"
     )
@@ -97,7 +96,7 @@ def add_tune(sub) -> None:
         help="WS-vs-MS Pareto frontier of a study vs the paper default",
     )
     frontier.set_defaults(handler=cmd_frontier)
-    add_index_source(frontier)
+    add_store_dir(frontier)
     frontier.add_argument(
         "--study",
         default=None,
@@ -114,14 +113,11 @@ def add_tune(sub) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from ..campaign.store import ResultStore
-    from ..results.db import ResultIndex, index_path_for
     from ..tuner.api import run_study
     from ..tuner.report import frontier_doc, render_frontier, render_trials
-    from ..tuner.trials import trial_rows
+    from ..tuner.studies import trial_rows
 
     root = store_dir(args)
-    store = ResultStore(root)
-    db_path = args.db if args.db else index_path_for(root)
 
     def _progress(trial) -> None:
         if args.quiet:
@@ -139,24 +135,22 @@ def cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    with ResultIndex(db_path) as index:
-        result = run_study(
-            approach=args.approach,
-            strategy=args.strategy,
-            budget=args.budget,
-            objective=args.objective,
-            seed=args.seed,
-            mixes=tuple(args.mixes) if args.mixes else ("M4", "M7"),
-            horizon=args.horizon,
-            store=store,
-            index=index,
-            jobs=args.jobs,
-            study=args.study,
-            progress=_progress,
-            retries=args.retries,
-            timeout=args.timeout,
-        )
-        rows = trial_rows(index, result.study)
+    result = run_study(
+        approach=args.approach,
+        strategy=args.strategy,
+        budget=args.budget,
+        objective=args.objective,
+        seed=args.seed,
+        mixes=tuple(args.mixes) if args.mixes else ("M4", "M7"),
+        horizon=args.horizon,
+        store=ResultStore(root),
+        jobs=args.jobs,
+        study=args.study,
+        progress=_progress,
+        retries=args.retries,
+        timeout=args.timeout,
+    )
+    rows = trial_rows(root, result.study)
     if args.format == "json":
         doc = {
             "study": result.study,
@@ -192,13 +186,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _study_rows(args: argparse.Namespace, index) -> tuple:
+def _study_rows(args: argparse.Namespace) -> tuple:
     """(study, rows) for the frontier, defaulting to the sole study."""
-    from ..tuner.trials import studies, trial_rows
+    from ..tuner.studies import study_summaries, trial_rows
 
+    root = store_dir(args)
     study = args.study
     if study is None:
-        recorded = [row["study"] for row in studies(index)]
+        recorded = [row["study"] for row in study_summaries(root)]
         if not recorded:
             raise ConfigError(
                 "no tuning studies recorded — run `repro-dbp tune run` first"
@@ -209,7 +204,7 @@ def _study_rows(args: argparse.Namespace, index) -> tuple:
                 + ", ".join(str(s) for s in recorded)
             )
         study = recorded[0]
-    rows = trial_rows(index, study)
+    rows = trial_rows(root, study)
     if not rows:
         raise ConfigError(f"no trials recorded for study {study!r}")
     return study, rows
@@ -217,29 +212,28 @@ def _study_rows(args: argparse.Namespace, index) -> tuple:
 
 def cmd_report(args: argparse.Namespace) -> int:
     from ..tuner.report import render_studies, render_trials
-    from ..tuner.trials import studies, trial_rows
+    from ..tuner.studies import study_summaries, trial_rows
 
-    with open_query_index(args) as index:
-        if args.study is not None:
-            rows = trial_rows(index, args.study)
-            if args.format == "json":
-                print(json.dumps(rows, indent=2))
-            else:
-                print(render_trials(rows))
-            return 0
-        summary = studies(index)
+    root = store_dir(args)
+    if args.study is not None:
+        rows = trial_rows(root, args.study)
         if args.format == "json":
-            print(json.dumps(summary, indent=2))
+            print(json.dumps(rows, indent=2))
         else:
-            print(render_studies(summary))
+            print(render_trials(rows))
+        return 0
+    summary = study_summaries(root)
+    if args.format == "json":
+        print(json.dumps(summary, indent=2))
+    else:
+        print(render_studies(summary))
     return 0
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
     from ..tuner.report import frontier_doc, render_frontier
 
-    with open_query_index(args) as index:
-        study, rows = _study_rows(args, index)
+    study, rows = _study_rows(args)
     doc = frontier_doc(rows)
     doc["study"] = study
     if args.out:

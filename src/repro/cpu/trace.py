@@ -246,12 +246,3 @@ def load_trace(path: str) -> Trace:
             records.append(TraceRecord(gap, vline, fields[2] == "W"))
     return Trace(name, records)
 
-
-def concatenate(name: str, traces: Iterable[Trace]) -> Trace:
-    """Join traces back to back (useful for building phased workloads)."""
-    gaps, vlines, writes = array("I"), array("Q"), bytearray()
-    for trace in traces:
-        gaps.extend(trace.gaps)
-        vlines.extend(trace.vlines)
-        writes += trace.writes
-    return Trace.from_columns(name, gaps, vlines, writes)

@@ -55,10 +55,6 @@ class Scheduler(abc.ABC):
     name = "base"
     #: Quantum period in CPU cycles, or None for stateless policies.
     quantum_cycles: Optional[int] = None
-    #: Offset of the first quantum boundary within the period (staggers the
-    #: quantum against a policy's epoch). ``0 <= quantum_offset <
-    #: quantum_cycles``; the system builder validates.
-    quantum_offset: int = 0
 
     def __init__(self, num_threads: int) -> None:
         self.num_threads = num_threads

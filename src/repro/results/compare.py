@@ -11,10 +11,9 @@ produces a ``compare_summary`` table of metric deltas:
   CLI's ``--fail-on-regression`` turns them into a non-zero exit);
 * ``only_a`` / ``only_b`` — runs present on one side only.
 
-Sides can be SQLite index files or store directories
-(:func:`repro.results.db.open_index` syncs a directory on the fly), so
-"diff yesterday's store backup against today's" and "diff two campaign
-hosts" are the same operation.
+Each side is a store directory (:func:`repro.results.db.open_index`
+syncs its index on the fly), so "diff yesterday's store backup against
+today's" and "diff two campaign hosts" are the same operation.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The blob store (:mod:`repro.campaign.store`) stays the source of truth —
 one JSON entry per run, addressed by the SHA-256 of the run's input
 closure. This module maintains a *derived* SQLite index beside it
-(``<store>/index.sqlite`` by default) so campaigns, views, diffs, and
+(``<store>/index.sqlite``) so campaigns, views, diffs, and
 acceptance gates can query thousands of runs without re-reading every
 blob:
 
@@ -234,7 +234,7 @@ class ResultIndex:
             self._enable_wal(timeout)
         self._conn.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self.ensure_table("runs", _CREATE, "schema_version", SCHEMA_VERSION)
+        self._ensure_schema()
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -265,33 +265,28 @@ class ResultIndex:
                     raise
                 time.sleep(0.005)
 
-    def ensure_table(
-        self, table: str, create: str, version_key: str, version: int
-    ) -> None:
-        """Run ``create`` and version ``table`` under its own ``meta`` row.
-
-        A stored version other than ``version`` drops and recreates
-        ``table`` alone, so each table's layout changes independently. For
-        ``runs`` (whose script also creates ``meta``) that loses nothing:
-        the blobs are authoritative and the next sync refills it.
-        """
+    def _ensure_schema(self) -> None:
+        """Create the ``runs`` table, or drop and rebuild it when the file
+        holds another :data:`SCHEMA_VERSION`. That loses nothing: the
+        blobs are authoritative and the next sync refills it."""
         with self._conn:
-            self._conn.executescript(create)
+            self._conn.executescript(_CREATE)
             # OR IGNORE: two processes initializing a fresh index race to
             # write this row; the loser must not crash on the PK.
             self._conn.execute(
-                "INSERT OR IGNORE INTO meta (name, value) VALUES (?, ?)",
-                (version_key, str(version)),
+                "INSERT OR IGNORE INTO meta (name, value) "
+                "VALUES ('schema_version', ?)",
+                (str(SCHEMA_VERSION),),
             )
             row = self._conn.execute(
-                "SELECT value FROM meta WHERE name=?", (version_key,)
+                "SELECT value FROM meta WHERE name='schema_version'"
             ).fetchone()
-            if row["value"] != str(version):
-                self._conn.execute(f"DROP TABLE IF EXISTS {table}")
-                self._conn.executescript(create)
+            if row["value"] != str(SCHEMA_VERSION):
+                self._conn.execute("DROP TABLE IF EXISTS runs")
+                self._conn.executescript(_CREATE)
                 self._conn.execute(
-                    "UPDATE meta SET value=? WHERE name=?",
-                    (str(version), version_key),
+                    "UPDATE meta SET value=? WHERE name='schema_version'",
+                    (str(SCHEMA_VERSION),),
                 )
 
     # -- writes ---------------------------------------------------------
@@ -479,21 +474,13 @@ def index_outcomes(outcomes, index: Optional[ResultIndex] = None) -> ResultIndex
     return index
 
 
-def open_index(path: Union[str, Path], *, sync: bool = False) -> ResultIndex:
-    """Open an index from a path that may be a store directory or a file.
-
-    A directory is treated as a blob store: its ``index.sqlite`` is opened
-    (and created/synced when ``sync``). Anything else is opened as an
-    SQLite file directly.
-    """
-    p = Path(path)
-    if p.is_dir():
-        index = ResultIndex(index_path_for(p))
-        if sync:
-            index.sync(ResultStore(p, index=False))
-        return index
-    if not p.exists():
-        raise ResultsError(
-            f"no index database or store directory at {p}"
-        )
-    return ResultIndex(p)
+def open_index(store_root, *, sync: bool = False) -> ResultIndex:
+    """The index of the store directory ``store_root``, synced from its
+    blobs first when ``sync``."""
+    root = Path(store_root)
+    if not root.is_dir():
+        raise ResultsError(f"no store directory at {root}")
+    index = ResultIndex(index_path_for(root))
+    if sync:
+        index.sync(ResultStore(root, index=False))
+    return index

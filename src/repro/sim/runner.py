@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
-from ..campaign.store import ResultStore, alone_key, run_key, scope_of
+from ..campaign.store import ResultStore, alone_key, scope_of
 from ..config import SystemConfig
 from ..core.integration import Approach, get_approach
 from ..cpu.trace import Trace
@@ -41,7 +41,6 @@ from ..metrics import slowdowns, summarize
 from ..records import RunResult, SystemResult, WorkloadRunMetrics
 from ..telemetry import TelemetryRecorder
 from ..telemetry.spans import current_tracer, now_us
-from ..traces.registry import library_digests
 from ..traces.source import library_digest, resolve_trace
 from ..workloads import Mix
 from .system import System
@@ -154,15 +153,6 @@ class Runner:
         return ipc
 
     # ------------------------------------------------------------------
-    def _store_key(self, apps: Sequence[str], approach: str) -> str:
-        return run_key(
-            self.config,
-            apps,
-            approach,
-            trace_digests=library_digests(apps),
-            **scope_of(self),
-        )
-
     def run_apps(
         self,
         apps: Sequence[str],

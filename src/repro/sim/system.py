@@ -25,7 +25,7 @@ from ..cpu.prefetcher import StridePrefetcher
 from ..cpu.trace import Trace
 from ..dram.channel import Channel
 from ..dram.validator import ProtocolValidator
-from ..errors import ConfigError, SimulationError
+from ..errors import SimulationError
 from ..mapping import AddressMap
 from ..memctrl.controller import ChannelController
 from ..memctrl.request import Request
@@ -63,8 +63,6 @@ class System:
         ahead_limit: int = 8192,
         telemetry: Optional["TelemetryRecorder"] = None,
         profile: bool = False,
-        policy_epoch_offset: Optional[int] = None,
-        quantum_offset: Optional[int] = None,
     ) -> None:
         if len(traces) != config.num_cores:
             raise SimulationError(
@@ -178,24 +176,9 @@ class System:
             inject_copy_traffic=self._inject_copy_traffic,
         )
         # The scheduler's quantum and the policy's epoch run on independent
-        # cadences; each consumer fires only at multiples of its own period,
-        # optionally staggered by an offset within that period.
-        q_offset = (
-            quantum_offset
-            if quantum_offset is not None
-            else self.scheduler.quantum_offset
-        )
-        p_offset = (
-            policy_epoch_offset
-            if policy_epoch_offset is not None
-            else self.policy.epoch_offset
-        )
-        self._next_quantum = self._first_boundary(
-            "quantum", self.scheduler.quantum_cycles, q_offset
-        )
-        self._next_policy = self._first_boundary(
-            "policy epoch", self.policy.epoch_cycles, p_offset
-        )
+        # cadences; each consumer fires only at multiples of its own period.
+        self._next_quantum = self.scheduler.quantum_cycles
+        self._next_policy = self.policy.epoch_cycles
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.attach(self.controllers, self.policy, self.scheduler)
@@ -208,28 +191,6 @@ class System:
     # scheduled independently: a 25k TCM quantum must not drag a 50k DBP
     # epoch down to 25k, or claim C2's cadence sensitivity is distorted.
     # ------------------------------------------------------------------
-    @staticmethod
-    def _first_boundary(
-        what: str, period: Optional[int], offset: int
-    ) -> Optional[int]:
-        """First due cycle of one cadence: ``period + offset``.
-
-        Subsequent boundaries advance by the bare period, so the stagger is
-        preserved for the whole run.
-        """
-        if period is None:
-            if offset:
-                raise ConfigError(
-                    f"{what} offset {offset} given but the {what} has no "
-                    f"period"
-                )
-            return None
-        if not 0 <= offset < period:
-            raise ConfigError(
-                f"{what} offset must be in [0, {period}), got {offset}"
-            )
-        return period + offset
-
     def _next_boundary(self) -> Optional[int]:
         dues = [
             due

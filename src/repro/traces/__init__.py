@@ -7,8 +7,6 @@ this package is the escape hatch. It provides:
   format (struct-packed, block-compressed, digest-verified);
 * :mod:`~repro.traces.importers` — ChampSim-style and DRAMSim/
   Ramulator-style text-dump importers with ``file:line`` diagnostics;
-* :mod:`~repro.traces.transforms` — slice / warmup-skip / footprint
-  remap / phase splice;
 * :mod:`~repro.traces.characterize` — measure MPKI/RBH/BLP by running a
   trace alone on the FR-FCFS baseline;
 * :mod:`~repro.traces.library` — the on-disk catalog
@@ -33,12 +31,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "import_dramsim",
             "import_trace",
             "resolve_format",
-        ),
-        ".transforms": (
-            "remap_footprint",
-            "skip_warmup",
-            "slice_records",
-            "splice_phases",
         ),
         ".characterize": ("TraceCharacterization", "characterize_trace"),
         ".registry": (

@@ -15,8 +15,8 @@ existing campaign machinery into a tuner for them:
 * :mod:`~repro.tuner.objective` — a parameter point → RunSpecs over a
   mix set → the supervised executor + content-addressed store (repeat
   points are cache hits) → scalarized WS/MS/HS score;
-* :mod:`~repro.tuner.trials`    — the ``tuning_trials`` table beside
-  ``runs`` in the results index;
+* :mod:`~repro.tuner.studies`   — one store document per study, which
+  ``tune report|frontier`` read;
 * :mod:`~repro.tuner.report`    — trial tables and the WS-vs-MS Pareto
   frontier against the paper defaults, with an explicit verdict;
 * :mod:`~repro.tuner.api`       — :func:`~repro.tuner.api.run_study`,
@@ -61,13 +61,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "parse_params",
             "split_point",
         ),
-        ".trials": (
-            "TUNER_SCHEMA_VERSION",
-            "clear_study",
-            "ensure_tuner_schema",
-            "record_trial",
-            "studies",
-            "trial_rows",
+        ".studies": (
+            "study_path", "study_summaries", "trial_rows", "write_study",
         ),
     },
 )

@@ -3,25 +3,23 @@
 :func:`run_study` is the subsystem's entry point (the CLI's ``tune run``
 is a thin wrapper): it evaluates the paper-default point first (trial 0,
 the frontier baseline), then drives the chosen searcher through its
-budget, persisting every trial into the ``tuning_trials`` table of the
-store's SQLite index as it lands. Study names are deterministic by
-default — re-running the same command upserts the same rows and serves
-every simulation from the content-addressed store.
+budget, rewriting the study's store document
+(:mod:`~repro.tuner.studies`) as each trial lands. Study names are
+deterministic by default — re-running the same command replaces the same
+document and serves every simulation from the content-addressed store.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..campaign.store import ResultStore, default_store_dir
 from ..config import SystemConfig
-from ..results.db import ResultIndex, index_path_for
 from .objective import CampaignObjective, TrialResult
 from .searchers import Searcher, make_searcher
-from .trials import clear_study, record_trial
+from .studies import study_path, write_study
 
 __all__ = ["StudyResult", "run_study", "study_name"]
 
@@ -67,19 +65,17 @@ class StudyResult:
         total = self.total_runs
         return self.cache_hits / total if total else 0.0
 
-    def trial_row(self, trial: TrialResult) -> Dict[str, object]:
-        """The ``tuning_trials`` row of one trial of this study."""
-        row = trial.as_row()
-        row.update(
-            study=self.study,
-            strategy=self.strategy,
-            objective=self.objective,
-            base_approach=self.base_approach,
-            mixes=json.dumps(self.mixes),
-            seed=self.seed,
-            params=json.dumps(trial.point.params_dict(), sort_keys=True),
-        )
-        return row
+    def document(self) -> Dict[str, object]:
+        """The study's store document, every trial so far included."""
+        return {
+            "study": self.study,
+            "strategy": self.strategy,
+            "objective": self.objective,
+            "base_approach": self.base_approach,
+            "mixes": list(self.mixes),
+            "seed": self.seed,
+            "trials": [trial.as_row() for trial in self.trials],
+        }
 
 
 def run_study(
@@ -92,7 +88,7 @@ def run_study(
     horizon: int = 400_000,
     config: Optional[SystemConfig] = None,
     store: Optional[ResultStore] = None,
-    index: Optional[ResultIndex] = None,
+    index: object = None,
     jobs: int = 1,
     study: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
@@ -105,13 +101,13 @@ def run_study(
     compare tuned points against the paper baseline.
     ``budget`` counts *searched* trials only; the baseline rides free.
     With no ``store`` the default store location is used — tuning without
-    a store would re-simulate every repeated point.
+    a store would re-simulate every repeated point. The study lives in
+    that store's directory; ``index`` is accepted and ignored, since the
+    run index holds no study.
     """
     started = time.perf_counter()
     if store is None:
         store = ResultStore(default_store_dir())
-    if index is None:
-        index = ResultIndex(index_path_for(store.root))
     campaign_objective = CampaignObjective(
         approach,
         mixes,
@@ -135,11 +131,11 @@ def run_study(
         mixes=[m.name for m in campaign_objective.mixes],
         seed=seed,
     )
-    clear_study(index, result.study)
+    study_path(store.root, result.study).unlink(missing_ok=True)
 
     def _record(trial: TrialResult) -> None:
         result.trials.append(trial)
-        record_trial(index, result.trial_row(trial))
+        write_study(store.root, result.document())
         if progress is not None:
             progress(trial)
 

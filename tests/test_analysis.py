@@ -105,7 +105,11 @@ class TestCLICommands:
         from repro.cli import main
         from repro.cpu.trace import load_trace
 
-        assert main(["gen-traces", "gcc", "--out", str(tmp_path)]) == 0
-        loaded = load_trace(str(tmp_path / "gcc.trace"))
+        dest = str(tmp_path / "gcc.trace")
+        assert main([
+            "traces", "export", "gcc", "--library", str(tmp_path / "lib"),
+            "--to", dest, "--export-format", "text",
+        ]) == 0
+        loaded = load_trace(dest)
         assert loaded.name == "gcc"
         assert len(loaded) > 0

@@ -280,6 +280,19 @@ RULES: Tuple[Rule, ...] = (
         ),
     ),
     Rule(
+        "studies-are-store-documents",
+        "the tuner reached into the SQLite index again; a study is its "
+        "store document (tuner/studies.py), and the index keeps only the "
+        "run rows it can rebuild from the blobs",
+        r"sqlite3|ResultIndex|tuning_trials",
+        ("src/repro/tuner",),
+        include="*.py",
+        mutant=(
+            "src/repro/tuner/api.py",
+            "from ..results.db import ResultIndex, index_path_for",
+        ),
+    ),
+    Rule(
         "flat-lru-cache",
         "the cache's replacement plug point or its per-line objects and "
         "per-set dicts crept back into src/repro; line state is the flat "

@@ -6,7 +6,7 @@ Three layers:
   exact JSON bytes, the classification of bytes read back;
 * one parametrized chaos test that damages a freshly written file of
   every kind — store entry, alone record, failure record, library
-  manifest, span file, epoch log — and asserts each kind's
+  manifest, span file, epoch log, study document — and asserts each kind's
   documented outcome (DESIGN.md, "On-disk artefacts");
 * a compatibility case over ``tests/data/artefacts/``: one file per kind
   written by the writers that predate the shared module. Each must still
@@ -51,6 +51,7 @@ from repro.telemetry.spans import (
 )
 from repro.traces import format as rtrc_format
 from repro.traces.library import MANIFEST_VERSION, TraceLibrary
+from repro.tuner.studies import write_study
 from repro.workloads import generate_trace, get_profile
 from tests.test_trace_columns import _PINNED_MCF_RTRC_SHA256
 
@@ -244,6 +245,43 @@ class EpochLog:
             assert f"corrupt epoch log {path}" in str(excinfo.value)
 
 
+class StudyDocument:
+    foreign = staticmethod(lambda path: _bump_json(path, "version"))
+
+    def write(self, root):
+        trial = {
+            "trial_id": 0, "params": {}, "approach": "dbp",
+            "horizon": 20_000, "ws": 3.0, "ms": 1.5, "hs": 0.7,
+            "score": 2.0, "status": "ok", "error": None, "cached": 0,
+            "executed": 1, "wall_clock": 0.5,
+        }
+        return write_study(root, {
+            "study": "s", "strategy": "random", "objective": "balanced",
+            "base_approach": "dbp", "mixes": ["M4"], "seed": 1,
+            "trials": [trial],
+        })
+
+    def check(self, root, path, case):
+        for argv in (["report"], ["frontier", "--study", "s"]):
+            with pytest.raises(ConfigError) as excinfo:
+                args = _build_parser().parse_args(
+                    ["tune", *argv, "--store", str(root)]
+                )
+                args.handler(args)
+            if case == "foreign":
+                assert f"stale study document {path}: version " in str(
+                    excinfo.value
+                )
+                assert f"{STORE_VERSION + 1} != {STORE_VERSION}" in str(
+                    excinfo.value
+                )
+            else:
+                assert f"corrupt study document {path}" in str(excinfo.value)
+        # `results gc --stale` clears a foreign-version document.
+        store = ResultStore(root, index=False)
+        assert store.stale_paths() == ([path] if case == "foreign" else [])
+
+
 KINDS = {
     "store-entry": StoreEntry(),
     "alone-record": AloneRecord(),
@@ -251,6 +289,7 @@ KINDS = {
     "manifest": Manifest(),
     "span-file": SpanFile(),
     "epoch-log": EpochLog(),
+    "study-document": StudyDocument(),
 }
 DAMAGE = {
     "torn": truncate_file,
@@ -344,7 +383,7 @@ class TestFixedBehaviour:
         orphan = final.with_name(final.name + ".tmp.4321")
         orphan.write_text("{half")
         assert store.orphaned_tmp_paths() == [orphan]
-        assert main(["store", "gc", "--store", str(tmp_path)]) == 0
+        assert main(["results", "gc", "--store", str(tmp_path)]) == 0
         assert "1 tmp" in capsys.readouterr().out
         assert not orphan.exists() and final.exists()
 
@@ -399,7 +438,7 @@ class TestFixedBehaviour:
         assert store.get_failure(KEY) is None
         assert list(store.iter_failures()) == []
         assert store.stale_paths() == [path]
-        argv = ["store", "gc", "--store", str(tmp_path), "--stale"]
+        argv = ["results", "gc", "--store", str(tmp_path), "--stale"]
         assert main(argv + ["--dry-run"]) == 0
         assert f"would delete [stale] {path}" in capsys.readouterr().out
         assert main(argv) == 0

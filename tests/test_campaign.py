@@ -21,7 +21,13 @@ from repro.campaign import (
     run_key,
     sweep_metrics,
 )
-from repro.campaign.store import STORE_VERSION, alone_key, result_digest
+from repro.campaign.store import (
+    STORE_VERSION,
+    alone_key,
+    result_digest,
+    run_key,
+    scope_of,
+)
 from repro.errors import ExperimentError
 from repro.sim.runner import Runner
 
@@ -81,7 +87,9 @@ class TestPlanner:
         # fast_runner's config has 2 cores; M4 has 4 apps — the campaign
         # worker reconfigures core count per run exactly like run_apps does.
         assert len(plan) == 1
-        assert plan[0].key() == fast_runner._store_key(plan[0].apps, "ebp")
+        assert plan[0].key() == run_key(
+            fast_runner.config, plan[0].apps, "ebp", **scope_of(fast_runner)
+        )
         assert plan[0].horizon == fast_runner.horizon
         assert plan[0].seed == fast_runner.seed
         assert plan[0].target_insts == fast_runner.target_insts

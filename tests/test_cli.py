@@ -260,7 +260,7 @@ class TestResultsIndexSource:
         for verb in (["index"], ["query"], ["gates"]):
             assert main(["results", *verb, "--store", str(missing)]) == 1
             err = capsys.readouterr().err
-            assert "no index database or store directory at" in err
+            assert "no store directory at" in err
         assert not missing.exists()
 
     def test_existing_empty_store_indexes_to_zero_rows(self, tmp_path, capsys):
@@ -303,20 +303,21 @@ class TestOneBenchmarkSystem:
         assert not hasattr(repro.results, "sync_bench_dir")
 
 
-#: Every registered command line that must parse: the 10 top-level
-#: commands and each results/tune/store/traces verb.
+#: Every registered command line that must parse: the 8 top-level
+#: commands and each results/tune/traces verb.
 HELP_TARGETS = [
     [command]
     for command in (
-        "list", "config", "run", "campaign", "results", "store", "tune",
-        "explain", "traces", "gen-traces",
+        "list", "config", "run", "campaign", "results", "tune",
+        "explain", "traces",
     )
 ] + [
     [command, verb]
     for command, verbs in (
-        ("results", ("index", "query", "compare", "gates")),
+        ("results", (
+            "index", "query", "compare", "gates", "stats", "ls", "gc",
+        )),
         ("tune", ("run", "report", "frontier")),
-        ("store", ("stats", "ls", "gc")),
         ("traces", ("import", "list", "info", "export")),
     )
     for verb in verbs
@@ -340,10 +341,35 @@ class TestRegistryCompleteness:
             ["list"], ["config"], ["run", "T3"], ["campaign"],
             ["results", "index"], ["results", "query"],
             ["results", "compare", "a", "b"], ["results", "gates"],
-            ["store", "stats"], ["store", "ls"],
-            ["store", "gc"], ["tune", "run"], ["tune", "report"],
+            ["results", "stats"], ["results", "ls"],
+            ["results", "gc"], ["tune", "run"], ["tune", "report"],
             ["tune", "frontier"], ["explain", "M4"],
             ["explain", "--from-log", "x.json"], ["traces", "list"],
-            ["gen-traces", "mcf"],
+            ["traces", "export", "mcf"],
         ):
             assert callable(parser.parse_args(argv).handler), argv
+
+    @pytest.mark.parametrize(
+        "argv", [["store", "stats"], ["gen-traces", "mcf"]], ids=" ".join
+    )
+    def test_folded_verb_is_gone(self, argv, capsys):
+        # `store` folded into `results`, `gen-traces` into `traces export`.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["results", "index"], ["results", "query"], ["results", "gates"],
+            ["tune", "run"], ["tune", "report"], ["tune", "frontier"],
+        ],
+        ids=" ".join,
+    )
+    def test_index_file_option_is_gone(self, argv, capsys):
+        # Every index is <store>/index.sqlite; --store names it.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--db", "x.sqlite"])
+        assert exit_info.value.code == 2
+        assert "--db" in capsys.readouterr().err

@@ -40,7 +40,7 @@ SIMULATOR = {
     "repro.workloads.synthetic",
     "repro.experiments.catalog",
 }
-#: Packages the results/store verbs additionally never touch.
+#: Packages the store readers additionally never touch.
 POLICY_LAYERS = ("repro.memctrl", "repro.osmm", "repro.baselines")
 
 
@@ -109,8 +109,10 @@ class TestReadersSkipTheSimulator:
             ("results", "index"),
             ("results", "query", "--view", "deltas", "--pair", "dbp", "ebp"),
             ("results", "gates"),
-            ("store", "stats"),
-            ("store", "ls"),
+            ("results", "stats"),
+            ("results", "ls"),
+            ("tune", "report"),
+            ("tune", "frontier"),
         ],
         ids=" ".join,
     )

@@ -983,6 +983,17 @@ class TestResultsCLI:
         capsys.readouterr()
 
 
+    def test_compare_takes_store_directories(self, store_dir, capsys):
+        from repro.results import index_path_for
+
+        index_file = index_path_for(store_dir)
+        self.run_cli(["results", "index", "--store", str(store_dir)])
+        assert index_file.is_file()
+        argv = ["results", "compare", str(index_file), str(store_dir)]
+        assert self.run_cli(argv) == 1
+        assert "no store directory at" in capsys.readouterr().err
+
+
 class TestCampaignGatesCLI:
     def test_campaign_gates_fail_on_deliberately_broken_approach(
         self, monkeypatch, capsys
@@ -1043,7 +1054,7 @@ class TestStoreCLI:
         capsys.readouterr()
         assert (
             self.run_cli(
-                ["store", "stats", "--store", str(root), "--format", "json"]
+                ["results", "stats", "--store", str(root), "--format", "json"]
             )
             == 0
         )
@@ -1059,12 +1070,12 @@ class TestStoreCLI:
         bad = root / "aa" / ("aa" + "5" * 62 + ".json.corrupt")
         bad.parent.mkdir(parents=True, exist_ok=True)
         bad.write_text("junk")
-        assert self.run_cli(["store", "ls", "--store", str(root)]) == 0
+        assert self.run_cli(["results", "ls", "--store", str(root)]) == 0
         out = capsys.readouterr().out
         assert "4 entries" in out
         assert "dbp" in out
         assert (
-            self.run_cli(["store", "ls", "--store", str(root), "--corrupt"])
+            self.run_cli(["results", "ls", "--store", str(root), "--corrupt"])
             == 0
         )
         out = capsys.readouterr().out
@@ -1081,7 +1092,7 @@ class TestStoreCLI:
         (root / "aa").mkdir(exist_ok=True)
         (root / "aa" / ("aa" + "6" * 62 + ".json.corrupt")).write_text("x")
         (root / "aa" / ("aa" + "7" * 62 + ".json.tmp.1234")).write_text("x")
-        argv = ["store", "gc", "--store", str(root), "--stale"]
+        argv = ["results", "gc", "--store", str(root), "--stale"]
         assert self.run_cli(argv + ["--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "would delete" in out
@@ -1094,6 +1105,19 @@ class TestStoreCLI:
         assert store.quarantined_paths() == []
         assert store.orphaned_tmp_paths() == []
         assert store.stale_paths() == []
+
+    def test_gc_collects_a_killed_study_writers_tmp(self, tmp_path, capsys):
+        from repro.tuner import study_path
+
+        root = tmp_path / "store"
+        populated_store(root, c1_grid())
+        tmp = study_path(root, "s").with_name("study.json.tmp.1234")
+        tmp.parent.mkdir(parents=True)
+        tmp.write_text("{half")
+        assert self.run_cli(["results", "gc", "--store", str(root)]) == 0
+        assert "1 tmp" in capsys.readouterr().out
+        assert not tmp.exists()
+        assert ResultStore(root, index=False).entry_count() == 4
 
     def test_alone_records_counted_collected_and_unseen_by_results(
         self, tmp_path, capsys
@@ -1121,14 +1145,14 @@ class TestStoreCLI:
         out = capsys.readouterr().out
         assert "0 added" in out and "index rows: 4" in out
         # ...and visible to the maintenance verbs.
-        stats_argv = ["store", "stats", "--store", str(root)]
+        stats_argv = ["results", "stats", "--store", str(root)]
         assert self.run_cli(stats_argv + ["--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["alone_records"] == 3 and doc["alone_bytes"] > 0
         assert doc["entries"] == 4 and doc["tmp_files"] == 1
         assert self.run_cli(stats_argv) == 0
         assert "alone:       3 record(s)" in capsys.readouterr().out
-        gc_argv = ["store", "gc", "--store", str(root), "--stale"]
+        gc_argv = ["results", "gc", "--store", str(root), "--stale"]
         assert self.run_cli(gc_argv + ["--dry-run"]) == 0
         assert "0 quarantined, 1 tmp, 1 stale" in capsys.readouterr().out
         assert self.run_cli(gc_argv) == 0

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.campaign.store import run_key, scope_of
 from repro.core.dbp import DBPConfig, DynamicBankPartitioning
 from repro.errors import ExperimentError
 from repro.sim.runner import Runner
@@ -112,11 +113,17 @@ class TestRunCacheKey:
         monkeypatch.setitem(
             APPROACHES, "tmp-x", Approach("tmp-x", "shared", "fcfs")
         )
-        key_fcfs = fast_runner._store_key(("lbm", "gcc"), "tmp-x")
+        key_fcfs = run_key(
+            fast_runner.config, ("lbm", "gcc"), "tmp-x",
+            **scope_of(fast_runner),
+        )
         monkeypatch.setitem(
             APPROACHES, "tmp-x", Approach("tmp-x", "shared", "frfcfs")
         )
-        key_frfcfs = fast_runner._store_key(("lbm", "gcc"), "tmp-x")
+        key_frfcfs = run_key(
+            fast_runner.config, ("lbm", "gcc"), "tmp-x",
+            **scope_of(fast_runner),
+        )
         assert key_fcfs != key_frfcfs
 
 

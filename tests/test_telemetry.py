@@ -111,6 +111,28 @@ class TestEpochCadence:
         assert summary["quanta"] == 3
         assert summary["policy_epochs"] == 0
 
+    def test_staggered_cadences_fire_at_their_own_periods(self, small_config):
+        # A 10k quantum and a 25k epoch: neither period divides the other,
+        # so the boundaries interleave and meet only at 50k.
+        recorder = TelemetryRecorder()
+        config = small_config.with_scheduler("tcm", quantum_cycles=10_000)
+        system = System(
+            config,
+            traces(),
+            horizon=66_000,
+            policy=DynamicBankPartitioning(DBPConfig(epoch_cycles=25_000)),
+            telemetry=recorder,
+        )
+        system.run()
+        assert system.scheduler.stat_quanta == 6
+        assert system.policy.stat_repartitions == 2
+        assert [r["cycle"] for r in recorder.records] == [
+            10_000, 20_000, 25_000, 30_000, 40_000, 50_000, 60_000,
+        ]
+        for record in recorder.records:
+            assert record["fired_quantum"] == (record["cycle"] % 10_000 == 0)
+            assert record["fired_policy"] == (record["cycle"] % 25_000 == 0)
+
 
 # ---------------------------------------------------------------------------
 # Fix 1: migration traffic must not pollute per-thread accounting.
@@ -403,99 +425,6 @@ class TestRunnerIntegration:
         doc = store.load_doc(store.path_for(spec.key()))
         assert doc["result"]["telemetry"] == first.result.telemetry
         assert "telemetry" not in doc["spec"]
-
-
-# ---------------------------------------------------------------------------
-# Per-policy epoch offsets: staggered quantum vs. policy-epoch boundaries.
-# ---------------------------------------------------------------------------
-class TestEpochOffsets:
-    def _offset_system(self, small_config, recorder=None, **kwargs):
-        config = small_config.with_scheduler("tcm", quantum_cycles=10_000)
-        policy = DynamicBankPartitioning(DBPConfig(epoch_cycles=20_000))
-        return System(
-            config,
-            traces(),
-            horizon=66_000,
-            policy=policy,
-            telemetry=recorder,
-            **kwargs,
-        )
-
-    def test_staggered_cadences_fire_at_their_own_periods(self, small_config):
-        # Quantum every 10k from 10k; policy every 20k offset by 5k, so it
-        # fires at 25k/45k/65k — never on a quantum boundary.
-        recorder = TelemetryRecorder()
-        system = self._offset_system(
-            small_config, recorder, policy_epoch_offset=5_000
-        )
-        system.run()
-        assert system.scheduler.stat_quanta == 6
-        assert system.policy.stat_repartitions == 3
-        cycles = [r["cycle"] for r in recorder.records]
-        assert cycles == [
-            10_000, 20_000, 25_000, 30_000, 40_000, 45_000,
-            50_000, 60_000, 65_000,
-        ]
-        policy_cycles = [
-            r["cycle"] for r in recorder.records if r["fired_policy"]
-        ]
-        assert policy_cycles == [25_000, 45_000, 65_000]
-        # Staggered boundaries never coincide: each record fired exactly
-        # one cadence.
-        assert all(
-            r["fired_quantum"] != r["fired_policy"] for r in recorder.records
-        )
-
-    def test_quantum_offset_shifts_scheduler_only(self, small_config):
-        recorder = TelemetryRecorder()
-        system = self._offset_system(
-            small_config, recorder, quantum_offset=3_000
-        )
-        system.run()
-        quantum_cycles = [
-            r["cycle"] for r in recorder.records if r["fired_quantum"]
-        ]
-        assert quantum_cycles == [
-            13_000, 23_000, 33_000, 43_000, 53_000, 63_000
-        ]
-        policy_cycles = [
-            r["cycle"] for r in recorder.records if r["fired_policy"]
-        ]
-        assert policy_cycles == [20_000, 40_000, 60_000]
-
-    def test_policy_class_attribute_supplies_default_offset(
-        self, small_config
-    ):
-        class OffsetDBP(DynamicBankPartitioning):
-            epoch_offset = 5_000
-
-        config = small_config.with_scheduler("tcm", quantum_cycles=10_000)
-        system = System(
-            config,
-            traces(),
-            horizon=30_000,
-            policy=OffsetDBP(DBPConfig(epoch_cycles=20_000)),
-        )
-        system.run()
-        # First epoch at 25k (20k + 5k class-attribute offset).
-        assert system.policy.stat_repartitions == 1
-
-    def test_offset_outside_period_rejected(self, small_config):
-        with pytest.raises(ConfigError, match="policy epoch offset"):
-            self._offset_system(small_config, policy_epoch_offset=20_000)
-        with pytest.raises(ConfigError, match="quantum offset"):
-            self._offset_system(small_config, quantum_offset=-1)
-
-    def test_offset_without_period_rejected(self, small_config):
-        config = small_config.with_scheduler("tcm", quantum_cycles=10_000)
-        with pytest.raises(ConfigError, match="has no period"):
-            System(
-                config,
-                traces(),
-                horizon=30_000,
-                policy=SharedPolicy(),
-                policy_epoch_offset=1_000,
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu.trace import Trace, TraceRecord, concatenate, load_trace, save_trace
+from repro.cpu.trace import Trace, TraceRecord, load_trace, save_trace
 from repro.errors import TraceError
 
 
@@ -82,10 +82,3 @@ class TestFileFormat:
         path.write_text("a 2 R\n")
         with pytest.raises(TraceError):
             load_trace(str(path))
-
-
-class TestConcatenate:
-    def test_joins_records(self):
-        joined = concatenate("joined", [simple_trace("a"), simple_trace("b")])
-        assert len(joined) == 6
-        assert joined.total_insts == 22

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.spec import CampaignSpec, RunSpec
-from repro.campaign.store import result_digest, run_key
+from repro.campaign.store import result_digest, run_key, scope_of
 from repro.cpu.trace import Trace, TraceRecord, save_trace
 from repro.errors import ConfigError, TraceError
 from repro.sim.runner import Runner
@@ -31,12 +31,8 @@ from repro.traces import (
     read_rtrc,
     register_trace,
     registered_names,
-    remap_footprint,
     resolve_format,
     save_rtrc,
-    skip_warmup,
-    slice_records,
-    splice_phases,
     unregister_trace,
 )
 from repro.traces.format import _BLOCK, _PREAMBLE, _RECORD, FORMAT_VERSION, MAGIC
@@ -380,56 +376,6 @@ class TestFormatDetection:
 
 
 # ---------------------------------------------------------------------------
-# Transforms.
-# ---------------------------------------------------------------------------
-class TestTransforms:
-    def test_slice(self):
-        trace = simple_trace()
-        part = slice_records(trace, 1, 3)
-        assert part.records == trace.records[1:3]
-        assert "[1:3]" in part.name
-
-    def test_slice_empty_rejected(self):
-        with pytest.raises(TraceError, match="is empty"):
-            slice_records(simple_trace(), 3, 3)
-        with pytest.raises(TraceError, match=">= 0"):
-            slice_records(simple_trace(), -1)
-
-    def test_skip_warmup(self):
-        trace = simple_trace()  # cumulative insts [4, 5, 11]
-        assert skip_warmup(trace, 0) is trace
-        assert skip_warmup(trace, 4).records == trace.records[1:]
-        assert skip_warmup(trace, 5).records == trace.records[2:]
-
-    def test_skip_warmup_consumes_all(self):
-        with pytest.raises(TraceError, match="consumes all"):
-            skip_warmup(simple_trace(), 11)
-
-    def test_remap_footprint(self):
-        records = [
-            TraceRecord(0, page * LINES_PER_PAGE + 3, False)
-            for page in range(20)
-        ]
-        remapped = remap_footprint(Trace("wide", records), max_pages=4)
-        pages = {r.vline // LINES_PER_PAGE for r in remapped.records}
-        assert pages <= set(range(4))
-        # in-page offsets survive the fold
-        assert all(r.vline % LINES_PER_PAGE == 3 for r in remapped.records)
-
-    def test_remap_bad_pages(self):
-        with pytest.raises(TraceError, match="max_pages"):
-            remap_footprint(simple_trace(), 0)
-
-    def test_splice_phases(self):
-        a, b = simple_trace("a"), simple_trace("b")
-        spliced = splice_phases("ab", a, b)
-        assert spliced.name == "ab"
-        assert len(spliced) == len(a) + len(b)
-        with pytest.raises(TraceError, match="at least one phase"):
-            splice_phases("none")
-
-
-# ---------------------------------------------------------------------------
 # Characterization.
 # ---------------------------------------------------------------------------
 class TestCharacterization:
@@ -627,7 +573,9 @@ class TestRunnerIntegration:
         """Synthetic -> export .rtrc -> import -> run: bit-identical result."""
         baseline = self._runner(small_config)
         native = baseline.run_apps(["lbm", "gcc"], "dbp")
-        synthetic_key = baseline._store_key(["lbm", "gcc"], "dbp")
+        synthetic_key = run_key(
+            small_config, ["lbm", "gcc"], "dbp", **scope_of(baseline)
+        )
         assert library_digests(["lbm", "gcc"]) == {}
 
         # Export the exact synthetic trace and re-register it (deliberate
@@ -646,7 +594,11 @@ class TestRunnerIntegration:
 
         # ... but the store addresses differ: the library run is keyed by
         # content digest, the synthetic one by (profile, seed, length).
-        library_key = replay._store_key(["lbm", "gcc"], "dbp")
+        library_key = run_key(
+            small_config, ["lbm", "gcc"], "dbp",
+            trace_digests=library_digests(["lbm", "gcc"]),
+            **scope_of(replay),
+        )
         assert library_key != synthetic_key
         assert library_digests(["lbm", "gcc"]) == {"lbm": native_trace_digest}
 
@@ -709,7 +661,11 @@ class TestCampaignKeys:
         ).plan()
         assert specs[0].apps == ("ghost", "gcc")
         assert specs[0].trace_digests == (("ghost", "7" * 64),)
-        assert specs[0].key() == runner._store_key(["ghost", "gcc"], "dbp")
+        assert specs[0].key() == run_key(
+            small_config, ["ghost", "gcc"], "dbp",
+            trace_digests=library_digests(["ghost", "gcc"]),
+            **scope_of(runner),
+        )
 
     def test_planned_key_sees_a_shadowing_digest(self, small_config):
         """Shadowing a synthetic app with a library trace moves the key of
@@ -791,14 +747,20 @@ class TestTracesCli:
     def test_gen_traces_rtrc(self, tmp_path, capsys):
         from repro.cli import main
 
+        # A synthetic app exports through the library verb; no library
+        # entry is needed.
+        dest = str(tmp_path / "povray.rtrc")
         rc = main([
-            "gen-traces", "povray", "--out", str(tmp_path),
-            "--format", "rtrc",
+            "--seed", "3", "traces", "export", "povray",
+            "--library", str(tmp_path / "lib"), "--to", dest,
         ])
         assert rc == 0
-        loaded, header = read_rtrc(str(tmp_path / "povray.rtrc"))
+        loaded, header = read_rtrc(dest)
         assert loaded.name == "povray"
-        assert header["provenance"]["source_format"] == "synthetic"
+        assert header["provenance"] == {
+            "imported_from": "synthetic:povray seed=3",
+            "source_format": "synthetic",
+        }
 
     def test_legacy_analyze_form_still_works(self, capsys):
         from repro.cli import main

@@ -1,25 +1,26 @@
-"""Objective, trial persistence, frontier reports, and the tune CLI."""
+"""Objective, study documents, frontier reports, and the tune CLI."""
 
 import json
 
 import pytest
 
-from repro.campaign.store import ResultStore
+from repro.campaign.store import STORE_VERSION, ResultStore
 from repro.cli import main
 from repro.errors import ConfigError
-from repro.results.db import SCHEMA_VERSION, ResultIndex, index_path_for
+from repro.results.db import ResultIndex, index_path_for
 from repro.tuner import (
     CampaignObjective,
     TrialPoint,
     dominates,
     frontier_doc,
     pareto_front,
-    record_trial,
     run_study,
     scalarize,
+    study_path,
+    study_summaries,
     trial_rows,
+    write_study,
 )
-from repro.tuner.trials import TUNER_SCHEMA_VERSION, studies
 
 
 def _row(trial_id, ws, ms, params=None, study="s"):
@@ -31,6 +32,18 @@ def _row(trial_id, ws, ms, params=None, study="s"):
         "ws": ws, "ms": ms, "hs": 0.5, "score": ws / ms, "status": "ok",
         "error": None, "cached": 0, "executed": 1, "wall_clock": 0.1,
     }
+
+
+_HEADER = ("study", "strategy", "objective", "base_approach", "mixes", "seed")
+
+
+def _study(*rows):
+    """The store document of the study ``rows`` (from :func:`_row`) form."""
+    doc = {name: rows[0][name] for name in _HEADER}
+    doc["trials"] = [
+        {k: v for k, v in row.items() if k not in _HEADER} for row in rows
+    ]
+    return doc
 
 
 class TestScalarize:
@@ -138,67 +151,58 @@ class TestPareto:
 
 
 class TestTrialsTable:
+    """Trial rows come from the study's store document."""
+
     def test_record_is_idempotent_upsert(self, tmp_path):
-        with ResultIndex(tmp_path / "index.sqlite") as index:
-            record_trial(index, _row(1, ws=2.0, ms=2.0))
-            record_trial(index, _row(1, ws=3.0, ms=1.5))  # same key, new data
-            rows = trial_rows(index)
-            assert len(rows) == 1
-            assert rows[0]["ws"] == 3.0
-            assert rows[0]["params"] == {}
-            assert rows[0]["mixes"] == ["M4"]
+        write_study(tmp_path, _study(_row(1, ws=2.0, ms=2.0)))
+        write_study(tmp_path, _study(_row(1, ws=3.0, ms=1.5)))  # replaced
+        rows = trial_rows(tmp_path, "s")
+        assert rows == [_row(1, ws=3.0, ms=1.5)]  # every field, in order
+        assert list(rows[0]) == list(_row(1, ws=3.0, ms=1.5))
+        assert [summary["study"] for summary in study_summaries(tmp_path)] == ["s"]
 
     def test_studies_summary_uses_full_fidelity_best(self, tmp_path):
         # Every trial runs the study's full horizon, so the best is simply
         # the highest score.
-        with ResultIndex(tmp_path / "index.sqlite") as index:
-            record_trial(index, _row(1, ws=2.0, ms=2.0))
-            record_trial(index, _row(2, ws=9.0, ms=1.0))
-            (summary,) = studies(index)
-            assert summary["trials"] == 2
-            assert summary["best_score"] == 9.0
+        write_study(
+            tmp_path, _study(_row(1, ws=2.0, ms=2.0), _row(2, ws=9.0, ms=1.0))
+        )
+        (summary,) = study_summaries(tmp_path)
+        assert summary == {
+            "study": "s", "strategy": "random", "objective": "balanced",
+            "base_approach": "dbp", "trials": 2, "best_score": 9.0,
+            "cached": 0, "executed": 2,
+        }
 
-    def test_runs_schema_untouched(self):
-        # Creating the tuner side table adds its own version row and
-        # nothing else: `schema_version` keeps its value and no row lands
-        # in `runs`.
-        with ResultIndex(":memory:") as index:
-            record_trial(index, _row(1, ws=2.0, ms=2.0))
-            meta = {
-                r["name"]: r["value"]
-                for r in index._conn.execute("SELECT * FROM meta")
-            }
-            assert meta["schema_version"] == str(SCHEMA_VERSION)
-            assert meta["tuner_schema_version"] == str(TUNER_SCHEMA_VERSION)
-            assert index.count() == 0
-
-    def test_version_bump_rebuilds_only_tuner_table(self, tmp_path):
-        path = tmp_path / "index.sqlite"
-        with ResultIndex(path) as index:
-            with index._conn:
-                index._conn.execute(
-                    "INSERT INTO runs (key, version) VALUES ('k', 1)"
-                )
-            record_trial(index, _row(1, ws=2.0, ms=2.0))
-            index._conn.execute(
-                "UPDATE meta SET value='0' WHERE name='tuner_schema_version'"
+    def test_runs_schema_untouched(self, tmp_path):
+        # A study document sits three levels deep: the entry glob, the
+        # index and `results index` never see it, and no index is made.
+        path = write_study(tmp_path, _study(_row(1, ws=2.0, ms=2.0)))
+        assert path == tmp_path / "studies" / "s" / "study.json"
+        assert json.loads(path.read_text())["version"] == STORE_VERSION
+        store = ResultStore(tmp_path, index=False)
+        assert list(store.iter_blobs()) == [] and store.entry_count() == 0
+        assert not index_path_for(tmp_path).exists()
+        with ResultIndex(index_path_for(tmp_path)) as index:
+            report = index.sync(store)
+            assert (report.scanned, report.malformed, index.count()) == (
+                0, 0, 0
             )
-            record_trial(index, _row(2, ws=3.0, ms=1.5))
-            rows = trial_rows(index)
-            assert [r["trial_id"] for r in rows] == [2]  # old row dropped
-        # The runs table and its version row ride through the tuner
-        # rebuild, so reopening the file rebuilds nothing either.
-        with ResultIndex(path) as index:
-            meta = {
-                r["name"]: r["value"]
-                for r in index._conn.execute("SELECT * FROM meta")
-            }
-            assert meta == {
-                "schema_version": str(SCHEMA_VERSION),
-                "tuner_schema_version": str(TUNER_SCHEMA_VERSION),
-            }
-            assert index.count() == 1
-            assert [r["trial_id"] for r in trial_rows(index)] == [2]
+
+    def test_deleting_the_index_keeps_every_study(self, tmp_path):
+        # The index is derived from the blobs; a study is not in it.
+        write_study(tmp_path, _study(_row(0, ws=2.0, ms=2.0)))
+        with ResultIndex(index_path_for(tmp_path)):
+            pass
+        before = (study_summaries(tmp_path), trial_rows(tmp_path, "s"))
+        index_path_for(tmp_path).unlink()
+        assert (study_summaries(tmp_path), trial_rows(tmp_path, "s")) == before
+        assert trial_rows(tmp_path, "never-ran") == []
+
+    @pytest.mark.parametrize("name", ["a/b", "..", ".", "", "/abs"])
+    def test_study_name_is_one_path_component(self, tmp_path, name):
+        with pytest.raises(ConfigError, match="one plain path component"):
+            study_path(tmp_path, name)
 
 
 class TestRunStudy:
@@ -208,36 +212,53 @@ class TestRunStudy:
             approach="dbp", strategy="random", budget=2, seed=5,
             mixes=("M4",), horizon=20_000, store=store,
         )
-        with ResultIndex(index_path_for(store.root)) as index:
-            first = run_study(index=index, **kwargs)
-            assert len(first.trials) == 3  # baseline + 2 searched
-            assert first.trials[0].is_default
-            assert all(t.horizon == 20_000 for t in first.trials)
-            assert all(t.status == "ok" for t in first.trials)
-            assert first.best is not None
+        first = run_study(**kwargs)
+        assert len(first.trials) == 3  # baseline + 2 searched
+        assert first.trials[0].is_default
+        assert all(t.horizon == 20_000 for t in first.trials)
+        assert all(t.status == "ok" for t in first.trials)
+        assert first.best is not None
 
-            second = run_study(index=index, **kwargs)
-            assert second.cache_hit_rate == 1.0
-            assert [t.approach for t in second.trials] == [
-                t.approach for t in first.trials
-            ]
-            # Idempotent persistence: same study name, same rows.
-            rows = trial_rows(index, first.study)
-            assert len(rows) == 3
+        second = run_study(**kwargs)
+        assert second.cache_hit_rate == 1.0
+        assert [t.approach for t in second.trials] == [
+            t.approach for t in first.trials
+        ]
+        # Idempotent persistence: same study name, same rows.
+        rows = trial_rows(store.root, first.study)
+        assert len(rows) == 3
+        assert [r["approach"] for r in rows] == [
+            t.approach for t in first.trials
+        ]
 
     def test_rerun_at_another_horizon_replaces_the_study(self, tmp_path):
         # The default study name carries neither horizon nor budget, so a
         # re-run must drop the earlier run's rows, not mix two horizons.
         store = ResultStore(tmp_path / "store")
         kwargs = dict(strategy="random", seed=1, mixes=("M4",), store=store)
-        with ResultIndex(index_path_for(store.root)) as index:
-            run_study(index=index, budget=2, horizon=20_000, **kwargs)
-            second = run_study(index=index, budget=1, horizon=30_000,
-                               **kwargs)
-            rows = trial_rows(index, second.study)
-            assert [(r["trial_id"], r["horizon"]) for r in rows] == [
-                (0, 30_000), (1, 30_000),
-            ]
+        run_study(budget=2, horizon=20_000, **kwargs)
+        second = run_study(budget=1, horizon=30_000, **kwargs)
+        rows = trial_rows(store.root, second.study)
+        assert [(r["trial_id"], r["horizon"]) for r in rows] == [
+            (0, 30_000), (1, 30_000),
+        ]
+
+    def test_killed_study_keeps_its_finished_trials(self, tmp_path):
+        # The document is rewritten after every trial, so a study that
+        # dies mid-search leaves the trials it finished.
+        store = ResultStore(tmp_path / "store")
+        seen = []
+
+        def die_after_two(trial):
+            seen.append(trial)
+            if len(seen) == 2:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_study(strategy="random", budget=3, seed=1, mixes=("M4",),
+                      horizon=20_000, store=store, progress=die_after_two)
+        rows = trial_rows(store.root, "dbp-random-balanced-s1")
+        assert [r["trial_id"] for r in rows] == [0, 1]
 
 
 class TestTuneCLI:
@@ -294,13 +315,57 @@ class TestTuneCLI:
                 assert option in capsys.readouterr().err
 
     def test_frontier_without_studies_errors(self, tmp_path, capsys):
-        # A store that exists but holds no studies is the clearer error;
-        # a missing store directory errors out even earlier.
+        # A store with an index but no study documents has no studies.
         (tmp_path / "store").mkdir()
         with ResultIndex(index_path_for(tmp_path / "store")):
             pass  # create an empty index
         assert self._run(tmp_path, "frontier") == 1
         assert "no tuning studies" in capsys.readouterr().err
+
+    def test_report_and_frontier_survive_index_deletion(
+        self, tmp_path, capsys
+    ):
+        # Studies are store documents, not index rows: deleting the index
+        # changes nothing that `tune report` or `tune frontier` prints.
+        assert self._run(
+            tmp_path, "run", "--strategy", "random", "--budget", "2",
+            "--mixes", "M4", "--quiet",
+        ) == 0
+        capsys.readouterr()
+        study = "dbp-random-balanced-s3"
+        reads = [
+            ("report",), ("report", "--format", "json"),
+            ("report", "--study", study),
+            ("report", "--study", study, "--format", "json"),
+            ("frontier", "--study", study),
+            ("frontier", "--study", study, "--format", "json"),
+        ]
+
+        def read_all():
+            outputs = []
+            for argv in reads:
+                assert self._run(tmp_path, *argv) == 0
+                outputs.append(capsys.readouterr().out)
+            return outputs
+
+        before = read_all()
+        assert study in before[0] and "verdict:" in before[4]
+        index_path_for(tmp_path / "store").unlink()
+        assert read_all() == before
+
+    @pytest.mark.parametrize("name", ["a/b", ".."])
+    def test_study_name_must_be_one_path_component(
+        self, tmp_path, capsys, name
+    ):
+        for argv in (
+            ("run", "--budget", "1", "--mixes", "M4", "--study", name),
+            ("report", "--study", name),
+            ("frontier", "--study", name),
+        ):
+            assert self._run(tmp_path, *argv) == 1
+            assert "one plain path component" in capsys.readouterr().err
+        # Rejected before anything ran.
+        assert ResultStore(tmp_path / "store").entry_count() == 0
 
     def test_list_tunables(self, capsys):
         assert main(["list", "--tunables"]) == 0
