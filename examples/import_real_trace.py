@@ -8,7 +8,8 @@ proprietary), but the trace library accepts real dumps: ChampSim-style
 This example walks the whole escape hatch on the bundled sample capture:
 
 1. import ``examples/data/sample_champsim.trace`` into a throwaway
-   library directory,
+   library directory, made the configured library
+   (``REPRO_TRACE_LIBRARY``) for this process,
 2. characterize it alone (measured MPKI / row-buffer hit rate /
    bank-level parallelism) on the standard single-core FR-FCFS baseline,
 3. run it head-to-head with synthetic ``lbm`` under equal (EBP) and
@@ -36,9 +37,10 @@ SAMPLE = os.path.join(
 
 def main() -> None:
     workdir = tempfile.mkdtemp(prefix="repro-trace-library-")
-    library = TraceLibrary(os.path.join(workdir, "library"))
+    os.environ["REPRO_TRACE_LIBRARY"] = os.path.join(workdir, "library")
+    library = TraceLibrary()
 
-    # -- 1 + 2: parse, characterize alone, persist, register as an app ----
+    # -- 1 + 2: parse, characterize alone, add to the library ------------
     entry = library.import_file(SAMPLE, name="sample", fmt="champsim")
     print(f"imported {SAMPLE}")
     print(f"  {entry.records} records / {entry.total_insts} instructions")

@@ -4,16 +4,18 @@
 Exercises the acceptance path end-to-end, failing loudly on any drift:
 
 1. **Round-trip fidelity** — generate a synthetic trace, export it to
-   ``.rtrc``, import it back as a library app shadowing the same name,
-   run the same 2-core mix both ways, and require *bit-identical*
-   results (compared by :func:`repro.campaign.store.result_digest`)
-   while the two runs' persistent store keys differ (content-digest
-   addressing for the library run).
+   ``.rtrc``, import it back as the library app ``lbm-rtrc`` (synthetic
+   names are reserved), run the same 2-core mix both ways, and require
+   *bit-identical* results: every field of
+   :func:`repro.campaign.store.encode_run_result` equal but the app
+   names, while the two runs' persistent store keys differ
+   (content-digest addressing for the library run).
 2. **Real-trace import** — push the bundled ChampSim-style sample
-   through import -> characterization -> registration -> a DBP run.
+   through import -> characterization -> the library -> a DBP run.
 
-Artifacts (the ``.rtrc`` and the library ``manifest.json``) are left in
-``--workdir`` for CI to upload.
+The library is ``<workdir>/library``, made the configured one
+(``REPRO_TRACE_LIBRARY``) for this process. Artifacts (the ``.rtrc`` and
+the library ``manifest.json``) are left in ``--workdir`` for CI to upload.
 
 Run:  PYTHONPATH=src python scripts/trace_library_smoke.py --workdir /tmp/x
 """
@@ -27,11 +29,15 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
 )
 
-from repro.campaign.store import result_digest, run_key, scope_of  # noqa: E402
+from repro.campaign.store import (  # noqa: E402
+    encode_run_result,
+    run_key,
+    scope_of,
+)
 from repro.sim.runner import Runner  # noqa: E402
 from repro.traces import (  # noqa: E402
     TraceLibrary,
-    library_digests,
+    library_digest,
     load_rtrc,
     save_rtrc,
 )
@@ -51,12 +57,25 @@ def check(condition: bool, label: str) -> None:
         sys.exit(1)
 
 
+def named(result, renames):
+    """``encode_run_result(result)`` with its app names mapped through
+    ``renames``."""
+    doc = encode_run_result(result)
+    metrics = doc["metrics"]
+    apps = [renames.get(app, app) for app in metrics["apps"]]
+    metrics["mix"], metrics["apps"] = "+".join(apps), apps
+    for thread in doc["system"]["threads"].values():
+        thread["app"] = renames.get(thread["app"], thread["app"])
+    return doc
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", required=True)
     args = parser.parse_args()
     os.makedirs(args.workdir, exist_ok=True)
-    library = TraceLibrary(os.path.join(args.workdir, "library"))
+    os.environ["REPRO_TRACE_LIBRARY"] = os.path.join(args.workdir, "library")
+    library = TraceLibrary()
 
     def runner() -> Runner:
         return Runner(horizon=HORIZON, target_insts=TARGET_INSTS)
@@ -64,9 +83,6 @@ def main() -> int:
     # ---- 1: synthetic -> .rtrc -> import -> identical run ---------------
     baseline = runner()
     native = baseline.run_apps(["lbm", "gcc"], "dbp")
-    synthetic_key = run_key(
-        baseline.config, ["lbm", "gcc"], "dbp", **scope_of(baseline)
-    )
     trace = baseline.trace_for("lbm")
 
     exported = os.path.join(args.workdir, "lbm.rtrc")
@@ -75,20 +91,23 @@ def main() -> int:
     check(reloaded.records == trace.records, "rtrc round-trip: records equal")
     check(reloaded.digest == trace.digest, "rtrc round-trip: digest equal")
 
-    library.add(reloaded, characterize=False, override=True)
+    library.add(reloaded.renamed("lbm-rtrc"), characterize=False)
     replay = runner()
-    imported = replay.run_apps(["lbm", "gcc"], "dbp")
+    imported = replay.run_apps(["lbm-rtrc", "gcc"], "dbp")
     check(
-        result_digest(imported) == result_digest(native),
-        "imported run bit-identical to synthetic run (result digest)",
+        named(imported, {"lbm-rtrc": "lbm"}) == named(native, {}),
+        "imported run bit-identical to synthetic run (every result field "
+        "but the app names)",
     )
+    digest = library_digest("lbm-rtrc")
+    check(digest == trace.digest, "library app resolves to the trace's digest")
+    apps = ["lbm-rtrc", "gcc"]
     library_key = run_key(
-        replay.config, ["lbm", "gcc"], "dbp",
-        trace_digests=library_digests(["lbm", "gcc"]),
+        replay.config, apps, "dbp", trace_digests={"lbm-rtrc": digest},
         **scope_of(replay),
     )
     check(
-        library_key != synthetic_key,
+        library_key != run_key(replay.config, apps, "dbp", **scope_of(replay)),
         "store key of the library run is content-digest addressed",
     )
 

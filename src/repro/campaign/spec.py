@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from ..config import SystemConfig
 from ..core.integration import get_approach
 from ..errors import ExperimentError
-from ..traces.registry import library_digests
+from ..traces.source import library_digest
 from ..workloads import resolve_mix
 from .store import alone_key, run_key, scope_of
 
@@ -139,7 +139,10 @@ class CampaignSpec:
             for seed in self.seeds:
                 for mix_name in self.mixes:
                     mix = resolve_mix(mix_name)
-                    digests = tuple(sorted(library_digests(mix.apps).items()))
+                    found = {app: library_digest(app) for app in mix.apps}
+                    digests = tuple(
+                        sorted((a, d) for a, d in found.items() if d)
+                    )
                     for approach in self.approaches:
                         specs.append(
                             RunSpec(

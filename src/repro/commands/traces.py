@@ -1,101 +1,86 @@
-"""``traces`` — the workload trace library: ``traces import`` parses an
-external ChampSim/DRAMSim-style dump (or ``.rtrc``), characterizes it
-alone, and registers it as a first-class app; ``traces list`` / ``info`` /
-``export`` browse and extract the catalogue (``export`` also writes a
-synthetic app's generated trace). ``traces APP...`` (legacy form)
-analyzes generated traces."""
+"""``traces`` — the workload trace library (``REPRO_TRACE_LIBRARY``, else
+the default directory): ``traces import`` parses an external
+ChampSim/DRAMSim-style dump (or ``.rtrc``), characterizes it alone and
+adds it to the library, which makes its name an app in every process;
+``traces list`` / ``info`` / ``export`` browse and extract the catalogue
+(``export`` also writes a synthetic app's generated trace)."""
 
 from __future__ import annotations
 
 import argparse
-from typing import List
 
-from ..errors import ConfigError
 from .common import make_runner
 
 
 def add_traces(sub) -> None:
-    parser = sub.add_parser(
+    traces = sub.add_parser(
         "traces",
-        help=(
-            "trace library (import | list | info NAME | export NAME|APP), "
-            "or analyze generated traces: traces APP..."
-        ),
+        help="trace library: import | list | info | export",
+    ).add_subparsers(dest="traces_verb", required=True)
+
+    imp = traces.add_parser(
+        "import", help="parse, characterize and add a trace file"
     )
-    parser.set_defaults(handler=cmd_traces)
-    parser.add_argument(
-        "apps",
-        nargs="+",
-        metavar="ARG",
-        help=(
-            "'import PATH', 'list', 'info NAME', 'export NAME|APP', or "
-            "application names to analyze (e.g. mcf libquantum)"
-        ),
-    )
-    parser.add_argument(
-        "--library",
-        default=None,
-        metavar="DIR",
-        help="trace library directory (default: benchmarks/traces/library)",
-    )
-    parser.add_argument(
+    imp.set_defaults(handler=cmd_import)
+    imp.add_argument("path", metavar="PATH", help="trace file to import")
+    imp.add_argument(
         "--name",
         default=None,
-        help="import: register under this name (default: file basename)",
+        help="library name (default: file basename; synthetic app names "
+        "are reserved)",
     )
-    parser.add_argument(
+    imp.add_argument(
         "--format",
         dest="trace_format",
         choices=["auto", "champsim", "dramsim", "rtrc", "text"],
         default="auto",
-        help="import: input trace format (default: auto-detect)",
+        help="input trace format (default: auto-detect)",
     )
-    parser.add_argument(
+    imp.add_argument(
+        "--no-characterize",
+        action="store_true",
+        help="skip the alone-run characterization pass",
+    )
+    imp.add_argument(
+        "--override",
+        action="store_true",
+        help="replace an existing library entry of the same name",
+    )
+
+    traces.add_parser("list", help="the library catalogue").set_defaults(
+        handler=cmd_list
+    )
+
+    info = traces.add_parser("info", help="one library trace in detail")
+    info.set_defaults(handler=cmd_info)
+    info.add_argument("name", metavar="NAME")
+
+    export = traces.add_parser(
+        "export", help="write a library trace or a synthetic app's trace"
+    )
+    export.set_defaults(handler=cmd_export)
+    export.add_argument("name", metavar="NAME|APP")
+    export.add_argument(
         "--to",
         default=None,
         metavar="PATH",
-        help="export: destination file (default: ./<name>.rtrc)",
+        help="destination file (default: ./<name>.rtrc)",
     )
-    parser.add_argument(
+    export.add_argument(
         "--export-format",
         choices=["rtrc", "text"],
         default="rtrc",
-        help="export: output format (default: rtrc)",
-    )
-    parser.add_argument(
-        "--no-characterize",
-        action="store_true",
-        help="import: skip the alone-run characterization pass",
-    )
-    parser.add_argument(
-        "--override",
-        action="store_true",
-        help="import: replace an existing library/registry entry",
+        help="output format (default: rtrc)",
     )
 
 
-def cmd_traces(args: argparse.Namespace) -> int:
-    verb = _LIBRARY_VERBS.get(args.apps[0])
-    if verb is not None:
-        from ..traces.library import TraceLibrary
-
-        return verb(TraceLibrary(args.library), args.apps[1:], args)
-    from ..workloads.analysis import analyze_trace
-
-    runner = make_runner(args)
-    for app in args.apps:
-        print(analyze_trace(runner.trace_for(app)).render())
-        print()
-    return 0
-
-
-def _import(library, operands: List[str], args: argparse.Namespace) -> int:
-    if len(operands) != 1:
-        raise ConfigError("usage: traces import PATH [--name N ...]")
+def cmd_import(args: argparse.Namespace) -> int:
     from ..config import SystemConfig
+    from ..traces.library import TraceLibrary
 
+    library = TraceLibrary()
     entry = library.import_file(
-        operands[0],
+        args.path,
         name=args.name,
         fmt=args.trace_format,
         characterize=not args.no_characterize,
@@ -105,7 +90,7 @@ def _import(library, operands: List[str], args: argparse.Namespace) -> int:
     )
     kind = "intensive" if entry.intensive else "light"
     print(
-        f"imported {entry.name!r} from {operands[0]} "
+        f"imported {entry.name!r} from {args.path} "
         f"({entry.source_format}, {entry.records} records, "
         f"{entry.total_insts} insts, class {kind})"
     )
@@ -122,7 +107,10 @@ def _import(library, operands: List[str], args: argparse.Namespace) -> int:
     return 0
 
 
-def _list(library, operands: List[str], args: argparse.Namespace) -> int:
+def cmd_list(args: argparse.Namespace) -> int:
+    from ..traces.library import TraceLibrary
+
+    library = TraceLibrary()
     entries = library.entries()
     if not entries:
         print(f"trace library {library.root} is empty")
@@ -148,10 +136,11 @@ def _list(library, operands: List[str], args: argparse.Namespace) -> int:
     return 0
 
 
-def _info(library, operands: List[str], args: argparse.Namespace) -> int:
-    if len(operands) != 1:
-        raise ConfigError("usage: traces info NAME")
-    name = operands[0]
+def cmd_info(args: argparse.Namespace) -> int:
+    from ..traces.library import TraceLibrary
+
+    library = TraceLibrary()
+    name = args.name
     entry = library.entry(name)
     print(f"{name}  ({library.path_for(name)})")
     print(f"  digest:        {entry['digest']}")
@@ -168,16 +157,17 @@ def _info(library, operands: List[str], args: argparse.Namespace) -> int:
     return 0
 
 
-def _export(library, operands: List[str], args: argparse.Namespace) -> int:
-    if len(operands) != 1:
-        raise ConfigError("usage: traces export NAME [--to PATH]")
-    name = operands[0]
+def cmd_export(args: argparse.Namespace) -> int:
+    from ..traces.library import TraceLibrary
+    from ..traces.source import resolve_app
+
+    name = args.name
     suffix = "rtrc" if args.export_format == "rtrc" else "trace"
     dest = args.to if args.to else f"{name}.{suffix}"
-    if name in library.entries():
-        library.export(name, dest, fmt=args.export_format)
-    else:
+    if resolve_app(name) is None:
         _export_generated(name, dest, args)
+    else:
+        TraceLibrary().export(name, dest, fmt=args.export_format)
     print(f"wrote {dest} ({args.export_format})")
     return 0
 
@@ -197,14 +187,3 @@ def _export_generated(app: str, dest: str, args: argparse.Namespace) -> None:
         "source_format": "synthetic",
     }
     save_rtrc(trace, dest, provenance=provenance)
-
-
-#: First positional tokens that select a trace-library verb rather than
-#: the legacy "analyze these apps" form.
-_LIBRARY_VERBS = {
-    "import": _import,
-    "list": _list,
-    "info": _info,
-    "export": _export,
-}
-

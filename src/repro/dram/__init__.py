@@ -30,6 +30,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".rank": ("Rank",),
         ".channel": ("Channel",),
         ".validator": ("ProtocolValidator",),
-        ".power": ("EnergyReport", "PowerParams", "estimate_energy"),
     },
 )

@@ -12,10 +12,11 @@ this package is the escape hatch. It provides:
 * :mod:`~repro.traces.library` — the on-disk catalog
   (``manifest.json`` + ``.rtrc`` files) behind
   ``repro-dbp traces import|list|info|export``;
-* :mod:`~repro.traces.registry` / :mod:`~repro.traces.source` — register
-  imported traces as first-class apps, resolvable in ``Mix`` definitions,
-  ``Runner`` runs, and campaign grids, with content digests folded into
-  the persistent store's run keys.
+* :mod:`~repro.traces.source` — what an app name means: a reserved
+  synthetic profile name, else an entry of the configured library's
+  manifest, resolvable in ``Mix`` definitions, ``Runner`` runs, and
+  campaign grids, with content digests folded into the persistent store's
+  run keys.
 """
 
 from .._lazy import lazy_exports
@@ -33,18 +34,13 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "resolve_format",
         ),
         ".characterize": ("TraceCharacterization", "characterize_trace"),
-        ".registry": (
-            "LIBRARY_APPS",
-            "RegisteredTrace",
-            "clear_registry",
+        ".source": (
+            "LibraryTrace",
             "default_library_dir",
-            "library_digests",
-            "lookup_registered",
-            "register_trace",
-            "registered_names",
-            "unregister_trace",
+            "library_digest",
+            "resolve_app",
+            "resolve_trace",
         ),
-        ".source": ("library_digest", "resolve_trace"),
         ".library": ("TraceLibrary",),
     },
 )

@@ -1,12 +1,11 @@
 """Measured characterization: run a trace alone, read MPKI/RBH/BLP.
 
-Static analysis (:func:`repro.workloads.analyze_trace`) reads intrinsic
-properties off the record stream; this module measures what the *machine*
-observes — post-cache MPKI, row-buffer hit rate, bank-level parallelism,
-alone IPC — by replaying the trace on a single-core unpartitioned FR-FCFS
-system (:meth:`SystemConfig.alone`), the one ``Runner.alone_ipc`` measures
-every speedup denominator on. The intensive/light classification reuses the
-:data:`~repro.workloads.analysis.INTENSIVE_MPKI_THRESHOLD` convention the
+This module measures what the *machine* observes — post-cache MPKI,
+row-buffer hit rate, bank-level parallelism, alone IPC — by replaying the
+trace on a single-core unpartitioned FR-FCFS system
+(:meth:`SystemConfig.alone`), the one ``Runner.alone_ipc`` measures every
+speedup denominator on. The intensive/light classification reuses the
+:data:`~repro.workloads.profiles.INTENSIVE_MPKI_THRESHOLD` convention the
 partitioning policies key on, so an imported real trace slots into DBP's
 thread classes on the same terms as the synthetic apps.
 """
@@ -18,7 +17,7 @@ from typing import Dict, Optional
 
 from ..cpu.trace import Trace
 from ..errors import ExperimentError
-from ..workloads.analysis import INTENSIVE_MPKI_THRESHOLD
+from ..workloads.profiles import INTENSIVE_MPKI_THRESHOLD
 
 
 @dataclass(frozen=True)

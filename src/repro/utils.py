@@ -57,24 +57,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in items) / len(items))
 
 
-def arithmetic_mean(values: Iterable[float]) -> float:
-    """Plain average; raises on empty input like :func:`geometric_mean`."""
-    items = list(values)
-    if not items:
-        raise ValueError("mean of an empty sequence")
-    return sum(items) / len(items)
-
-
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean of strictly positive values."""
-    items = list(values)
-    if not items:
-        raise ValueError("harmonic mean of an empty sequence")
-    if any(v <= 0 for v in items):
-        raise ValueError("harmonic mean requires strictly positive values")
-    return len(items) / sum(1.0 / v for v in items)
-
-
 def largest_remainder_shares(weights: Sequence[float], total: int) -> List[int]:
     """Split ``total`` integer units proportionally to ``weights``.
 

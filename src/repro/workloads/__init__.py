@@ -17,6 +17,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".profiles": (
             "AppProfile",
             "APP_PROFILES",
+            "INTENSIVE_MPKI_THRESHOLD",
             "app_intensive",
             "get_profile",
             "profiles_by_intensity",
@@ -30,11 +31,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "get_mix",
             "mixes_for_cores",
             "resolve_mix",
-        ),
-        ".analysis": (
-            "INTENSIVE_MPKI_THRESHOLD",
-            "TraceAnalysis",
-            "analyze_trace",
         ),
     },
 )

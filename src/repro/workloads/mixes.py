@@ -20,8 +20,8 @@ from .profiles import app_intensive, validate_app
 class Mix:
     """One multiprogrammed workload.
 
-    Apps may be synthetic profile names or library-registered trace names
-    — both validate eagerly and both count toward intensity.
+    Apps may be synthetic profile names or library trace names — both
+    validate eagerly and both count toward intensity.
     """
 
     name: str

@@ -27,6 +27,12 @@ from typing import Dict, List, Tuple
 
 from ..errors import ConfigError
 
+#: The paper family's convention: an app with MPKI >= 1 is memory-intensive
+#: and worth dedicated banks. The same threshold drives
+#: :attr:`AppProfile.intensive`, DBP's demand estimator default, and the
+#: trace library's characterization pass.
+INTENSIVE_MPKI_THRESHOLD = 1.0
+
 
 @dataclass(frozen=True)
 class AppProfile:
@@ -67,7 +73,7 @@ class AppProfile:
     @property
     def intensive(self) -> bool:
         """Memory-intensive by the standard MPKI >= 1 convention."""
-        return self.mpki >= 1.0
+        return self.mpki >= INTENSIVE_MPKI_THRESHOLD
 
 
 def _profile(
@@ -130,9 +136,9 @@ APP_PROFILES: Dict[str, AppProfile] = dict(
 def get_profile(name: str) -> AppProfile:
     """Look up a *synthetic* application profile by name.
 
-    Library-registered traces are apps too, but have no generator profile;
-    resolve those through :func:`validate_app` / :func:`app_intensive` or
-    the Runner's trace source.
+    Library traces are apps too, but have no generator profile; resolve
+    those through :func:`validate_app` / :func:`app_intensive` or the
+    Runner's trace source.
     """
     try:
         return APP_PROFILES[name]
@@ -143,39 +149,20 @@ def get_profile(name: str) -> AppProfile:
 
 def validate_app(name: str) -> None:
     """Check that ``name`` is a known app — synthetic or library trace."""
-    if name in APP_PROFILES:
-        return
-    from ..traces.registry import lookup_registered, registered_names
+    if name not in APP_PROFILES:
+        from ..traces.source import resolve_app
 
-    if lookup_registered(name) is not None:
-        return
-    known = ", ".join(sorted(APP_PROFILES))
-    library = ", ".join(registered_names())
-    message = f"unknown app {name!r}; synthetic apps: {known}"
-    if library:
-        message += f"; library traces: {library}"
-    raise ConfigError(message)
+        resolve_app(name)
 
 
 def app_intensive(name: str) -> bool:
-    """Memory-intensive classification for any app — synthetic or library.
-
-    Synthetic apps use the profile's target MPKI; library traces use the
-    measured (or intrinsic) classification stored at registration. The
-    registry wins on deliberate shadowing, mirroring trace resolution.
-    """
-    from ..traces.registry import lookup_registered
-
-    entry = lookup_registered(name, autoload=False)
-    if entry is not None:
-        return entry.intensive
+    """Memory-intensive classification for any app: a synthetic profile's
+    target MPKI, or a library trace's measured (or intrinsic) class."""
     if name in APP_PROFILES:
         return APP_PROFILES[name].intensive
-    entry = lookup_registered(name)
-    if entry is not None:
-        return entry.intensive
-    validate_app(name)  # raises with the full known-apps message
-    raise ConfigError(f"unknown app {name!r}")  # pragma: no cover
+    from ..traces.source import resolve_app
+
+    return resolve_app(name).intensive
 
 
 def profiles_by_intensity() -> Tuple[List[AppProfile], List[AppProfile]]:

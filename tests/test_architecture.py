@@ -129,7 +129,7 @@ RULES: Tuple[Rule, ...] = (
         include="*.py",
         allow=r"^src/repro/cpu/(core|trace)[.]py:",
         mutant=(
-            "src/repro/workloads/analysis.py",
+            "src/repro/traces/characterize.py",
             "filled = trace.extend_to(len(trace) // 2)",
         ),
         tolerated=(
@@ -290,6 +290,20 @@ RULES: Tuple[Rule, ...] = (
         mutant=(
             "src/repro/tuner/api.py",
             "from ..results.db import ResultIndex, index_path_for",
+        ),
+    ),
+    Rule(
+        "one-app-registry",
+        "an in-process trace registry or the static trace analysis crept "
+        "back into src/repro; a non-synthetic app name means its entry in "
+        "the configured library's manifest (traces.source.resolve_app)",
+        r"LIBRARY_APPS|register_trace|lookup_registered|clear_registry"
+        r"|_autoload|analyze_trace",
+        ("src/repro",),
+        include="*.py",
+        mutant=(
+            "src/repro/traces/source.py",
+            "    entry = lookup_registered(app, autoload=False)",
         ),
     ),
     Rule(

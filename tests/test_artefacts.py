@@ -187,8 +187,7 @@ class Manifest:
     def write(self, root):
         library = TraceLibrary(root / "lib")
         library.add(
-            Trace("tiny", [TraceRecord(3, 64, False)]),
-            characterize=False, register=False,
+            Trace("tiny", [TraceRecord(3, 64, False)]), characterize=False
         )
         return library.manifest_path
 
@@ -400,22 +399,19 @@ class TestFixedBehaviour:
         self, tmp_path, monkeypatch
     ):
         library = TraceLibrary(tmp_path / "lib")
-        mcf = generate_trace(get_profile("mcf"), seed=1)
-        library.add(mcf, characterize=False, register=False)
-        old = library.path_for("mcf").read_bytes()
-        replacement = Trace("mcf", [TraceRecord(1, 2, False)] * 3)
+        mcf = generate_trace(get_profile("mcf"), seed=1).renamed("mcf-copy")
+        library.add(mcf, characterize=False)
+        old = library.path_for("mcf-copy").read_bytes()
+        replacement = Trace("mcf-copy", [TraceRecord(1, 2, False)] * 3)
         self._crash_mid_rtrc_write(monkeypatch)
         with pytest.raises(RuntimeError):
-            library.add(
-                replacement, characterize=False, register=False,
-                override=True,
-            )
+            library.add(replacement, characterize=False, override=True)
         monkeypatch.undo()
-        assert library.path_for("mcf").read_bytes() == old
+        assert library.path_for("mcf-copy").read_bytes() == old
         assert _no_tmp_left(tmp_path)
         reopened = TraceLibrary(tmp_path / "lib")
-        assert reopened.entry("mcf")["digest"] == mcf.digest
-        assert reopened.get("mcf").digest == mcf.digest
+        assert reopened.entry("mcf-copy")["digest"] == mcf.digest
+        assert reopened.get("mcf-copy").digest == mcf.digest
 
     def test_rtrc_bytes_unchanged_and_kept_over_a_crashed_rewrite(
         self, tmp_path, monkeypatch

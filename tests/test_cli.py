@@ -1,5 +1,7 @@
 """CLI tests driving main(argv) directly."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -106,6 +108,24 @@ class TestTrace:
         assert "M4 under dbp-tcm  (horizon 60000, seed 1)" in stored
         assert _tables(stored) == _tables(live)
         assert "Policy decisions:" in _tables(live)
+
+    def test_json_log_round_trips_through_from_log(self, tmp_path, capsys):
+        log = tmp_path / "epochs.json"
+        show = ["--show", "timeline,decisions", "--format", "json"]
+        assert main(
+            [
+                "--horizon", "60000", "explain", "M4", "dbp-tcm", *show,
+                "--log", str(log),
+            ]
+        ) == 0
+        live = json.loads(capsys.readouterr().out)
+        assert main(["explain", "--from-log", str(log), *show]) == 0
+        stored = json.loads(capsys.readouterr().out)
+        assert stored["runs"] == live["runs"]
+        (run,) = live["runs"]
+        assert run["approach"] == "dbp-tcm"
+        assert len(run["timeline"]) == 2
+        assert run["decisions"]
 
     def test_log_needs_exactly_one_approach(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -350,10 +370,13 @@ class TestRegistryCompleteness:
             assert callable(parser.parse_args(argv).handler), argv
 
     @pytest.mark.parametrize(
-        "argv", [["store", "stats"], ["gen-traces", "mcf"]], ids=" ".join
+        "argv",
+        [["store", "stats"], ["gen-traces", "mcf"], ["traces", "mcf"]],
+        ids=" ".join,
     )
     def test_folded_verb_is_gone(self, argv, capsys):
-        # `store` folded into `results`, `gen-traces` into `traces export`.
+        # `store` folded into `results`, `gen-traces` into `traces export`;
+        # `traces APP...` (static trace analysis) is gone.
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2

@@ -1,39 +1,44 @@
 """Workload trace library: .rtrc format, importers, characterization,
-registry, on-disk catalogue, and Runner/store integration."""
+app-name resolution, on-disk catalogue, and Runner/store integration."""
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.spec import CampaignSpec, RunSpec
-from repro.campaign.store import result_digest, run_key, scope_of
+from repro.campaign.store import (
+    encode_run_result,
+    result_digest,
+    run_key,
+    scope_of,
+)
 from repro.cpu.trace import Trace, TraceRecord, save_trace
 from repro.errors import ConfigError, TraceError
 from repro.sim.runner import Runner
 from repro.traces import (
-    RegisteredTrace,
     TraceLibrary,
     characterize_trace,
-    clear_registry,
     detect_format,
     import_champsim,
     import_dramsim,
     import_trace,
-    library_digests,
+    library_digest,
     load_rtrc,
-    lookup_registered,
     read_rtrc,
-    register_trace,
-    registered_names,
+    resolve_app,
     resolve_format,
+    resolve_trace,
     save_rtrc,
-    unregister_trace,
 )
 from repro.traces.format import _BLOCK, _PREAMBLE, _RECORD, FORMAT_VERSION, MAGIC
 from repro.workloads import (
@@ -47,15 +52,16 @@ from repro.workloads import (
 )
 from repro.workloads.synthetic import LINES_PER_PAGE
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 @pytest.fixture(autouse=True)
-def isolated_registry(tmp_path, monkeypatch):
-    """Every test gets an empty in-process registry and a private default
-    library directory, so autoload can never see the repo's real library."""
-    monkeypatch.setenv("REPRO_TRACE_LIBRARY", str(tmp_path / "default-lib"))
-    clear_registry()
-    yield
-    clear_registry()
+def private_library(tmp_path, monkeypatch):
+    """Every test gets a private configured library, so no test sees the
+    repo's real library or another test's imports."""
+    root = tmp_path / "default-lib"
+    monkeypatch.setenv("REPRO_TRACE_LIBRARY", str(root))
+    return root
 
 
 def simple_trace(name="t"):
@@ -67,6 +73,19 @@ def simple_trace(name="t"):
             TraceRecord(5, 12, False),
         ],
     )
+
+
+def _named(result, renames):
+    """``encode_run_result(result)`` with its app names mapped through
+    ``renames``: two runs of the same traces under different names give
+    equal documents."""
+    doc = encode_run_result(result)
+    metrics = doc["metrics"]
+    apps = [renames.get(app, app) for app in metrics["apps"]]
+    metrics["mix"], metrics["apps"] = "+".join(apps), apps
+    for thread in doc["system"]["threads"].values():
+        thread["app"] = renames.get(thread["app"], thread["app"])
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -400,47 +419,70 @@ class TestCharacterization:
 
 
 # ---------------------------------------------------------------------------
-# Registry.
+# App-name resolution: synthetic profile, else the configured library.
 # ---------------------------------------------------------------------------
-def _entry(name, digest="d" * 64, intensive=True):
-    return RegisteredTrace(name=name, digest=digest, intensive=intensive)
+def _add(name, intensive=True):
+    """Add a one-record trace named ``name`` to the configured library."""
+    gap = 10 if intensive else 100_000
+    trace = Trace(name, [TraceRecord(gap, 7, False)])
+    return TraceLibrary().add(trace, characterize=False)
+
+
+def _fresh_process(code):
+    """stdout of ``code`` run in a fresh interpreter with this env."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class TestRegistry:
-    def test_register_lookup_unregister(self):
-        register_trace(_entry("myapp"))
-        assert lookup_registered("myapp").digest == "d" * 64
-        assert "myapp" in registered_names()
-        unregister_trace("myapp")
-        assert lookup_registered("myapp") is None
+    """The configured library's manifest is the only registry of
+    non-synthetic app names."""
 
-    def test_synthetic_collision_rejected(self):
-        with pytest.raises(ConfigError, match="collides with a synthetic"):
-            register_trace(_entry("lbm"))
-        register_trace(_entry("lbm"), override=True)  # deliberate shadow
-        assert lookup_registered("lbm") is not None
+    def test_synthetic_collision_rejected(self, private_library):
+        for override in (False, True):
+            with pytest.raises(ConfigError, match="collides with a synthetic"):
+                TraceLibrary().add(
+                    simple_trace("lbm"), characterize=False, override=override
+                )
+        assert not private_library.exists()  # nothing written
+        assert resolve_app("lbm") is None  # the synthetic profile
 
     def test_differing_digest_reregistration_rejected(self):
-        register_trace(_entry("x", "a" * 64))
-        register_trace(_entry("x", "a" * 64))  # same digest: idempotent
-        with pytest.raises(ConfigError, match="already registered"):
-            register_trace(_entry("x", "b" * 64))
+        _add("x")
+        _add("x")  # same digest: idempotent
+        with pytest.raises(ConfigError, match="already exists"):
+            TraceLibrary().add(simple_trace("x"), characterize=False)
 
     def test_library_digests_skips_synthetic(self):
-        register_trace(_entry("real", "c" * 64))
-        digests = library_digests(["real", "lbm", "gcc"])
-        assert digests == {"real": "c" * 64}
+        entry = _add("real")
+        assert library_digest("real") == entry.digest
+        assert library_digest("lbm") is None
+        assert library_digest("gcc") is None
 
     def test_validate_and_intensity_see_registry(self):
         with pytest.raises(ConfigError, match="unknown app"):
             validate_app("ghost")
-        register_trace(_entry("ghost", intensive=False))
+        _add("ghost", intensive=False)
         validate_app("ghost")
         assert app_intensive("ghost") is False
         assert app_intensive("lbm") is True  # synthetic path untouched
 
+    def test_unknown_app_names_both_kinds(self):
+        _add("ghost")
+        with pytest.raises(ConfigError) as excinfo:
+            resolve_app("nope")
+        message = str(excinfo.value)
+        assert "unknown app 'nope'" in message
+        assert "synthetic apps: GemsFDTD, astar" in message
+        assert message.endswith("library traces: ghost")
+
     def test_adhoc_mix_with_library_app(self):
-        register_trace(_entry("ghost"))
+        _add("ghost")
         mix = adhoc_mix("ghost+gcc")
         assert mix.apps == ("ghost", "gcc")
         assert mix.intensive_count() == 1  # ghost intensive, gcc light
@@ -448,9 +490,32 @@ class TestRegistry:
         assert resolve_mix("M1").name == "M1"
 
     def test_load_without_backing_file(self):
-        register_trace(_entry("nofile"))
-        with pytest.raises(ConfigError, match="no backing file"):
-            lookup_registered("nofile").load()
+        entry = _add("nofile")
+        Path(entry.path).unlink()
+        with pytest.raises(TraceError, match="cannot read"):
+            resolve_trace("nofile", seed=1, target_insts=1_000)
+
+    def test_a_trace_imported_elsewhere_resolves_in_a_fresh_process(
+        self, tmp_path
+    ):
+        # This process looks the name up first and misses.
+        with pytest.raises(ConfigError, match="unknown app 'elsewhere'"):
+            validate_app("elsewhere")
+        src = tmp_path / "e.trace"
+        src.write_text("".join(f"{i * 30} {0x3000 + i * 64:#x} W\n"
+                               for i in range(1, 40)))
+        _fresh_process(
+            "from repro.cli import main; raise SystemExit(main(["
+            f"'traces', 'import', {str(src)!r}, '--name', 'elsewhere', "
+            "'--no-characterize']))"
+        )
+        digest = TraceLibrary().entry("elsewhere")["digest"]
+        # No registration call anywhere: the manifest is the registry.
+        assert _fresh_process(
+            "from repro.traces import library_digest; "
+            "print(library_digest('elsewhere'))"
+        ) == digest
+        assert library_digest("elsewhere") == digest
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +536,6 @@ class TestTraceLibrary:
         assert entry.source_format == "champsim"  # resolved, never "auto"
         assert (library.root / "ext.rtrc").is_file()
         assert library.entry("ext")["digest"] == entry.digest
-        # registered as an app
-        assert lookup_registered("ext").digest == entry.digest
         # a fresh handle on the same directory sees the persisted entry
         fresh = TraceLibrary(library.root)
         assert fresh.names() == ["ext"]
@@ -546,14 +609,16 @@ class TestTraceLibrary:
         with pytest.raises(TraceError, match="does not match the manifest"):
             TraceLibrary(library.root).get("ext")
 
-    def test_default_library_autoload(self, tmp_path, monkeypatch):
-        root = tmp_path / "auto-lib"
-        monkeypatch.setenv("REPRO_TRACE_LIBRARY", str(root))
-        TraceLibrary(root).add(simple_trace("autoapp"), characterize=False)
-        clear_registry()  # drop the registration made by add()
-        assert lookup_registered("autoapp", autoload=False) is None
-        entry = lookup_registered("autoapp")  # triggers the one-shot autoload
-        assert entry is not None
+    def test_default_library_autoload(self, tmp_path):
+        # Only the configured library's traces are apps.
+        TraceLibrary(tmp_path / "elsewhere").add(
+            simple_trace("otherapp"), characterize=False
+        )
+        with pytest.raises(ConfigError, match="unknown app 'otherapp'"):
+            resolve_app("otherapp")
+        TraceLibrary().add(simple_trace("autoapp"), characterize=False)
+        entry = resolve_app("autoapp")
+        assert entry.digest == simple_trace().digest
         assert entry.load().records == simple_trace().records
 
 
@@ -576,37 +641,37 @@ class TestRunnerIntegration:
         synthetic_key = run_key(
             small_config, ["lbm", "gcc"], "dbp", **scope_of(baseline)
         )
-        assert library_digests(["lbm", "gcc"]) == {}
 
-        # Export the exact synthetic trace and re-register it (deliberate
-        # shadow) as a library trace under the same name.
+        # Export the exact synthetic trace and import it under a library
+        # name (synthetic names are reserved).
         native_trace = baseline.trace_for("lbm")
-        native_trace_digest = native_trace.digest
         path = str(tmp_path / "lbm.rtrc")
         save_rtrc(native_trace, path)
-        library = TraceLibrary(tmp_path / "lib")
-        library.add(load_rtrc(path), characterize=False, override=True)
+        TraceLibrary().add(
+            load_rtrc(path).renamed("lbm-copy"), characterize=False
+        )
 
         replay = self._runner(small_config)
-        assert replay.trace_for("lbm").records == native_trace.records
-        imported = replay.run_apps(["lbm", "gcc"], "dbp")
-        assert result_digest(imported) == result_digest(native)
+        assert replay.trace_for("lbm-copy").records == native_trace.records
+        imported = replay.run_apps(["lbm-copy", "gcc"], "dbp")
+        # Every field of the result is equal, bar the app names.
+        assert _named(imported, {"lbm-copy": "lbm"}) == _named(native, {})
 
         # ... but the store addresses differ: the library run is keyed by
         # content digest, the synthetic one by (profile, seed, length).
+        assert library_digest("lbm-copy") == native_trace.digest
         library_key = run_key(
             small_config, ["lbm", "gcc"], "dbp",
-            trace_digests=library_digests(["lbm", "gcc"]),
+            trace_digests={"lbm": native_trace.digest},
             **scope_of(replay),
         )
         assert library_key != synthetic_key
-        assert library_digests(["lbm", "gcc"]) == {"lbm": native_trace_digest}
 
     def test_library_trace_runs_under_all_approaches(
         self, tmp_path, small_config
     ):
         trace = generate_trace(get_profile("milc"), seed=9, target_insts=120_000)
-        TraceLibrary(tmp_path / "lib").add(
+        TraceLibrary().add(
             Trace("imported", trace.records), characterize=False
         )
         runner = self._runner(small_config)
@@ -651,7 +716,7 @@ class TestCampaignKeys:
         )
 
     def test_plan_sweep_fills_library_digests(self, small_config):
-        register_trace(_entry("ghost", "7" * 64))
+        digest = _add("ghost").digest
         runner = Runner(config=small_config, horizon=10_000,
                         target_insts=100_000)
         specs = CampaignSpec(
@@ -660,26 +725,37 @@ class TestCampaignKeys:
             target_insts=runner.target_insts,
         ).plan()
         assert specs[0].apps == ("ghost", "gcc")
-        assert specs[0].trace_digests == (("ghost", "7" * 64),)
+        assert specs[0].trace_digests == (("ghost", digest),)
         assert specs[0].key() == run_key(
             small_config, ["ghost", "gcc"], "dbp",
-            trace_digests=library_digests(["ghost", "gcc"]),
+            trace_digests={"ghost": digest},
             **scope_of(runner),
         )
 
-    def test_planned_key_sees_a_shadowing_digest(self, small_config):
-        """Shadowing a synthetic app with a library trace moves the key of
-        every cell planned over it: the trace's digest is in the key."""
+    def test_planned_key_sees_a_replaced_digest(self, small_config):
+        """Replacing a library entry moves the key of every cell planned
+        over it: the trace's digest is in the key."""
+        old = _add("ghost").digest
         grid = CampaignSpec(
-            mixes=("lbm+gcc",), approaches=("dbp",), horizons=(10_000,),
+            mixes=("ghost+gcc",), approaches=("dbp",), horizons=(10_000,),
             config=small_config, target_insts=100_000,
         )
-        plain = grid.plan()[0]
-        register_trace(_entry("lbm", "1" * 64, True), override=True)
-        shadowed = grid.plan()[0]
-        assert plain.trace_digests == ()
-        assert shadowed.trace_digests == (("lbm", "1" * 64),)
-        assert plain.key() != shadowed.key()
+        before = grid.plan()[0]
+        new = TraceLibrary().add(
+            simple_trace("ghost"), characterize=False, override=True
+        ).digest
+        after = grid.plan()[0]
+        assert before.trace_digests == (("ghost", old),)
+        assert after.trace_digests == (("ghost", new),)
+        assert before.key() != after.key()
+
+    def test_plan_of_synthetic_apps_carries_no_digests(self, small_config):
+        _add("lbm-copy")
+        spec = CampaignSpec(
+            mixes=("lbm+gcc",), approaches=("dbp",), horizons=(10_000,),
+            config=small_config, target_insts=100_000,
+        ).plan()[0]
+        assert spec.trace_digests == ()
 
     def test_result_digest_discriminates(self, small_config):
         runner = Runner(config=small_config, horizon=20_000,
@@ -700,46 +776,75 @@ class TestTracesCli:
         src = tmp_path / "s.trace"
         src.write_text("".join(f"{i * 40} {0x2000 + i * 64:#x} R\n"
                                for i in range(1, 80)))
-        lib = str(tmp_path / "cli-lib")
         rc = main([
-            "traces", "import", str(src),
-            "--library", lib, "--name", "cliapp", "--no-characterize",
+            "traces", "import", str(src), "--name", "cliapp",
+            "--no-characterize",
         ])
         out = capsys.readouterr().out
         assert rc == 0
         assert "imported 'cliapp'" in out
         assert "digest:" in out
-        return lib
+        return src
 
     def test_import_list_info_export(self, tmp_path, capsys):
         from repro.cli import main
 
-        lib = self._import_sample(tmp_path, capsys)
-        assert main(["traces", "list", "--library", lib]) == 0
+        self._import_sample(tmp_path, capsys)
+        assert main(["traces", "list"]) == 0
         assert "cliapp" in capsys.readouterr().out
-        assert main(["traces", "info", "cliapp", "--library", lib]) == 0
+        assert main(["traces", "info", "cliapp"]) == 0
         assert "source format: champsim" in capsys.readouterr().out
         dest = str(tmp_path / "out.rtrc")
-        assert main([
-            "traces", "export", "cliapp", "--library", lib, "--to", dest,
-        ]) == 0
+        assert main(["traces", "export", "cliapp", "--to", dest]) == 0
         assert load_rtrc(dest).name == "cliapp"
 
-    def test_list_empty_library(self, tmp_path, capsys):
+    def test_list_empty_library(self, capsys):
         from repro.cli import main
 
-        assert main(["traces", "list", "--library", str(tmp_path / "e")]) == 0
+        assert main(["traces", "list"]) == 0
         assert "is empty" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("override", [[], ["--override"]], ids=str)
+    def test_import_under_a_synthetic_name_writes_nothing(
+        self, tmp_path, capsys, private_library, override
+    ):
+        from repro.cli import main
+
+        src = self._import_sample(tmp_path, capsys)
+        rc = main([
+            "traces", "import", str(src), "--name", "lbm",
+            "--no-characterize", *override,
+        ])
+        assert rc == 1
+        assert "collides with a synthetic" in capsys.readouterr().err
+        assert not (private_library / "lbm.rtrc").exists()
+        assert TraceLibrary().names() == ["cliapp"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["import", "x.trace", "--to", "y"],
+            ["list", "--name", "y"],
+            ["info", "y", "--override"],
+            ["export", "y", "--format", "text"],
+            ["list", "--library", "lib"],
+        ],
+        ids=" ".join,
+    )
+    def test_each_verb_takes_only_its_own_flags(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["traces", *argv])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_import_error_reported_not_raised(self, tmp_path, capsys):
         from repro.cli import main
 
         bad = tmp_path / "bad.trace"
         bad.write_text("5 0x0 R\n3 0x40 R\n")  # instr count goes backwards
-        rc = main([
-            "traces", "import", str(bad),
-            "--library", str(tmp_path / "lib"),
-        ])
+        rc = main(["traces", "import", str(bad)])
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{bad}:2" in err  # file:line diagnostic, no traceback
@@ -750,10 +855,7 @@ class TestTracesCli:
         # A synthetic app exports through the library verb; no library
         # entry is needed.
         dest = str(tmp_path / "povray.rtrc")
-        rc = main([
-            "--seed", "3", "traces", "export", "povray",
-            "--library", str(tmp_path / "lib"), "--to", dest,
-        ])
+        rc = main(["--seed", "3", "traces", "export", "povray", "--to", dest])
         assert rc == 0
         loaded, header = read_rtrc(dest)
         assert loaded.name == "povray"
@@ -762,8 +864,15 @@ class TestTracesCli:
             "source_format": "synthetic",
         }
 
-    def test_legacy_analyze_form_still_works(self, capsys):
+    def test_gen_traces_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
+        from repro.cpu.trace import load_trace
 
-        assert main(["traces", "gcc"]) == 0
-        assert "intrinsic MPKI" in capsys.readouterr().out
+        dest = str(tmp_path / "gcc.trace")
+        assert main([
+            "traces", "export", "gcc", "--to", dest,
+            "--export-format", "text",
+        ]) == 0
+        loaded = load_trace(dest)
+        assert loaded.name == "gcc"
+        assert len(loaded) > 0

@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
 from repro.utils import (
-    arithmetic_mean,
     ceil_div,
     clamp,
     geometric_mean,
-    harmonic_mean,
     ilog2,
     is_power_of_two,
     largest_remainder_shares,
@@ -79,26 +77,12 @@ class TestMeans:
     def test_geometric_mean_basic(self):
         assert geometric_mean([2, 8]) == pytest.approx(4.0)
 
-    def test_arithmetic_mean_basic(self):
-        assert arithmetic_mean([1, 2, 3]) == pytest.approx(2.0)
-
-    def test_harmonic_mean_basic(self):
-        assert harmonic_mean([1, 1]) == pytest.approx(1.0)
-
-    def test_harmonic_le_geometric_le_arithmetic(self):
-        values = [1.5, 2.0, 7.0, 0.4]
-        assert (
-            harmonic_mean(values)
-            <= geometric_mean(values)
-            <= arithmetic_mean(values)
-        )
-
-    @pytest.mark.parametrize("fn", [geometric_mean, arithmetic_mean, harmonic_mean])
+    @pytest.mark.parametrize("fn", [geometric_mean])
     def test_empty_rejected(self, fn):
         with pytest.raises(ValueError):
             fn([])
 
-    @pytest.mark.parametrize("fn", [geometric_mean, harmonic_mean])
+    @pytest.mark.parametrize("fn", [geometric_mean])
     def test_nonpositive_rejected(self, fn):
         with pytest.raises(ValueError):
             fn([1.0, 0.0])
