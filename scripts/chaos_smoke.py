@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """CI chaos smoke: a mini-campaign must survive every injected fault.
 
-Drives the supervised executor through the full failure taxonomy with the
+Drives the supervised executor through every kind of failure with the
 deterministic fault harness (:mod:`repro.faults`) and fails loudly unless
-every spec ends *resolved* — executed, cached, or explicitly quarantined
-with a persisted failure record. No silent losses.
+every spec ends *resolved* — executed, cached, or failed with a persisted
+failure record. No silent losses. One rule settles them all: every failed
+attempt costs one retry, and a spec fails after ``retries + 1`` attempts.
 
-Stage 1 (API): a multi-worker campaign where one spec's worker is killed
-with a real ``SIGKILL`` (what ``kill -9`` / the OOM killer delivers), one hangs
-past the per-run timeout, one throws a transient error, and one is poisoned
-(fails deterministically every time) and must be quarantined. A retried
-spec re-runs from scratch.
+Stage 1 (API): a multi-worker campaign where one spec hangs past the
+per-run timeout, one throws a transient error, and one is poisoned (fails
+every time) and must fail after ``retries + 1`` attempts. A retried spec
+re-runs from scratch.
+
+Stage 1b (crash): one spec's worker is killed with a real ``SIGKILL`` (what
+``kill -9`` / the OOM killer delivers) next to an in-flight bystander; the
+killed spec recovers on a replacement worker, bit-identical to a clean run.
 
 Stage 2 (CLI): the same harness activated through ``REPRO_FAULT_PLAN``,
 proving the env-var plumbing reaches CLI-spawned worker processes: a
@@ -49,10 +53,10 @@ def check(condition: bool, label: str) -> None:
         sys.exit(1)
 
 
-def _spec(mix_name: str) -> RunSpec:
+def _spec(mix_name: str, approach: str = "shared-frfcfs") -> RunSpec:
     return RunSpec(
         apps=("lbm", "gcc"),
-        approach="shared-frfcfs",
+        approach=approach,
         horizon=HORIZON,
         target_insts=TARGET_INSTS,
         mix_name=mix_name,
@@ -82,7 +86,10 @@ def stage_api(workdir: str, jobs: int) -> dict:
     specs = [
         _spec("HANG"),  # blocks past the per-run timeout
         _spec("FLAKY"),  # transient error on the first attempt
-        _spec("POISON"),  # deterministic failure every time -> quarantine
+        # Fails every time -> failed after its budget. Its own approach
+        # gives it its own store key: the mix name is only a label, so
+        # specs that differ in it alone share one entry and one record.
+        _spec("POISON", approach="ebp"),
     ]
     plan = FaultPlan(
         seed=5,
@@ -97,15 +104,14 @@ def stage_api(workdir: str, jobs: int) -> dict:
     )
     plan.save(os.path.join(workdir, "fault_plan.json"))
     store = ResultStore(os.path.join(workdir, "store"))
+    retries = 2
     started = time.perf_counter()
     result = execute(
         specs,
         jobs=jobs,
         store=store,
-        retries=2,
+        retries=retries,
         timeout=5.0,
-        backoff=0.05,
-        quarantine_after=2,
         faults=plan,
     )
     wall = time.perf_counter() - started
@@ -115,17 +121,21 @@ def stage_api(workdir: str, jobs: int) -> dict:
     check(result.unresolved == [], "every spec resolved (no silent losses)")
     check(by_mix["HANG"].status == "ok"
           and by_mix["HANG"].failure is not None
-          and by_mix["HANG"].failure.attempts[0].error_class == "timeout",
+          and by_mix["HANG"].failure.attempts[0].error_type
+          == "RunTimeoutError",
           "hung spec timed out, then recovered")
     check(by_mix["FLAKY"].status == "ok"
           and by_mix["FLAKY"].failure is not None
           and by_mix["FLAKY"].failure.resolution == "recovered",
           "transient spec recovered with a failure record")
-    check(by_mix["POISON"].status == "quarantined"
-          and by_mix["POISON"].attempts == 2,
-          "poison spec quarantined after 2 deterministic failures")
-    check(store.get_failure(specs[2].key()) is not None,
-          "quarantine record persisted in the store")
+    check(by_mix["POISON"].status == "failed"
+          and by_mix["POISON"].attempts == retries + 1
+          and len(by_mix["POISON"].failure.attempts) == retries + 1,
+          f"poison spec failed after {retries + 1} attempts")
+    record = store.get_failure(specs[2].key())
+    check(record is not None and record["resolution"] == "failed"
+          and len(record["attempts"]) == retries + 1,
+          "failure record persisted in the store")
     check(result.time_lost_to_faults > 0,
           "time lost to faults is accounted")
     return {
@@ -156,8 +166,7 @@ def stage_crash(workdir: str, jobs: int) -> dict:
         specs,
         jobs=jobs,
         store=store,
-        retries=1,
-        backoff=0.05,
+        retries=1,  # the one SIGKILL costs the one retry
         faults=plan,
     )
     print(render_report(result, store=store))
@@ -166,8 +175,18 @@ def stage_crash(workdir: str, jobs: int) -> dict:
           "every spec resolved after the SIGKILL")
     check(by_mix["CRASH"].status == "ok",
           "SIGKILLed spec recovered on a replacement worker")
-    check(by_mix["CRASH"].attempts == 1,
-          "SIGKILL charged no retry budget (infrastructure failure)")
+    check(by_mix["CRASH"].attempts == 2
+          and [a.error_type for a in by_mix["CRASH"].failure.attempts]
+          == ["WorkerDiedError"],
+          "SIGKILL cost one retry, like any failed attempt")
+    clean = execute(
+        [specs[0]], store=ResultStore(os.path.join(workdir, "clean-store"))
+    ).outcomes[0].result
+    recovered = by_mix["CRASH"].result
+    check(recovered.system.engine_events == clean.system.engine_events
+          and recovered.metrics_snapshot == clean.metrics_snapshot
+          and recovered.shared_ipcs == clean.shared_ipcs,
+          "recovered spec is bit-identical to a clean run")
     check(by_mix["BYSTANDER"].status == "ok"
           and by_mix["BYSTANDER"].attempts == 1
           and by_mix["BYSTANDER"].failure is None,
@@ -205,7 +224,7 @@ def stage_cli(workdir: str, jobs: int) -> dict:
             sys.executable, "-m", "repro",
             "--horizon", str(HORIZON), "campaign",
             "--mixes", "M4", "--approaches", "shared-frfcfs",
-            "--jobs", str(jobs), "--backoff", "0.05",
+            "--jobs", str(jobs),
             "--store", os.path.join(workdir, "cli-store"),
         ],
         env=env,

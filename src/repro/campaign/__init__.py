@@ -36,9 +36,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         ".failures": (
             "FailureAttempt",
-            "FailureClass",
             "FailureRecord",
-            "classify_failure",
         ),
         ".api": ("run_campaign", "sweep_metrics"),
         ".progress": (

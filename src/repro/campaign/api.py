@@ -26,9 +26,6 @@ def run_campaign(
     timeout: Optional[float] = None,
     progress: Optional[ProgressFn] = None,
     persist: bool = True,
-    backoff: float = 0.25,
-    quarantine_after: int = 2,
-    max_pool_respawns: int = 3,
     faults: Optional[object] = None,
     spans: Optional[object] = None,
 ) -> CampaignResult:
@@ -37,10 +34,9 @@ def run_campaign(
     With ``persist`` (the default) results land in ``store`` — created at
     :func:`~repro.campaign.store.default_store_dir` when not given — so a
     re-run of the same campaign is served from disk and an interrupted one
-    resumes where it stopped. The supervision knobs (``backoff``,
-    ``quarantine_after``, ``max_pool_respawns``, ``faults``) and the
-    ``spans`` trace-output path
-    pass straight through to :func:`~repro.campaign.executor.execute`.
+    resumes where it stopped. The fault plan (``faults``) and the ``spans``
+    trace-output path pass straight through to
+    :func:`~repro.campaign.executor.execute`.
     """
     specs = plan.plan() if isinstance(plan, CampaignSpec) else list(plan)
     if persist and store is None:
@@ -52,9 +48,6 @@ def run_campaign(
         retries=retries,
         timeout=timeout,
         progress=progress,
-        backoff=backoff,
-        quarantine_after=quarantine_after,
-        max_pool_respawns=max_pool_respawns,
         faults=faults,
         spans=spans,
     )
@@ -70,8 +63,7 @@ def sweep_metrics(
     The grid is planned by :class:`CampaignSpec` and executed by
     :func:`execute` on ``runner.jobs`` workers against ``runner.store``,
     like any campaign. A later grid that shares cells (F3 after F2) reuses
-    them only through the store. A cell that fails or is quarantined fails
-    the sweep.
+    them only through the store. A cell that fails fails the sweep.
     """
     specs = CampaignSpec(
         mixes=tuple(mixes),
@@ -85,12 +77,11 @@ def sweep_metrics(
         telemetry=runner.telemetry,
     ).plan()
     campaign = execute(specs, jobs=runner.jobs, store=runner.store)
-    failures = campaign.failed + campaign.quarantined
+    failures = campaign.failed
     if failures:
         first = failures[0]
         raise ExperimentError(
-            f"{len(failures)} of {len(specs)} sweep runs "
-            f"failed or were quarantined; "
+            f"{len(failures)} of {len(specs)} sweep runs failed; "
             f"first: {first.spec.label} — {first.error}"
         )
     out: Dict[str, Dict[str, List[float]]] = {

@@ -2,12 +2,12 @@
 
 The executor turns a list of :class:`~repro.campaign.spec.RunSpec` into
 :class:`RunOutcome`s under a supervisor that guarantees *no spec is ever
-lost silently*: every planned run settles as executed, cached, failed, or
-explicitly quarantined — the latter two with a structured
+lost silently*: every planned run settles as executed, cached, or failed —
+a failed one with a structured
 :class:`~repro.campaign.failures.FailureRecord` persisted into the result
 store.
 
-Supervision rules (see :mod:`repro.campaign.failures` for the taxonomy):
+Supervision rules:
 
 * runs already in the :class:`~repro.campaign.store.ResultStore` are served
   from disk (``status="cached"``) without touching a worker;
@@ -27,18 +27,14 @@ Supervision rules (see :mod:`repro.campaign.failures` for the taxonomy):
   task is a prefetch, not an outcome: however it ends, its dependents are
   released, and a cell that finds no record simulates the baseline itself;
 * the supervisor waits on the workers' pipes and process sentinels. A
-  worker that overruns the per-run deadline is killed (**timeout**); a
-  worker found dead, or one that cannot be started, is an
-  **infrastructure** loss. Either way exactly the spec that worker held
-  is affected, the worker is replaced, and sibling workers run on
-  undisturbed;
-* a failed attempt is classified: **transient** errors and **timeouts**
-  consume one unit of the spec's bounded retry budget and requeue with
-  exponential backoff; **deterministic** errors are retried once to
-  confirm and then *quarantine* the spec (a poison spec must not burn the
-  campaign's wall-clock); **infrastructure** losses requeue *without*
-  being charged, but a spec that loses its worker more than
-  ``max_pool_respawns`` times is itself quarantined;
+  worker that overruns the per-run deadline is killed; a worker found
+  dead, or one that cannot be started, is lost. Either way exactly the
+  spec that worker held is affected, the worker is replaced, and sibling
+  workers run on undisturbed;
+* one failure rule: every failed attempt — an exception, a missed
+  deadline, a lost worker — costs one unit of the spec's retry budget and
+  requeues it at once; after ``retries + 1`` attempts it settles
+  ``failed``;
 * a retried spec re-runs from scratch on a fresh Runner, so a recovered
   result is bit-identical to an uninterrupted one; a run that cannot
   finish inside ``timeout`` fails however often it is retried;
@@ -75,11 +71,9 @@ from ..telemetry.spans import (
 )
 from .failures import (
     FailureAttempt,
-    FailureClass,
     FailureRecord,
     RunTimeoutError,
     WorkerDiedError,
-    classify_failure,
 )
 from .spec import RunSpec
 from .store import ResultStore, StoreStats, scope_of
@@ -97,13 +91,13 @@ class RunOutcome:
     """What happened to one planned run."""
 
     spec: RunSpec
-    status: str  # "ok" | "cached" | "failed" | "quarantined"
+    status: str  # "ok" | "cached" | "failed"
     result: Optional[RunResult] = None
     error: str = ""
     wall_clock: float = 0.0
     attempts: int = 0
     #: Structured failure history (also persisted into the store) when the
-    #: run failed, was quarantined, or recovered after failed attempts.
+    #: run failed or recovered after failed attempts.
     failure: Optional[FailureRecord] = None
 
     @property
@@ -136,10 +130,6 @@ class CampaignResult:
     @property
     def failed(self) -> List[RunOutcome]:
         return self.with_status("failed")
-
-    @property
-    def quarantined(self) -> List[RunOutcome]:
-        return self.with_status("quarantined")
 
     @property
     def unresolved(self) -> List[RunOutcome]:
@@ -176,21 +166,21 @@ def _store_for(store_root: str) -> ResultStore:
     return store
 
 
-def _span_part_path(span_dir: str, label: str, submission: int) -> str:
+def _span_part_path(span_dir: str, label: str, attempt: int) -> str:
     """Unique per-attempt trace-part filename inside ``span_dir``."""
     digest = hashlib.sha256(label.encode("utf-8")).hexdigest()[:8]
     safe = "".join(
         c if c.isalnum() or c in "-_+." else "_" for c in label
     )[:40]
     return os.path.join(
-        span_dir, f"{safe}-{digest}-s{submission}-p{os.getpid()}.json"
+        span_dir, f"{safe}-{digest}-a{attempt}-p{os.getpid()}.json"
     )
 
 
 def _worker(
     spec: RunSpec,
     store_root: Optional[str],
-    submission: int = 1,
+    attempt: int = 1,
     fault_plan: Optional[Dict[str, object]] = None,
     span_dir: Optional[str] = None,
     alone: Optional[Tuple[str, str]] = None,
@@ -236,13 +226,13 @@ def _worker(
         if alone is not None:
             # Chaos harness hook, as for a cell below; its own site, so
             # plans written against ``worker.run`` keep meaning "a cell".
-            maybe_fire("worker.alone", key=label, attempt=submission)
+            maybe_fire("worker.alone", key=label, attempt=attempt)
             return runner.alone_ipc(alone_app), 0.0  # the reply is unused
         started = time.perf_counter()
         # Chaos harness hook: crash/hang/raise exactly like a faulty run
         # would, inside the timeout scope so injected hangs test the
         # deadline too.
-        maybe_fire("worker.run", key=spec.label, attempt=submission)
+        maybe_fire("worker.run", key=spec.label, attempt=attempt)
         result = runner.run_apps(
             list(spec.apps), spec.approach, mix_name=spec.mix_name
         )
@@ -257,14 +247,14 @@ def _worker(
             maybe_fire(
                 "store.put",
                 key=spec.label,
-                attempt=submission,
+                attempt=attempt,
                 path=store.path_for(key),
             )
     finally:
         if tracer is not None:
             install_tracer(previous_tracer)
             try:
-                tracer.write(_span_part_path(span_dir, label, submission))
+                tracer.write(_span_part_path(span_dir, label, attempt))
             except OSError:
                 pass  # tracing must never fail the run itself
     return result, wall
@@ -273,11 +263,10 @@ def _worker(
 class _Failure(NamedTuple):
     """One failed attempt, reduced to what the supervisor records.
 
-    Plain strings plus the class, so a failure crosses the pipe whether or
-    not the exception that caused it can be pickled.
+    Plain strings, so a failure crosses the pipe whether or not the
+    exception that caused it can be pickled.
     """
 
-    cls: FailureClass
     error_type: str
     message: str
     traceback: str
@@ -285,7 +274,6 @@ class _Failure(NamedTuple):
 
 def _failure_of(error: BaseException) -> _Failure:
     return _Failure(
-        classify_failure(error),
         type(error).__name__,
         str(error),
         "".join(
@@ -349,14 +337,10 @@ class _SpecState:
     """The supervisor's bookkeeping for one not-yet-settled spec."""
 
     spec: RunSpec
-    #: Budget-consuming attempts (charged at hand-off, refunded for
-    #: infrastructure losses the spec is not responsible for).
+    #: Hand-offs to a worker so far, each charged to the retry budget;
+    #: fault injectors key on it, so an injected crash with ``times=2``
+    #: converges.
     attempts: int = 0
-    #: Total hand-offs to a worker, never refunded — this is what fault
-    #: injectors key on, so an injected crash with ``times=2`` converges.
-    submissions: int = 0
-    infra_losses: int = 0
-    det_failures: int = 0
     failures: List[FailureAttempt] = field(default_factory=list)
     #: Wall-clock µs of the first hand-off (span tracing only): the
     #: supervisor's "run" span opens here and closes when the spec settles.
@@ -386,7 +370,7 @@ class _Slot:
 
 @dataclass
 class _Supervisor:
-    """Retry/backoff/quarantine bookkeeping and the one scheduling loop."""
+    """Retry bookkeeping and the one scheduling loop."""
 
     specs: Sequence[RunSpec]
     outcomes: Dict[int, RunOutcome]
@@ -395,19 +379,15 @@ class _Supervisor:
     retries: int
     timeout: Optional[float]
     progress: Optional[ProgressFn]
-    backoff: float
-    quarantine_after: int
-    max_pool_respawns: int
     fault_plan_doc: Optional[Dict[str, object]]
     tracer: Optional[SpanTracer] = None
     span_dir: Optional[str] = None
     states: Dict[int, _SpecState] = field(default_factory=dict)
     time_lost: float = 0.0
     pool_respawns: int = 0
-    #: Tasks runnable now (spec indices; alone-record keys for baseline
-    #: tasks) / spec indices requeued for a later monotonic time.
+    #: Tasks runnable now: spec indices, and alone-record keys for
+    #: baseline tasks.
     ready: List[Union[int, str]] = field(default_factory=list)
-    delayed: Dict[int, float] = field(default_factory=dict)
     #: Baseline tasks still queued or in flight: alone-record key → (a
     #: spec carrying the scope to measure under, app).
     baselines: Dict[str, Tuple[RunSpec, str]] = field(default_factory=dict)
@@ -464,17 +444,11 @@ class _Supervisor:
         st = self.state(index)
         spec = st.spec
         self._span_attempt(
-            st, "attempt", wall, submission=st.submissions, outcome="ok"
+            st, "attempt", wall, attempt=st.attempts, outcome="ok"
         )
         record = None
         if st.failures:
-            record = self._record(
-                st,
-                resolution="recovered",
-                final_class=st.failures[-1].error_class,
-                reason=f"succeeded on attempt {st.attempts}",
-            )
-            self._persist(record)
+            record = self._persist(st, "recovered")
         elif self.store is not None:
             self.store.clear_failure(_safe_key(spec))
         self._settle(
@@ -484,61 +458,34 @@ class _Supervisor:
                 "ok",
                 result,
                 wall_clock=wall,
-                attempts=max(1, st.attempts),
-                failure=record,
-            ),
-        )
-
-    def settle_failure(
-        self, index: int, resolution: str, cls: FailureClass, reason: str
-    ) -> None:
-        st = self.state(index)
-        record = self._record(
-            st, resolution=resolution, final_class=cls.value, reason=reason
-        )
-        self._persist(record)
-        self._settle(
-            index,
-            RunOutcome(
-                st.spec,
-                resolution,
-                error=record.last_error or reason,
                 attempts=st.attempts,
                 failure=record,
             ),
         )
 
-    def _record(
-        self, st: _SpecState, resolution: str, final_class: str, reason: str
-    ) -> FailureRecord:
-        return FailureRecord(
+    def _persist(self, st: _SpecState, resolution: str) -> FailureRecord:
+        record = FailureRecord(
             key=_safe_key(st.spec),
             label=st.spec.label,
             resolution=resolution,
-            final_class=final_class,
-            reason=reason,
             attempts=list(st.failures),
             time_lost=sum(f.wall_clock for f in st.failures),
         )
-
-    def _persist(self, record: FailureRecord) -> None:
         if self.store is not None:
             self.store.put_failure(record.key, record.to_doc())
+        return record
 
-    # -- the supervision decision ---------------------------------------
+    # -- the one failure rule ---------------------------------------------
     def handle_failure(
         self, index: int, failure: _Failure, wall: float
-    ) -> Optional[float]:
-        """Book one failed attempt; returns the requeue delay in seconds,
-        or None when the spec settled (failed/quarantined)."""
+    ) -> bool:
+        """Charge one failed attempt to the spec's budget; True when it is
+        requeued, False when the budget is spent and it settled failed."""
         st = self.state(index)
-        cls = failure.cls
         self.time_lost += wall
         st.failures.append(
             FailureAttempt(
                 attempt=st.attempts,
-                submission=st.submissions,
-                error_class=cls.value,
                 error_type=failure.error_type,
                 message=failure.message,
                 traceback=failure.traceback,
@@ -546,38 +493,20 @@ class _Supervisor:
                 at=time.time(),
             )
         )
-        quarantine = None
-        if cls is FailureClass.INFRASTRUCTURE:
-            # Losing a worker is not evidence against the spec (the OOM
-            # killer picks its own victims), so its budget is refunded —
-            # but a spec whose worker keeps dying is the likely culprit.
-            st.attempts -= 1
-            st.infra_losses += 1
-            if st.infra_losses <= self.max_pool_respawns:
-                return 0.0
-            quarantine = (
-                f"worker process died {st.infra_losses} times "
-                f"while this spec was in flight"
-            )
-        elif cls is FailureClass.DETERMINISTIC:
-            st.det_failures += 1
-            if st.det_failures >= self.quarantine_after:
-                quarantine = (
-                    f"{st.det_failures} deterministic failures; "
-                    f"retrying cannot succeed"
-                )
-        if quarantine is not None:
-            self.settle_failure(index, "quarantined", cls, reason=quarantine)
-            return None
-        if st.attempts >= self.retries + 1:
-            self.settle_failure(
-                index,
+        if st.attempts <= self.retries:
+            return True
+        record = self._persist(st, "failed")
+        self._settle(
+            index,
+            RunOutcome(
+                st.spec,
                 "failed",
-                cls,
-                reason=f"retry budget exhausted after {st.attempts} attempts",
-            )
-            return None
-        return self.backoff * (2 ** max(0, st.attempts - 1))
+                error=record.last_error,
+                attempts=st.attempts,
+                failure=record,
+            ),
+        )
+        return False
 
     def _finish(
         self,
@@ -598,22 +527,18 @@ class _Supervisor:
         if not isinstance(reply, _Failure):
             self.settle_ok(index, *reply)
             return
-        delay = self.handle_failure(index, reply, wall)
+        requeued = self.handle_failure(index, reply, wall)
         st = self.state(index)
         self._span_attempt(
             st,
             "fault-retry",
             wall,
-            submission=st.submissions,
+            attempt=st.attempts,
             error=reply.error_type,
-            requeued=delay is not None,
+            requeued=requeued,
         )
-        if delay is None:
-            return
-        if delay <= 0:
+        if requeued:
             self.ready.append(index)
-        else:
-            self.delayed[index] = time.monotonic() + delay
 
     # -- worker processes ------------------------------------------------
     def _start_worker(self) -> _Slot:
@@ -666,14 +591,7 @@ class _Supervisor:
         if not inline and self.store is not None:
             self._queue_baselines(pending)
         try:
-            while self.ready or self.delayed or self._busy():
-                now = time.monotonic()
-                for index, at in sorted(
-                    self.delayed.items(), key=lambda kv: kv[1]
-                ):
-                    if at <= now:
-                        self.ready.append(index)
-                        del self.delayed[index]
+            while self.ready or self._busy():
                 while len(self._busy()) < jobs:
                     task = self._next_task()
                     if task is None:
@@ -723,19 +641,18 @@ class _Supervisor:
     def _hand_off(self, index: Union[int, str], inline: bool) -> None:
         if isinstance(index, str):
             spec, app = self.baselines[index]
-            submission, alone = 1, (index, app)
+            attempt, alone = 1, (index, app)
         else:
             spec, alone = self.specs[index], None
             st = self.state(index)
-            st.submissions += 1
             st.attempts += 1
             if self.tracer is not None and not st.started_us:
                 st.started_us = now_us()
-            submission = st.submissions
+            attempt = st.attempts
         args = (
             spec,
             self.store_root,
-            submission,
+            attempt,
             self.fault_plan_doc,
             self.span_dir,
             alone,
@@ -754,7 +671,7 @@ class _Supervisor:
         except OSError as error:
             # No process to be had, or an idle worker died since its last
             # reply. Running the spec unguarded instead would silently drop
-            # the deadline, so this is an infrastructure loss like any other.
+            # the deadline, so this is a lost worker like any other.
             if slot is not None:
                 self._replace(slot)
             died = WorkerDiedError(f"could not hand off to a worker: {error}")
@@ -765,16 +682,13 @@ class _Supervisor:
         slot.deadline = started + self.timeout if self.timeout else None
 
     def _wait(self) -> None:
-        """Block until a worker replies, dies or overruns its deadline, or
-        a delayed spec comes due; then act on every busy worker's state."""
+        """Block until a worker replies, dies or overruns its deadline;
+        then act on every busy worker's state."""
         busy = self._busy()
-        wake = list(self.delayed.values())
-        wake += [slot.deadline for slot in busy if slot.deadline is not None]
-        timeout = max(0.0, min(wake) - time.monotonic()) if wake else None
         if not busy:
-            if timeout:
-                time.sleep(timeout)
             return
+        wake = [slot.deadline for slot in busy if slot.deadline is not None]
+        timeout = max(0.0, min(wake) - time.monotonic()) if wake else None
         from multiprocessing.connection import wait
 
         signalled = wait(
@@ -822,20 +736,14 @@ def execute(
     retries: int = 1,
     timeout: Optional[float] = None,
     progress: Optional[ProgressFn] = None,
-    backoff: float = 0.25,
-    quarantine_after: int = 2,
-    max_pool_respawns: int = 3,
     faults: Optional[object] = None,
     spans: Optional[object] = None,
 ) -> CampaignResult:
     """Execute a plan under supervision; never raises for individual runs.
 
-    ``retries`` bounds *additional* budget-consuming attempts after the
-    first, so the default reports a run as failed once it has failed twice
-    (infrastructure losses are not charged). ``backoff`` is the base of the
-    exponential requeue delay. ``quarantine_after`` deterministic failures
-    quarantine a spec; ``max_pool_respawns`` bounds the worker deaths one
-    spec is forgiven before it is quarantined. ``timeout`` (seconds) is a
+    ``retries`` bounds the attempts after the first: every failed attempt —
+    raised, timed out or worker lost — costs one, so the default reports a
+    run as failed once it has failed twice. ``timeout`` (seconds) is a
     hard per-attempt deadline, enforced by running the attempt in a worker
     process — even with ``jobs=1`` — and killing the one that overruns.
     A retried attempt re-runs its cell from scratch. ``faults`` injects a
@@ -886,9 +794,6 @@ def execute(
         retries,
         timeout,
         progress,
-        backoff,
-        quarantine_after,
-        max_pool_respawns,
         fault_plan_doc,
         tracer=tracer,
         span_dir=span_dir,

@@ -1,41 +1,22 @@
-"""Failure taxonomy and structured failure records for campaigns.
+"""Structured failure records for campaigns.
 
-Every error a run can die of falls into one of four classes, and the
-supervisor's reaction is a pure function of the class:
+The supervisor has one failure rule: every failed attempt costs one unit of
+a spec's retry budget, whether the run raised, overran its deadline
+(:class:`RunTimeoutError`) or lost its worker process
+(:class:`WorkerDiedError`). The simulator is deterministic and a retry
+re-runs from scratch, so there is nothing to tell apart: after
+``retries + 1`` failed attempts the spec settles ``failed``.
 
-=================  ==========================================  ==============
-class              typical causes                              reaction
-=================  ==========================================  ==============
-``transient``      injected/transient env error, OSError,      retry with
-                   MemoryError                                 backoff;
-                                                               charges budget
-``deterministic``  ConfigError, SimulationError, any other     retry once to
-                   exception raised by the run itself          confirm, then
-                                                               quarantine
-``timeout``        per-run deadline expired; the supervisor    retry from
-                   killed the worker that overran it           scratch;
-                   (RunTimeoutError)                           charges budget
-``infrastructure`` the worker process holding the spec died    replace that
-                   or could not be started (WorkerDiedError)   worker; requeue
-                                                               without
-                                                               charging the
-                                                               spec's budget
-=================  ==========================================  ==============
-
-``timeout`` and ``infrastructure`` are only ever observed by the supervisor
-(a missed deadline, a dead process sentinel), and only for the one spec the
-affected worker held; sibling workers are never disturbed.
-
-A spec that exhausts its budget or trips quarantine settles with a
-:class:`FailureRecord` — error class, per-attempt tracebacks, wall-clock
-lost — persisted next to the results it failed to produce (see
-``ResultStore.put_failure``), so no run can ever be lost *silently*.
+Either way it settles with a :class:`FailureRecord` — each attempt's error
+type, message, traceback and wall-clock lost — persisted next to the
+results it failed to produce (see ``ResultStore.put_failure``), so no run
+can ever be lost *silently*. A spec that succeeds after failed attempts
+keeps its record too, as ``recovered``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 from typing import Dict, List
 
 from ..errors import ReproError
@@ -49,47 +30,12 @@ class WorkerDiedError(ReproError):
     """The worker process holding a spec died or could not be started."""
 
 
-class FailureClass(Enum):
-    """What kind of failure an error represents (see module docstring)."""
-
-    TRANSIENT = "transient"
-    DETERMINISTIC = "deterministic"
-    TIMEOUT = "timeout"
-    INFRASTRUCTURE = "infrastructure"
-
-
-def classify_failure(error: BaseException) -> FailureClass:
-    """Map one caught exception onto the four-way taxonomy.
-
-    The checks are ordered most-specific first: the injected
-    ``TransientFaultError`` subclasses ``ReproError``, and ``TimeoutError``
-    is an ``OSError`` subclass on CPython 3.10+, so neither may fall
-    through to a broader bucket.
-    """
-    from ..faults.injectors import TransientFaultError
-
-    if isinstance(error, RunTimeoutError):
-        return FailureClass.TIMEOUT
-    if isinstance(error, TransientFaultError):
-        return FailureClass.TRANSIENT
-    if isinstance(error, WorkerDiedError):
-        return FailureClass.INFRASTRUCTURE
-    if isinstance(error, (OSError, MemoryError)):
-        return FailureClass.TRANSIENT
-    return FailureClass.DETERMINISTIC
-
-
 @dataclass
 class FailureAttempt:
     """One failed try of one spec, as the supervisor saw it."""
 
-    #: Budget-consuming attempt number at the time of the failure
-    #: (infrastructure losses are refunded, so this can repeat).
+    #: Hand-offs of the spec so far, this one included.
     attempt: int
-    #: Monotonic count of hand-offs to a worker, including ones whose
-    #: worker died before reporting anything.
-    submission: int
-    error_class: str
     error_type: str
     message: str
     traceback: str = ""
@@ -103,7 +49,7 @@ class FailureAttempt:
 
 
 #: Bump on incompatible changes to the persisted failure-record layout.
-RECORD_VERSION = 1
+RECORD_VERSION = 2
 
 
 @dataclass
@@ -112,12 +58,10 @@ class FailureRecord:
 
     key: str
     label: str
-    #: "failed" (budget exhausted), "quarantined" (poison spec), or
-    #: "recovered" (succeeded after at least one failed attempt — kept for
-    #: forensics; the result itself lives in the store).
+    #: "failed" (budget exhausted) or "recovered" (succeeded after at least
+    #: one failed attempt — kept for forensics; the result itself lives in
+    #: the store).
     resolution: str
-    final_class: str
-    reason: str
     attempts: List[FailureAttempt] = field(default_factory=list)
     #: Total parent-observed seconds lost to the failed attempts.
     time_lost: float = 0.0

@@ -38,8 +38,7 @@ class ProgressPrinter:
         self.completed = 0
         self.cached = 0
         self.failed = 0
-        self.quarantined = 0
-        #: Budget-consuming attempts across every settled run.
+        #: Attempts across every settled run.
         self.attempts = 0
 
     def __call__(self, outcome: RunOutcome, done: int, total: int) -> None:
@@ -48,8 +47,6 @@ class ProgressPrinter:
             self._executed_walls.append(outcome.wall_clock)
         elif outcome.status == "cached":
             self.cached += 1
-        elif outcome.status == "quarantined":
-            self.quarantined += 1
         else:
             self.failed += 1
         self.attempts += outcome.attempts
@@ -64,7 +61,7 @@ class ProgressPrinter:
             line += f" {outcome.wall_clock:6.1f}s"
             if outcome.attempts > 1:
                 line += f" (attempt {outcome.attempts})"
-        elif outcome.status in ("failed", "quarantined"):
+        elif outcome.status == "failed":
             line += f" after {outcome.attempts} attempt(s) ({outcome.error})"
         eta = self._eta(done)
         if eta is not None:
@@ -160,8 +157,7 @@ def render_report(
         f"runs: {len(result.outcomes)} total, {len(executed)} executed, "
         f"{len(result.cached)} cached "
         f"({100.0 * result.cache_hit_rate:.0f}% hit rate), "
-        f"{len(result.failed)} failed, "
-        f"{len(result.quarantined)} quarantined"
+        f"{len(result.failed)} failed"
     )
     parts.append(f"campaign wall-clock: {result.wall_clock:.1f}s")
     if result.time_lost_to_faults > 0 or result.pool_respawns > 0:
@@ -200,11 +196,5 @@ def render_report(
         parts.append(
             f"FAILED after {outcome.attempts} attempt(s): "
             f"{outcome.spec.label} — {outcome.error}"
-        )
-    for outcome in result.quarantined:
-        reason = outcome.failure.reason if outcome.failure else outcome.error
-        parts.append(
-            f"QUARANTINED after {outcome.attempts} attempt(s): "
-            f"{outcome.spec.label} — {reason} ({outcome.error})"
         )
     return "\n".join(parts)

@@ -43,21 +43,6 @@ def add_campaign(sub) -> None:
         parser, "extra attempts for a failed/crashed run (default 1)"
     )
     parser.add_argument(
-        "--backoff",
-        type=float,
-        default=0.25,
-        help="base of the exponential retry backoff in seconds (default 0.25)",
-    )
-    parser.add_argument(
-        "--quarantine-after",
-        type=int,
-        default=2,
-        help=(
-            "deterministic failures before a spec is quarantined instead "
-            "of retried (default 2)"
-        ),
-    )
-    parser.add_argument(
         "--faults",
         default=None,
         metavar="PLAN.json",
@@ -156,8 +141,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         progress=progress,
         persist=not args.no_store,
-        backoff=args.backoff,
-        quarantine_after=args.quarantine_after,
         faults=faults,
         spans=args.spans,
     )
@@ -200,7 +183,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 "executed": len(result.executed),
                 "cached": len(result.cached),
                 "failed": len(result.failed),
-                "quarantined": len(result.quarantined),
                 "cache_hit_rate": result.cache_hit_rate,
                 "wall_clock": result.wall_clock,
                 "time_lost_to_faults": result.time_lost_to_faults,
@@ -219,4 +201,4 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(gates_report.render())
     if gates_report is not None and not gates_report.ok():
         return 1
-    return 1 if (result.failed or result.quarantined) else 0
+    return 1 if result.failed else 0

@@ -107,6 +107,18 @@ def cmd_import(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Marks a manifest entry under a synthetic app name (one written before
+#: those names were reserved): the synthetic profile wins, so the entry
+#: is never used.
+SHADOWED = "shadowed by the synthetic profile"
+
+
+def _shadowed(name: str) -> bool:
+    from ..workloads.profiles import APP_PROFILES
+
+    return name in APP_PROFILES
+
+
 def cmd_list(args: argparse.Namespace) -> int:
     from ..traces.library import TraceLibrary
 
@@ -132,6 +144,7 @@ def cmd_list(args: argparse.Namespace) -> int:
             f"{int(entry.get('records', 0)):>9} "
             f"{int(entry.get('total_insts', 0)):>11} "
             f"{mpki_text}  {str(entry['digest'])[:16]}…"
+            + (f"  ({SHADOWED})" if _shadowed(name) else "")
         )
     return 0
 
@@ -143,6 +156,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     name = args.name
     entry = library.entry(name)
     print(f"{name}  ({library.path_for(name)})")
+    if _shadowed(name):
+        print(f"  {SHADOWED}; this entry is never used")
     print(f"  digest:        {entry['digest']}")
     print(f"  records:       {entry.get('records', 0)}")
     print(f"  total insts:   {entry.get('total_insts', 0)}")

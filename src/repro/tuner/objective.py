@@ -185,9 +185,8 @@ class CampaignObjective:
             wall_clock=campaign.wall_clock,
             osmm_params=dict(osmm_params),
         )
-        failures = campaign.failed + campaign.quarantined
-        if failures:
-            first = failures[0]
+        if campaign.failed:
+            first = campaign.failed[0]
             result.status = "failed"
             result.error = f"{first.spec.label}: {first.error}"
             return result

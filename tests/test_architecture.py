@@ -323,6 +323,20 @@ RULES: Tuple[Rule, ...] = (
             "slot = base + stamps.index(min(stamps))",
         ),
     ),
+    Rule(
+        "one-failure-rule",
+        "a failure taxonomy, quarantine, backoff or respawn cap crept back "
+        "into the campaign executor; every failed attempt costs one retry "
+        "and a spec settles failed after retries + 1 attempts",
+        r"FailureClass|classify_failure|quarantine_after|max_pool_respawns"
+        r"|backoff",
+        ("src/repro/campaign", "src/repro/commands"),
+        include="*.py",
+        mutant=(
+            "src/repro/campaign/executor.py",
+            "        return self.backoff * (2 ** max(0, st.attempts - 1))",
+        ),
+    ),
 )
 
 _IDS = [rule.name for rule in RULES]

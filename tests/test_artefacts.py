@@ -10,7 +10,11 @@ Three layers:
   documented outcome (DESIGN.md, "On-disk artefacts");
 * a compatibility case over ``tests/data/artefacts/``: one file per kind
   written by the writers that predate the shared module. Each must still
-  read at an unchanged version and re-emit byte-identically.
+  read at an unchanged version and re-emit byte-identically. The failure
+  record is the exception that shows a version bump: ``failure_record.json``
+  is the current layout (``RECORD_VERSION`` 2, one failure rule, no
+  failure classes) and ``failure_record_v1.json`` the layout before it,
+  which must now read as stale.
 """
 
 from __future__ import annotations
@@ -438,6 +442,20 @@ class TestFixedBehaviour:
         assert main(argv + ["--dry-run"]) == 0
         assert f"would delete [stale] {path}" in capsys.readouterr().out
         assert main(argv) == 0
+        assert not path.exists()
+
+    def test_version_1_failure_record_is_stale_and_gc_deletes_it(
+        self, tmp_path, capsys
+    ):
+        store = ResultStore(tmp_path, index=False)
+        path = store.failure_path_for(KEY)
+        path.parent.mkdir(parents=True)
+        shutil.copy(DATA / "failure_record_v1.json", path)
+        assert store.get_failure(KEY) is None
+        assert store.stale_paths() == [path]
+        argv = ["results", "gc", "--store", str(tmp_path), "--stale"]
+        assert main(argv) == 0
+        assert "1 stale" in capsys.readouterr().out
         assert not path.exists()
 
     def test_manifest_of_another_version_says_stale(self, tmp_path):

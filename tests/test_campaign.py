@@ -314,15 +314,15 @@ class TestExecutor:
             horizon=30_000,
             target_insts=200_000,
         )
-        result = execute([bad] + specs, jobs=1, backoff=0.01)
-        # ConfigError is deterministic: retried once to confirm, then
-        # quarantined with a structured failure record.
+        result = execute([bad] + specs, jobs=1)
+        # The ConfigError costs the spec its budget (one retry by
+        # default), then it fails with a structured failure record.
         outcome = result.outcomes[0]
-        assert outcome.status == "quarantined"
+        assert outcome.status == "failed"
         assert "warp-drive" in outcome.error
         assert outcome.failure is not None
-        assert outcome.failure.resolution == "quarantined"
-        assert outcome.failure.attempts[-1].error_class == "deterministic"
+        assert outcome.failure.resolution == "failed"
+        assert outcome.failure.attempts[-1].error_type == "ConfigError"
         assert "ConfigError" in outcome.failure.attempts[-1].traceback
         assert [o.status for o in result.outcomes[1:]] == ["ok", "ok"]
         assert result.unresolved == []
@@ -339,8 +339,8 @@ class TestExecutor:
         execute(specs, jobs=1, progress=progress)
         assert held[0] > 0 and executor._MEMO == {}
         broken = replace(specs[0], apps=("lbm", "no-such-app"))
-        result = execute([broken], jobs=1, backoff=0.01, progress=progress)
-        assert result.outcomes[0].status == "quarantined"
+        result = execute([broken], jobs=1, progress=progress)
+        assert result.outcomes[0].status == "failed"
         assert held[-1] > 0 and executor._MEMO == {}
         execute(specs, jobs=1)
         assert alone_runs == ["lbm", "gcc", "lbm", "gcc"]
@@ -353,15 +353,12 @@ class TestExecutor:
             horizon=30_000,
             target_insts=200_000,
         )
-        # With quarantine disarmed the bounded retry budget settles it.
-        result = execute(
-            [bad], jobs=1, retries=1, backoff=0.01, quarantine_after=10
-        )
+        result = execute([bad], jobs=1, retries=2)
         outcome = result.outcomes[0]
         assert outcome.status == "failed"
-        assert outcome.attempts == 2
+        assert outcome.attempts == 3
         assert outcome.failure is not None
-        assert len(outcome.failure.attempts) == 2
+        assert len(outcome.failure.attempts) == 3
 
     def test_timeout_enforced_serial(self, small_config):
         # Far more work than 50ms allows; the deadline must cut it off.
@@ -384,10 +381,10 @@ class TestExecutor:
             horizon=30_000,
             target_insts=200_000,
         )
-        result = execute([bad], jobs=2, retries=1, backoff=0.01)
+        result = execute([bad], jobs=2, retries=1)
         outcome = result.outcomes[0]
-        assert outcome.status == "quarantined"  # deterministic, confirmed
-        assert outcome.attempts == 2  # failed twice, then quarantined
+        assert outcome.status == "failed"
+        assert outcome.attempts == 2  # failed twice: the budget is spent
 
 
 def _alone_ipc_in_child(root, config, barrier, replies):

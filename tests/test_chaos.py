@@ -5,7 +5,9 @@ fires is a pure function of (seed, site, key, attempt) — so every test
 here asserts *exact* convergence: a ``times=1`` fault fires on attempt 1
 and provably never again, which lets the supervised executor be held to
 "every spec resolved, nothing silently lost" under worker crashes, hangs,
-transient and poison exceptions, and corrupted store blobs.
+transient and poison exceptions, and corrupted store blobs. One rule
+settles every failure: each failed attempt, of whatever kind, costs one
+unit of the retry budget.
 """
 
 from __future__ import annotations
@@ -16,15 +18,9 @@ import warnings
 
 import pytest
 
-from repro.campaign import (
-    FailureClass,
-    ResultStore,
-    RunSpec,
-    classify_failure,
-    execute,
-)
-from repro.campaign.executor import _WORKER_STORES, RunTimeoutError
-from repro.campaign.failures import WorkerDiedError
+from repro.campaign import ResultStore, RunSpec, execute
+from repro.campaign.executor import _WORKER_STORES
+from repro.campaign.failures import RECORD_VERSION
 from repro.errors import SimulationError, TraceError
 from repro.faults import (
     FaultPlan,
@@ -166,31 +162,68 @@ class TestInjectors:
         path = tmp_path / "gcc.rtrc"
         save_rtrc(trace, str(path))
         truncate_file(path, keep_fraction=0.3)
-        with pytest.raises(TraceError) as excinfo:
-            load_rtrc(str(path))
-        # A damaged input is not worth retrying: the supervisor must
-        # classify it as deterministic and quarantine, not burn budget.
-        assert (
-            classify_failure(excinfo.value) is FailureClass.DETERMINISTIC
+        # A damaged input fails the same way on every read, so a retry
+        # of a run that loads it fails the same way too.
+        for _ in range(2):
+            with pytest.raises(TraceError):
+                load_rtrc(str(path))
+
+
+# ---------------------------------------------------------------------------
+# The one failure rule.
+# ---------------------------------------------------------------------------
+class TestOneFailureRule:
+    @pytest.mark.parametrize(
+        "kind, timeout, error_type",
+        [
+            ("deterministic", None, "SimulationError"),
+            ("transient", None, "TransientFaultError"),
+            ("hang", 0.5, "RunTimeoutError"),
+            ("crash", None, "WorkerDiedError"),
+        ],
+        ids=["raised", "transient", "timeout", "killed"],
+    )
+    def test_every_failure_kind_costs_one_retry(
+        self, small_config, tmp_path, kind, timeout, error_type
+    ):
+        """Raised, timed out or worker killed: under ``retries=R`` a cell
+        that fails every time settles ``failed`` after exactly R + 1
+        hand-offs, with a persisted record of R + 1 attempts."""
+        retries = 2
+        spec = _spec(small_config)
+        store = ResultStore(tmp_path / "store")
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(
+                    site="worker.run", kind=kind, times=99, seconds=30.0
+                ),
+            ),
         )
-
-
-# ---------------------------------------------------------------------------
-# Failure taxonomy.
-# ---------------------------------------------------------------------------
-class TestClassification:
-    def test_taxonomy(self):
-        cases = [
-            (RunTimeoutError("t"), FailureClass.TIMEOUT),
-            (TransientFaultError("t"), FailureClass.TRANSIENT),
-            (OSError("disk"), FailureClass.TRANSIENT),
-            (MemoryError(), FailureClass.TRANSIENT),
-            (WorkerDiedError("worker"), FailureClass.INFRASTRUCTURE),
-            (SimulationError("bug"), FailureClass.DETERMINISTIC),
-            (ValueError("bug"), FailureClass.DETERMINISTIC),
-        ]
-        for error, expected in cases:
-            assert classify_failure(error) is expected, error
+        result = execute(
+            [spec],
+            jobs=2,
+            store=store,
+            retries=retries,
+            timeout=timeout,
+            faults=plan,
+        )
+        outcome = result.outcomes[0]
+        assert outcome.status == "failed"
+        assert outcome.attempts == retries + 1
+        assert outcome.error.startswith(error_type)
+        attempts = outcome.failure.attempts
+        assert [a.attempt for a in attempts] == [1, 2, 3]
+        assert [a.error_type for a in attempts] == [error_type] * 3
+        assert outcome.failure.resolution == "failed"
+        record = store.get_failure(spec.key())
+        assert record["record_version"] == RECORD_VERSION
+        assert record["resolution"] == "failed"
+        assert len(record["attempts"]) == retries + 1
+        assert result.unresolved == []
+        # A killed or overrunning worker is replaced on every attempt.
+        replaced = retries + 1 if kind in ("hang", "crash") else 0
+        assert result.pool_respawns == replaced
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +241,7 @@ class TestSerialFaults:
                 FaultSpec(site="worker.run", kind="transient", times=1),
             ),
         )
-        result = execute(
-            [spec], store=store, retries=1, backoff=0.01, faults=plan
-        )
+        result = execute([spec], store=store, retries=1, faults=plan)
         outcome = result.outcomes[0]
         assert outcome.status == "ok"
         assert outcome.attempts == 2
@@ -221,7 +252,7 @@ class TestSerialFaults:
         assert record is not None and record["resolution"] == "recovered"
         assert result.unresolved == []
 
-    def test_poison_spec_quarantined_not_retried_forever(
+    def test_poison_spec_fails_after_its_budget_not_retried_forever(
         self, small_config, tmp_path
     ):
         spec = _spec(small_config)
@@ -233,23 +264,17 @@ class TestSerialFaults:
                 ),
             ),
         )
-        result = execute(
-            [spec],
-            store=store,
-            retries=10,
-            backoff=0.01,
-            quarantine_after=2,
-            faults=plan,
-        )
+        result = execute([spec], store=store, retries=3, faults=plan)
         outcome = result.outcomes[0]
-        assert outcome.status == "quarantined"
-        # Quarantine triggers after 2 deterministic failures — the other
-        # 9 budgeted retries must NOT be burned on a hopeless spec.
-        assert outcome.attempts == 2
-        assert outcome.failure.resolution == "quarantined"
-        assert outcome.failure.final_class == "deterministic"
+        # The budget bounds a hopeless spec: four attempts, then failed.
+        assert outcome.status == "failed"
+        assert outcome.attempts == 4
+        assert outcome.failure.resolution == "failed"
+        assert [a.error_type for a in outcome.failure.attempts] == [
+            "SimulationError"
+        ] * 4
         record = store.get_failure(spec.key())
-        assert record is not None and record["resolution"] == "quarantined"
+        assert record is not None and record["resolution"] == "failed"
         assert result.unresolved == []
 
     def test_hang_times_out_then_recovers(self, small_config, tmp_path):
@@ -267,13 +292,12 @@ class TestSerialFaults:
             store=store,
             retries=1,
             timeout=0.5,
-            backoff=0.01,
             faults=plan,
         )
         outcome = result.outcomes[0]
         assert outcome.status == "ok"
         assert outcome.attempts == 2
-        assert outcome.failure.attempts[0].error_class == "timeout"
+        assert outcome.failure.attempts[0].error_type == "RunTimeoutError"
 
         # The retry re-ran from scratch: bit-identical to a clean run.
         clean = execute(
@@ -287,7 +311,7 @@ class TestSerialFaults:
         assert recovered.metrics_snapshot == uninterrupted.metrics_snapshot
         assert recovered.shared_ipcs == uninterrupted.shared_ipcs
 
-    def test_quarantined_spec_heals_on_next_campaign(
+    def test_failed_spec_heals_on_next_campaign(
         self, small_config, tmp_path
     ):
         spec = _spec(small_config)
@@ -299,13 +323,12 @@ class TestSerialFaults:
                 ),
             ),
         )
-        first = execute(
-            [spec], store=store, backoff=0.01, faults=poison
-        )
-        assert first.outcomes[0].status == "quarantined"
+        first = execute([spec], store=store, faults=poison)
+        assert first.outcomes[0].status == "failed"
+        assert store.get_failure(spec.key()) is not None
         # Same store, fault fixed (no plan): the spec re-executes and its
-        # failure record is cleared — quarantine is not a life sentence.
-        second = execute([spec], store=store, backoff=0.01)
+        # failure record is cleared — a failure is not a life sentence.
+        second = execute([spec], store=store)
         assert second.outcomes[0].status == "ok"
         assert store.get_failure(spec.key()) is None
 
@@ -321,7 +344,7 @@ class TestSerialFaults:
         assert first.outcomes[0].status == "ok"
         # The blob on disk is damaged; the next campaign must detect it,
         # refuse to serve garbage, and re-run instead of reporting cached.
-        second = execute([spec], store=store, backoff=0.01)
+        second = execute([spec], store=store)
         assert second.outcomes[0].status == "ok"
         assert store.stats.corrupt >= 1
 
@@ -351,7 +374,7 @@ class TestSerialFaults:
         outcome = results["campaign"].outcomes[0]
         assert outcome.status == "failed"
         assert "timeout" in outcome.error
-        assert outcome.failure.final_class == "timeout"
+        assert outcome.failure.attempts[-1].error_type == "RunTimeoutError"
         # One mechanism everywhere: the deadline is a kill of the worker
         # process, so no thread-dependent fallback exists to warn about —
         # and the killed worker must not outlive the campaign.
@@ -360,7 +383,7 @@ class TestSerialFaults:
         ]
         assert multiprocessing.active_children() == []
 
-    def test_unstartable_worker_is_an_infrastructure_loss_not_a_bypass(
+    def test_unstartable_worker_is_a_failed_attempt_not_a_bypass(
         self, small_config, monkeypatch
     ):
         def refuse(process):
@@ -368,13 +391,13 @@ class TestSerialFaults:
 
         monkeypatch.setattr(multiprocessing.Process, "start", refuse)
         result = execute(
-            [_spec(small_config)], jobs=1, timeout=5.0, max_pool_respawns=1
+            [_spec(small_config)], jobs=1, retries=1, timeout=5.0
         )
         # The deadline could not be enforced, so the spec must not have
-        # been run unguarded: it is forgiven once, then quarantined.
+        # been run unguarded: each hand-off failed and cost one retry.
         outcome = result.outcomes[0]
-        assert outcome.status == "quarantined"
-        assert outcome.failure.final_class == "infrastructure"
+        assert outcome.status == "failed"
+        assert outcome.attempts == 2
         assert [a.error_type for a in outcome.failure.attempts] == [
             "WorkerDiedError"
         ] * 2
@@ -401,7 +424,7 @@ class TestSerialFaults:
 # Pooled chaos: real SIGKILL, pool respawn, full mini-campaign.
 # ---------------------------------------------------------------------------
 class TestPooledChaos:
-    def test_worker_kill_respawns_pool_without_charging_budget(
+    def test_worker_kill_replaces_the_worker_and_costs_one_retry(
         self, small_config, tmp_path
     ):
         specs = [
@@ -421,17 +444,20 @@ class TestPooledChaos:
             jobs=2,
             store=store,
             retries=1,
-            backoff=0.01,
             faults=plan,
         )
-        assert result.pool_respawns >= 1
+        assert result.pool_respawns == 1
         by_approach = {o.spec.approach: o for o in result.outcomes}
         assert by_approach["shared-frfcfs"].status == "ok"
+        assert by_approach["shared-frfcfs"].attempts == 1
         killed = by_approach["ebp"]
         assert killed.status == "ok"
-        # The SIGKILL was an infrastructure loss: the retry budget must
-        # not have been charged for it.
-        assert killed.attempts == 1
+        # The SIGKILL cost the spec one unit of its budget, like any
+        # other failed attempt.
+        assert killed.attempts == 2
+        assert [a.error_type for a in killed.failure.attempts] == [
+            "WorkerDiedError"
+        ]
         assert result.unresolved == []
 
     def test_crash_leaves_in_flight_sibling_undisturbed(
@@ -461,14 +487,12 @@ class TestPooledChaos:
             jobs=2,
             store=ResultStore(tmp_path / "store"),
             retries=1,
-            backoff=0.01,
             faults=plan,
         )
         by_mix = {o.spec.mix_name: o for o in result.outcomes}
         assert by_mix["CRASH"].status == "ok"
         crashed = by_mix["CRASH"].failure.attempts
-        assert [a.error_class for a in crashed] == ["infrastructure"]
-        assert crashed[0].error_type == "WorkerDiedError"
+        assert [a.error_type for a in crashed] == ["WorkerDiedError"]
         # The sibling's one and only hand-off ran to completion: no
         # failed attempt, so no failure record and no second submission.
         sibling = by_mix["SIBLING"]
@@ -512,7 +536,6 @@ class TestPooledChaos:
             store=store,
             retries=0,
             timeout=timeout,
-            backoff=0.01,
             faults=plan,
         )
         assert [o.status for o in result.outcomes] == ["ok", "ok"]
@@ -571,8 +594,6 @@ class TestPooledChaos:
             store=store,
             retries=2,
             timeout=2.0,
-            backoff=0.01,
-            quarantine_after=2,
             faults=plan,
         )
         by_mix = {o.spec.mix_name: o for o in result.outcomes}
@@ -582,10 +603,11 @@ class TestPooledChaos:
         assert by_mix["HANG"].status == "ok"
         assert by_mix["FLAKY"].status == "ok"
         assert by_mix["FLAKY"].failure.resolution == "recovered"
-        assert by_mix["POISON"].status == "quarantined"
-        assert by_mix["POISON"].failure.resolution == "quarantined"
+        assert by_mix["POISON"].status == "failed"
+        assert by_mix["POISON"].attempts == 3
+        assert by_mix["POISON"].failure.resolution == "failed"
         # Nothing silently lost: every spec is executed, cached, or
-        # explicitly quarantined with a persisted failure record.
+        # failed with a persisted failure record.
         assert result.unresolved == []
         persisted = {key for key, _doc in store.iter_failures()}
         assert specs[3].key() in persisted

@@ -7,7 +7,7 @@ Any timing violation anywhere in the stack fails the test.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.dbp import DBPConfig, DynamicBankPartitioning
 from repro.baselines import (
@@ -36,6 +36,15 @@ _PROFILE_STRATEGY = st.tuples(
 )
 
 
+#: Short quanta and clearing intervals, so each stateful scheduler turns
+#: over several times inside a fuzz run's horizon.
+_SCHEDULER_PARAMS = {
+    "atlas": {"quantum_cycles": 4_000},
+    "tcm": {"quantum_cycles": 4_000},
+    "bliss": {"clearing_interval": 2_000},
+}
+
+
 def build_config(num_cores, scheduler):
     org = DRAMOrganization(
         channels=2,
@@ -57,9 +66,7 @@ def build_config(num_cores, scheduler):
             write_high_watermark=12,
             write_low_watermark=4,
             scheduler=scheduler,
-            scheduler_params=(
-                {"quantum_cycles": 4_000} if scheduler in ("tcm", "atlas") else {}
-            ),
+            scheduler_params=_SCHEDULER_PARAMS.get(scheduler, {}),
         ),
         osmm=OSConfig(migration_budget_pages=2, migration_lines_per_page=1),
     )
@@ -111,8 +118,18 @@ POLICIES = {
 @given(
     profiles=st.lists(_PROFILE_STRATEGY, min_size=1, max_size=3),
     seed=st.integers(0, 100),
-    scheduler=st.sampled_from(["fcfs", "frfcfs", "parbs", "atlas", "tcm"]),
+    scheduler=st.sampled_from(
+        ["fcfs", "frfcfs", "parbs", "atlas", "bliss", "tcm"]
+    ),
     policy_name=st.sampled_from(list(POLICIES)),
+)
+# BLISS on every run, whatever the draws: a heavy app beside a light one
+# is what its blacklist separates.
+@example(
+    profiles=[(30.0, 0.3, 2, 0.2, 4), (2.0, 0.8, 1, 0.1, 2)],
+    seed=7,
+    scheduler="bliss",
+    policy_name="dbp",
 )
 def test_random_workloads_are_protocol_legal(profiles, seed, scheduler, policy_name):
     config = build_config(len(profiles), scheduler)

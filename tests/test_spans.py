@@ -263,7 +263,6 @@ class TestCampaignSpans:
             jobs=2,
             store=store,
             retries=2,
-            backoff=0.01,
             faults=plan,
             spans=str(spans),
         )

@@ -798,6 +798,31 @@ class TestTracesCli:
         assert main(["traces", "export", "cliapp", "--to", dest]) == 0
         assert load_rtrc(dest).name == "cliapp"
 
+    def test_list_and_info_mark_an_entry_a_synthetic_name_shadows(
+        self, tmp_path, capsys, private_library
+    ):
+        """A manifest written before synthetic names were reserved may hold
+        an ``lbm`` entry; the synthetic profile wins, and both verbs say so."""
+        from repro.artefact import write_json
+        from repro.cli import main
+
+        self._import_sample(tmp_path, capsys)
+        manifest = private_library / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["traces"]["lbm"] = dict(doc["traces"]["cliapp"], name="lbm")
+        write_json(manifest, doc)
+        assert resolve_app("lbm") is None
+        assert main(["traces", "list"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        lbm, = [row for row in rows if row.split()[0] == "lbm"]
+        cliapp, = [row for row in rows if row.split()[0] == "cliapp"]
+        assert "shadowed by the synthetic profile" in lbm
+        assert "shadowed" not in cliapp
+        assert main(["traces", "info", "lbm"]) == 0
+        assert "shadowed by the synthetic profile" in capsys.readouterr().out
+        assert main(["traces", "info", "cliapp"]) == 0
+        assert "shadowed" not in capsys.readouterr().out
+
     def test_list_empty_library(self, capsys):
         from repro.cli import main
 
